@@ -137,7 +137,7 @@ int run(int argc, const char* const* argv) {
   t3.set_headers({"dropout", "FedClust", "FedAvg"});
   for (const double p : {0.0, 0.3, 0.6}) {
     fl::ExperimentConfig dcfg = cfg;
-    dcfg.dropout_prob = p;
+    dcfg.fault.pre_round_dropout = p;
     dcfg.eval_every = dcfg.rounds;
     fl::Federation f1(dcfg);
     core::FedClust ours(f1);

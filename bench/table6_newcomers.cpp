@@ -33,11 +33,13 @@ namespace fedclust::bench {
 namespace {
 
 struct NewcomerSetup {
-  fl::ExperimentConfig cfg;
-  std::vector<data::ClientData> federated;   // the 80%
-  std::vector<data::ClientData> newcomers;   // the held-out 20%
+  fl::ExperimentConfig cfg;             // federates the first 80% of the plan
+  std::vector<fl::SimClient> newcomers;  // the held-out 20%
 };
 
+// The newcomers are the plan ids past the federated prefix. The plan is
+// prefix-stable, so the federated clients are exactly those of an
+// n_fed-client federation.
 NewcomerSetup make_setup(const std::string& dataset, const Scale& scale,
                          std::uint64_t seed) {
   NewcomerSetup s;
@@ -45,11 +47,14 @@ NewcomerSetup make_setup(const std::string& dataset, const Scale& scale,
   // Evaluating every round is wasted work here; only the final state
   // matters for the newcomer experiment.
   s.cfg.eval_every = s.cfg.rounds;
-  auto all = data::make_federated_data(s.cfg.data_spec, s.cfg.fed, seed);
-  const std::size_t n_fed = all.size() * 8 / 10;
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    (i < n_fed ? s.federated : s.newcomers).push_back(std::move(all[i]));
+  const data::PartitionPlan plan(s.cfg.data_spec, s.cfg.fed, seed);
+  const std::size_t n_fed = plan.n_clients() * 8 / 10;
+  for (std::size_t i = n_fed; i < plan.n_clients(); ++i) {
+    data::ClientData d = plan.materialize(i);
+    s.newcomers.emplace_back(1000 + i - n_fed, std::move(d.train),
+                             std::move(d.test));
   }
+  s.cfg.fed.n_clients = n_fed;
   return s;
 }
 
@@ -70,12 +75,8 @@ double personalize_and_eval(fl::Federation& fed, const fl::SimClient& nc,
 double newcomer_accuracy(const std::string& method, const std::string& dataset,
                          const Scale& scale, std::uint64_t seed) {
   NewcomerSetup s = make_setup(dataset, scale, seed);
-  std::vector<fl::SimClient> newcomers;
-  for (std::size_t i = 0; i < s.newcomers.size(); ++i) {
-    newcomers.emplace_back(1000 + i, std::move(s.newcomers[i].train),
-                           std::move(s.newcomers[i].test));
-  }
-  fl::Federation fed(s.cfg, std::move(s.federated));
+  const std::vector<fl::SimClient>& newcomers = s.newcomers;
+  fl::Federation fed(s.cfg);
 
   const auto eval_all = [&](const auto& start_for) {
     double sum = 0.0;

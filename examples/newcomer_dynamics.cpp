@@ -35,23 +35,20 @@ int main() {
   cfg.algo.fedclust_k = 4;
   cfg.algo.fedclust_init_epochs = 3;
 
-  // Build the full population, hold the last 6 clients out as newcomers.
-  auto all = data::make_federated_data(cfg.data_spec, cfg.fed, cfg.seed);
-  const auto groups = data::group_ids(all);
-  std::vector<data::ClientData> federated;
+  // Plan the full population, hold the last 6 clients out as newcomers:
+  // the plan is prefix-stable, so the first 24 are exactly the clients of a
+  // 24-client federation.
+  const data::PartitionPlan plan(cfg.data_spec, cfg.fed, cfg.seed);
   std::vector<fl::SimClient> newcomers;
   std::vector<std::size_t> newcomer_groups;
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    if (i < 24) {
-      federated.push_back(std::move(all[i]));
-    } else {
-      newcomers.emplace_back(i, std::move(all[i].train),
-                             std::move(all[i].test));
-      newcomer_groups.push_back(groups[i]);
-    }
+  for (std::size_t i = 24; i < plan.n_clients(); ++i) {
+    data::ClientData d = plan.materialize(i);
+    newcomers.emplace_back(i, std::move(d.train), std::move(d.test));
+    newcomer_groups.push_back(d.group_id);
   }
 
-  fl::Federation fed(cfg, std::move(federated));
+  cfg.fed.n_clients = 24;
+  fl::Federation fed(cfg);
   core::FedClust algo(fed);
   algo.run();
   std::cout << "federation trained; " << algo.report().n_clusters

@@ -14,6 +14,11 @@ class Dataset {
   Dataset(std::size_t channels, std::size_t hw, std::size_t num_classes);
 
   void add(std::vector<float> image, std::int64_t label);
+  // Sizes the storage for n samples up front.
+  void reserve(std::size_t n) {
+    images_.reserve(n * image_size());
+    labels_.reserve(n);
+  }
 
   std::size_t size() const { return labels_.size(); }
   bool empty() const { return labels_.empty(); }

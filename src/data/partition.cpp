@@ -28,6 +28,7 @@ std::vector<double> weights_from_label_set(
 void fill_dataset(Dataset& ds, std::size_t n,
                   const std::vector<double>& label_weights,
                   const SyntheticGenerator& gen, util::Rng& rng) {
+  ds.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const auto cls = static_cast<std::int64_t>(rng.categorical(label_weights));
     ds.add(gen.sample(cls, rng), cls);

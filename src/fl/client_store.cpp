@@ -8,28 +8,11 @@
 
 namespace fedclust::fl {
 
-MaterializedClientStore::MaterializedClientStore(
-    std::vector<data::ClientData> data) {
-  clients_.reserve(data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    clients_.push_back(std::make_shared<const SimClient>(
-        i, std::move(data[i].train), std::move(data[i].test)));
-  }
-}
-
-std::shared_ptr<const SimClient> MaterializedClientStore::acquire(
-    std::size_t id) {
-  if (id >= clients_.size()) {
-    throw std::out_of_range("ClientStore: client out of range");
-  }
-  return clients_[id];
-}
-
-VirtualClientStore::VirtualClientStore(
-    std::shared_ptr<const data::PartitionPlan> plan, std::size_t capacity)
+ClientStore::ClientStore(std::shared_ptr<const data::PartitionPlan> plan,
+                         std::size_t capacity)
     : plan_(std::move(plan)), capacity_(std::max<std::size_t>(1, capacity)) {}
 
-std::shared_ptr<const SimClient> VirtualClientStore::acquire(std::size_t id) {
+std::shared_ptr<const SimClient> ClientStore::acquire(std::size_t id) {
   if (id >= plan_->n_clients()) {
     throw std::out_of_range("ClientStore: client out of range");
   }
@@ -94,12 +77,12 @@ std::shared_ptr<const SimClient> VirtualClientStore::acquire(std::size_t id) {
   return client;
 }
 
-VirtualClientStore::CacheStats VirtualClientStore::stats() const {
+ClientStore::CacheStats ClientStore::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
   return stats_;
 }
 
-std::size_t VirtualClientStore::cached() const {
+std::size_t ClientStore::cached() const {
   std::lock_guard<std::mutex> lk(mu_);
   return cache_.size();
 }

@@ -1,15 +1,22 @@
 #pragma once
 
-// Client storage behind Federation: either every SimClient held in memory
-// (the classic path), or clients regenerated on demand as a pure function
-// of (seed, client id) behind an LRU-bounded materialization cache — which
-// is what makes million-client populations fit on one machine.
+// Client storage behind Federation: clients regenerated on demand as a pure
+// function of (seed, client id) from a data::PartitionPlan, behind an
+// LRU-bounded materialization cache. With capacity >= the population the
+// store never evicts, so each client is built on its first acquire and
+// stays resident; a smaller capacity is what makes million-client
+// populations fit on one machine.
 //
 // acquire() hands out shared ownership: an evicted client stays alive for
 // whoever is still training on it, so eviction can never invalidate an
 // in-flight worker. Regeneration is pure, so nothing about a run's
 // trajectory ever depends on cache capacity or hit pattern — the cache is
 // a memory/CPU dial only (docs/INVARIANTS.md §Scale).
+//
+// Concurrent acquires of the same uncached id are deduplicated: one thread
+// builds, the rest wait on the build slot. For any fixed sequence of
+// acquire() calls the hit/miss/eviction sequence is deterministic (plain
+// LRU, ties impossible).
 
 #include <condition_variable>
 #include <cstdint>
@@ -17,7 +24,6 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "data/partition.h"
 #include "fl/client.h"
@@ -32,39 +38,14 @@ class ClientStore {
     std::uint64_t evictions = 0;
   };
 
-  virtual ~ClientStore() = default;
+  // Holds at most `capacity` (>= 1) materialized clients.
+  ClientStore(std::shared_ptr<const data::PartitionPlan> plan,
+              std::size_t capacity);
 
-  virtual std::size_t size() const = 0;
+  std::size_t size() const { return plan_->n_clients(); }
   // Shared ownership of client `id`; materializes it if needed. Thread-safe.
-  virtual std::shared_ptr<const SimClient> acquire(std::size_t id) = 0;
-  virtual CacheStats stats() const { return {}; }
-};
-
-// All clients materialized up front — wraps the eager build.
-class MaterializedClientStore : public ClientStore {
- public:
-  explicit MaterializedClientStore(std::vector<data::ClientData> data);
-
-  std::size_t size() const override { return clients_.size(); }
-  std::shared_ptr<const SimClient> acquire(std::size_t id) override;
-
- private:
-  std::vector<std::shared_ptr<const SimClient>> clients_;
-};
-
-// Clients regenerated on demand from a PartitionPlan, behind an LRU cache
-// of at most `capacity` materialized clients. Concurrent acquires of the
-// same uncached id are deduplicated: one thread builds, the rest wait on
-// the build slot. For any fixed sequence of acquire() calls the hit/miss/
-// eviction sequence is deterministic (plain LRU, ties impossible).
-class VirtualClientStore : public ClientStore {
- public:
-  VirtualClientStore(std::shared_ptr<const data::PartitionPlan> plan,
-                     std::size_t capacity);
-
-  std::size_t size() const override { return plan_->n_clients(); }
-  std::shared_ptr<const SimClient> acquire(std::size_t id) override;
-  CacheStats stats() const override;
+  std::shared_ptr<const SimClient> acquire(std::size_t id);
+  CacheStats stats() const;
 
   std::size_t capacity() const { return capacity_; }
   // Currently materialized entries (for tests; racy under concurrency).

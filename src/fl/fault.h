@@ -42,8 +42,7 @@ enum class CorruptionKind : std::uint8_t {
 
 struct FaultPlan {
   // ---- injection: per-(client, round) probabilities ---------------------
-  double pre_round_dropout = 0.0;    // [0, 1): absorbs the legacy
-                                     // ExperimentConfig::dropout_prob knob
+  double pre_round_dropout = 0.0;    // [0, 1)
   double post_train_crash = 0.0;     // [0, 1)
   double straggler_prob = 0.0;       // [0, 1)
   double straggler_delay = 3.0;      // max delay factor; the delay is drawn

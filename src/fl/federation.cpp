@@ -50,17 +50,11 @@ const char* decode_span_name(wire::CodecId codec) {
 // churn, small enough that RSS stays flat at million-client populations.
 constexpr std::size_t kDefaultClientCache = 256;
 
-std::unique_ptr<ClientStore> store_from_cfg(const ExperimentConfig& cfg) {
-  if (cfg.virtual_clients) {
-    const std::size_t cap =
-        cfg.client_cache > 0 ? cfg.client_cache : kDefaultClientCache;
-    return std::make_unique<VirtualClientStore>(
-        std::make_shared<const data::PartitionPlan>(cfg.data_spec, cfg.fed,
-                                                    cfg.seed),
-        cap);
-  }
-  return std::make_unique<MaterializedClientStore>(
-      data::make_federated_data(cfg.data_spec, cfg.fed, cfg.seed));
+// Without virtual_clients the store holds the whole population, so it never
+// evicts and each client is built exactly once.
+std::size_t store_capacity(const ExperimentConfig& cfg) {
+  if (!cfg.virtual_clients) return cfg.fed.n_clients;
+  return cfg.client_cache > 0 ? cfg.client_cache : kDefaultClientCache;
 }
 
 // Rejects configurations that used to fail silently (a zero sample
@@ -79,47 +73,20 @@ ExperimentConfig validated(ExperimentConfig cfg) {
   if (cfg.eval_every == 0) {
     throw std::invalid_argument("ExperimentConfig.eval_every must be >= 1");
   }
-  if (!(cfg.dropout_prob >= 0.0) || cfg.dropout_prob >= 1.0) {
-    throw std::invalid_argument(
-        "ExperimentConfig.dropout_prob must be in [0, 1), got " +
-        std::to_string(cfg.dropout_prob));
-  }
   cfg.fault.validate();
   return cfg;
-}
-
-// The legacy dropout_prob knob maps onto the fault engine's pre-round
-// class: same "no impact" semantics (no compute, no comm), now sharing the
-// engine's deterministic per-(client, round) schedule.
-FaultPlan merged_plan(const ExperimentConfig& cfg) {
-  FaultPlan plan = cfg.fault;
-  if (cfg.dropout_prob > 0.0 && plan.pre_round_dropout == 0.0) {
-    plan.pre_round_dropout = cfg.dropout_prob;
-  }
-  return plan;
 }
 
 }  // namespace
 
 Federation::Federation(ExperimentConfig cfg)
-    : Federation(std::move(cfg), std::unique_ptr<ClientStore>()) {}
-
-Federation::Federation(ExperimentConfig cfg,
-                       std::vector<data::ClientData> data)
-    : Federation(std::move(cfg), std::make_unique<MaterializedClientStore>(
-                                     std::move(data))) {}
-
-// store == nullptr means "build from cfg after validation" — the public
-// cfg-only constructor cannot validate before delegating.
-Federation::Federation(ExperimentConfig cfg, std::unique_ptr<ClientStore> store)
     : cfg_(validated(std::move(cfg))),
-      faults_(merged_plan(cfg_), cfg_.seed),
+      faults_(cfg_.fault, cfg_.seed),
       validator_(faults_.plan().max_update_norm),
-      store_(store != nullptr ? std::move(store) : store_from_cfg(cfg_)),
+      store_(std::make_shared<const data::PartitionPlan>(cfg_.data_spec,
+                                                         cfg_.fed, cfg_.seed),
+             store_capacity(cfg_)),
       workspace_(nn::build_model(cfg_.model, cfg_.seed)) {
-  if (store_->size() == 0) {
-    throw std::invalid_argument("Federation: no clients");
-  }
   init_params_ = workspace_.flat_params();
   comm_.set_codec(cfg_.codec);
   if (obs::MetricsRegistry::enabled()) {
@@ -165,7 +132,7 @@ void Federation::release_workspace(nn::Model* m) {
 }
 
 std::vector<std::size_t> Federation::sample_round(std::size_t round) const {
-  const std::size_t n = store_->size();
+  const std::size_t n = store_.size();
   const auto want = static_cast<std::size_t>(
       cfg_.sample_fraction * static_cast<double>(n));
   std::size_t k = std::clamp<std::size_t>(want, 1, n);
@@ -473,7 +440,7 @@ util::Rng Federation::train_rng(std::size_t client, std::size_t round) const {
 }
 
 std::vector<std::size_t> Federation::eval_ids() const {
-  const std::size_t n = store_->size();
+  const std::size_t n = store_.size();
   if (cfg_.eval_clients == 0 || cfg_.eval_clients >= n) {
     std::vector<std::size_t> ids(n);
     for (std::size_t i = 0; i < n; ++i) ids[i] = i;

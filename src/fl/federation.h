@@ -82,13 +82,6 @@ struct ExperimentConfig {
   std::size_t rounds = 40;
   double sample_fraction = 0.1;  // R in Algorithm 1
   std::size_t eval_every = 1;    // evaluate-all cadence (rounds)
-  // DEPRECATED (unreliable-communication knob, paper §4.2): folded into
-  // fault.pre_round_dropout at Federation construction when the fault plan
-  // does not set its own value. Note the semantics it keeps: a pre-round
-  // dropout never trains (no compute, no comm), unlike
-  // fault.post_train_crash, which spends the compute and loses the update —
-  // the cost profile the paper's "quit after upload" reading implies.
-  double dropout_prob = 0.0;
   // Fault-injection schedule + server resilience policy (see fl/fault.h).
   FaultPlan fault;
   // Payload codec every transfer is serialized with (see fl/codec.h). The
@@ -98,12 +91,12 @@ struct ExperimentConfig {
   wire::CodecId codec = wire::CodecId::kRawF32;
   std::uint64_t seed = 1;
 
-  // Virtual client population: clients are regenerated on demand as a pure
-  // function of (seed, client id) behind an LRU cache of `client_cache`
-  // materialized clients (0 = default capacity), instead of being built up
-  // front. A memory/CPU dial only — trajectories are bit-identical to the
-  // materialized path — so both knobs are excluded from config_fingerprint,
-  // like FEDCLUST_THREADS.
+  // Client-store capacity: clients are always regenerated on demand as a
+  // pure function of (seed, client id). With virtual_clients the store
+  // holds at most `client_cache` of them (0 = default capacity) and evicts
+  // the least recently used; without it the store never evicts. A
+  // memory/CPU dial only — trajectories are bit-identical either way — so
+  // both knobs are excluded from config_fingerprint, like FEDCLUST_THREADS.
   bool virtual_clients = false;
   std::size_t client_cache = 0;
   // Evaluation-sweep subsample: evaluate_all sweeps this many clients
@@ -122,27 +115,25 @@ struct ExperimentConfig {
 
 class Federation {
  public:
-  // Synthesizes the client population from cfg.fed / cfg.data_spec.
-  // Both constructors validate cfg (sample_fraction, rounds, eval_every,
-  // dropout_prob, fault plan) and throw std::invalid_argument naming the
+  // Plans the client population from cfg.fed / cfg.data_spec; clients are
+  // synthesized on first use. Validates cfg (sample_fraction, rounds,
+  // eval_every, fault plan) and throws std::invalid_argument naming the
   // offending field.
   explicit Federation(ExperimentConfig cfg);
-  // Injects pre-built client data (newcomer experiments hold some out).
-  Federation(ExperimentConfig cfg, std::vector<data::ClientData> data);
 
   const ExperimentConfig& cfg() const { return cfg_; }
-  std::size_t n_clients() const { return store_->size(); }
+  std::size_t n_clients() const { return store_.size(); }
 
-  // Shared ownership of client i, materializing it on demand in virtual
-  // mode. Hold the returned pointer in a local when using the client across
-  // statements — an evicted client stays alive for exactly as long as
-  // someone holds it. Thread-safe.
+  // Shared ownership of client i, materializing it on first use. Hold the
+  // returned pointer in a local when using the client across statements —
+  // an evicted client stays alive for exactly as long as someone holds it.
+  // Thread-safe.
   std::shared_ptr<const SimClient> client(std::size_t i) const {
-    return store_->acquire(i);
+    return store_.acquire(i);
   }
 
-  // The backing store's cache statistics (all-zero for materialized runs).
-  ClientStore::CacheStats store_stats() const { return store_->stats(); }
+  // The backing store's cache statistics.
+  ClientStore::CacheStats store_stats() const { return store_.stats(); }
 
   CommTracker& comm() { return comm_; }
 
@@ -162,17 +153,17 @@ class Federation {
   // Replicas share the architecture of workspace() and are grown lazily, at
   // most one per in-flight worker; callers must load parameters with
   // set_flat_params before use. Model behavior is fully determined by the
-  // flat parameter vector for every zoo architecture (no hidden per-model
-  // state like Dropout RNG streams or BatchNorm running stats), which is
-  // what makes replicas interchangeable with the shared workspace — keep it
-  // that way when adding layers, or thread-count invariance breaks.
+  // flat parameter vector for every zoo architecture (no layer owns an RNG
+  // stream or running statistics), which is what makes replicas
+  // interchangeable with the shared workspace — keep it that way when
+  // adding layers, or thread-count invariance breaks.
   nn::Model* acquire_workspace();
   void release_workspace(nn::Model* m);
 
   // max(R*N, 1) distinct client ids for the given round — over-selected by
   // fault.over_select_fraction to hedge expected dropouts, minus the fault
-  // engine's pre-round dropouts (which absorb the legacy dropout_prob);
-  // deterministic in (seed, round), never empty.
+  // engine's pre-round dropouts; deterministic in (seed, round), never
+  // empty.
   std::vector<std::size_t> sample_round(std::size_t round) const;
 
   // The fault schedule and the server's update quarantine for this
@@ -293,15 +284,13 @@ class Federation {
                                      std::vector<std::uint8_t>* payload_out =
                                          nullptr) const;
 
-  Federation(ExperimentConfig cfg, std::unique_ptr<ClientStore> store);
-
   ExperimentConfig cfg_;
   Transport* transport_ = nullptr;
   FaultEngine faults_;
   UpdateValidator validator_;
   // mutable: acquiring a client may materialize it into the LRU cache,
   // which is invisible to every observable result (regeneration is pure).
-  mutable std::unique_ptr<ClientStore> store_;
+  mutable ClientStore store_;
   CommTracker comm_;
   nn::Model workspace_;
   std::vector<float> init_params_;

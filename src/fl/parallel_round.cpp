@@ -1,7 +1,6 @@
 #include "fl/parallel_round.h"
 
 #include "fl/codec.h"
-#include "fl/stream_agg.h"
 #include "fl/transport.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
@@ -227,52 +226,6 @@ bool any_delivered(const std::vector<RoundTrainResult>& results) {
   for (const auto& r : results) {
     if (r.delivered) return true;
   }
-  return false;
-}
-
-bool try_int8_aggregate(std::vector<float>& model,
-                        const std::vector<const RoundTrainResult*>& group) {
-  const std::size_t dim = model.size();
-  const std::size_t want = wire::encoded_size(wire::CodecId::kQInt8, dim);
-  double total = 0.0;
-  std::vector<std::pair<const std::vector<std::uint8_t>*, double>> entries;
-  entries.reserve(group.size());
-  for (const RoundTrainResult* r : group) {
-    if (r->encoded.size() != want || r->params.size() != dim) return false;
-    entries.emplace_back(&r->encoded, r->weight);
-    total += r->weight;
-  }
-  if (entries.empty() || total <= 0.0) return false;
-  for (auto& [bytes, w] : entries) w /= total;
-  model = wire::qint8_weighted_average(entries, dim);
-  OBS_COUNTER_ADD("agg.int8_rounds", 1);
-  return true;
-}
-
-bool aggregate_or_keep(std::vector<float>& model,
-                       const std::vector<RoundTrainResult>& results) {
-  if (results.empty() || !any_delivered(results)) {
-    // Every sampled client's update was lost or quarantined: carry the
-    // model forward unchanged rather than aggregating an empty set.
-    OBS_COUNTER_ADD("fault.empty_rounds", 1);
-    return false;
-  }
-  // Same fixed reduction tree as the streaming consume path, fed in slot
-  // order — collect-then-reduce and streaming aggregation are bit-identical
-  // by construction. int8 mode is always armed: when no qint8 payloads were
-  // captured the quantized path declines and the float tree applies.
-  StreamingAggregator agg(results.size(), model.size(), /*int8_mode=*/true);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    if (r.delivered) {
-      agg.submit(i, r.params.data(), r.params.size(), r.weight,
-                 std::vector<std::uint8_t>(r.encoded));
-    } else {
-      agg.skip(i);
-    }
-  }
-  if (agg.finish(model)) return true;
-  OBS_COUNTER_ADD("fault.empty_rounds", 1);
   return false;
 }
 

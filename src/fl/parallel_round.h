@@ -55,12 +55,12 @@ struct RoundTrainResult {
   float loss = 0.0f;          // mean training loss of the final epoch
   // Encoded wire payload of the delivered update — captured only while
   // Federation::int8_aggregation_active(), empty otherwise. Lets
-  // aggregate_or_keep average qint8 updates in the quantized domain.
+  // StreamingAggregator average qint8 updates in the quantized domain.
   std::vector<std::uint8_t> encoded;
   // False when the server never got a usable update — post-train crash,
   // retry budget exhausted, deadline missed, or quarantined by the
   // validator. Undelivered results must stay out of every reduction;
-  // to_entries() and aggregate_or_keep() already filter them.
+  // to_entries() already filters them.
   bool delivered = true;
 };
 
@@ -126,21 +126,5 @@ std::vector<std::pair<const std::vector<float>*, double>> to_entries(
 // True when at least one update survived the round's faults — check before
 // dividing by a total weight.
 bool any_delivered(const std::vector<RoundTrainResult>& results);
-
-// Averages `group` (already filtered to delivered results) into `model` in
-// the quantized int8 domain when every member carried its qint8 wire
-// payload (captured under --fast-math-kernels with the qint8 codec) and
-// bumps agg.int8_rounds once per aggregate. Returns false with `model`
-// untouched when any payload is missing or mis-sized — e.g. a result
-// produced before the flag flipped — so the caller can fall back to exact
-// float averaging.
-bool try_int8_aggregate(std::vector<float>& model,
-                        const std::vector<const RoundTrainResult*>& group);
-
-// Weighted-averages the delivered results into `model`. When every update
-// was lost the model is left untouched (graceful degradation) and
-// fault.empty_rounds is bumped; returns whether an aggregate was applied.
-bool aggregate_or_keep(std::vector<float>& model,
-                       const std::vector<RoundTrainResult>& results);
 
 }  // namespace fedclust::fl

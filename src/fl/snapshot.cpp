@@ -100,7 +100,9 @@ std::vector<std::uint8_t> canonical_config_bytes(const ExperimentConfig& c) {
   util::put_u64_le(b, c.rounds);
   put_f64_bits(b, c.sample_fraction);
   util::put_u64_le(b, c.eval_every);
-  put_f64_bits(b, c.dropout_prob);
+  // Slot of the removed legacy dropout knob (now fault.pre_round_dropout),
+  // kept at its old default so existing snapshots keep their fingerprint.
+  put_f64_bits(b, 0.0);
   // fault plan
   put_f64_bits(b, c.fault.pre_round_dropout);
   put_f64_bits(b, c.fault.post_train_crash);
@@ -498,7 +500,6 @@ std::string manifest_json(const ExperimentConfig& cfg,
   os << "    \"rounds\": " << cfg.rounds << ",\n";
   os << "    \"sample_fraction\": " << jnum(cfg.sample_fraction) << ",\n";
   os << "    \"eval_every\": " << cfg.eval_every << ",\n";
-  os << "    \"dropout_prob\": " << jnum(cfg.dropout_prob) << ",\n";
   os << "    \"virtual_clients\": "
      << (cfg.virtual_clients ? "true" : "false") << ",\n";
   os << "    \"client_cache\": " << cfg.client_cache << ",\n";

@@ -19,6 +19,16 @@ namespace {
 using fedclust::fl::wire::CodecId;
 using fedclust::fl::wire::MessageKind;
 
+// Calls one worker may hold at once. Requests go out with a blocking
+// write_frame, and a worker reads nothing while it trains. A queued request
+// that does not fit the socket buffer blocks the server, which then stops
+// reading; once the worker's response does not fit either, both sides
+// block until the I/O timeout declares the worker lost. One call per
+// worker never queues a request, whatever the model size. A worker serves
+// calls one at a time, so a deeper queue would only hide the gap between
+// two calls.
+constexpr std::size_t kMaxInflightPerWorker = 1;
+
 std::vector<std::uint8_t> envelope_of(const std::vector<float>& v,
                                       std::uint64_t round) {
   // Always raw_f32: the experiment codec is applied server-side by
@@ -337,23 +347,28 @@ void ServerTransport::execute(const std::vector<fl::TrainCall>& calls,
   const double hb_deadline = opts_.io_timeout_ms / 1000.0;
 
   while (remaining > 0) {
-    // Dispatch every ready, unassigned call to the least-loaded live worker.
-    double now = util::process_elapsed_seconds();
+    // Dispatch every ready, unassigned call to the least-loaded live worker
+    // with a free slot.
+    const double dispatched_at = util::process_elapsed_seconds();
     for (std::size_t i = 0; i < calls.size(); ++i) {
-      while (!st[i].done && st[i].worker < 0 && st[i].ready_at <= now) {
+      while (!st[i].done && st[i].worker < 0 &&
+             st[i].ready_at <= dispatched_at) {
         std::size_t best = workers_.size();
         for (std::size_t w = 0; w < workers_.size(); ++w) {
-          if (!workers_[w].alive) continue;
+          if (!workers_[w].alive ||
+              workers_[w].inflight.size() >= kMaxInflightPerWorker) {
+            continue;
+          }
           if (best == workers_.size() ||
               workers_[w].inflight.size() < workers_[best].inflight.size()) {
             best = w;
           }
         }
-        if (best == workers_.size()) break;  // nobody alive right now
+        if (best == workers_.size()) break;  // no live worker has a slot
         if (dispatch(i, best, calls, st, outcomes, remaining)) break;
         // dispatch failed -> that worker died and i was requeued; if i is
         // still ready (attempt budget left, zero backoff) try the next one.
-        if (st[i].done || st[i].ready_at > now) break;
+        if (st[i].done || st[i].ready_at > dispatched_at) break;
       }
     }
     if (remaining == 0) break;
@@ -379,11 +394,13 @@ void ServerTransport::execute(const std::vector<fl::TrainCall>& calls,
     }
 
     // Poll timeout: the nearest of (a) a backoff window opening, (b) a
-    // heartbeat deadline expiring.
-    now = util::process_elapsed_seconds();
+    // heartbeat deadline expiring. A call that was ready at dispatch but
+    // still unassigned is waiting for a worker slot; only a response or a
+    // lost worker frees one, and both wake poll.
+    double now = util::process_elapsed_seconds();
     double next_event = now + 60.0;
     for (std::size_t i = 0; i < calls.size(); ++i) {
-      if (!st[i].done && st[i].worker < 0) {
+      if (!st[i].done && st[i].worker < 0 && st[i].ready_at > dispatched_at) {
         next_event = std::min(next_event, st[i].ready_at);
       }
     }

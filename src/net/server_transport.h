@@ -4,13 +4,13 @@
 //
 // The server owns the campaign (Federation, sampling, billing, aggregation)
 // and farms out only the pure local-training computation. execute() is an
-// event loop over poll(2): it dispatches TrainCalls to the least-loaded
-// live worker, watches every connection for responses and heartbeats,
-// detects crashed or hung workers (EOF / framing damage / heartbeat
-// deadline), and requeues their in-flight calls onto surviving workers with
-// deterministic exponential backoff. A call whose retry budget runs out is
-// reported ok = false — the caller bills it as a lost update; the campaign
-// never aborts because a worker died.
+// event loop over poll(2): it dispatches TrainCalls to live workers, one
+// call in flight per worker, watches every connection for responses and
+// heartbeats, detects crashed or hung workers (EOF / framing damage /
+// heartbeat deadline), and requeues their in-flight calls onto surviving
+// workers with deterministic exponential backoff. A call whose retry
+// budget runs out is reported ok = false — the caller bills it as a lost
+// update; the campaign never aborts because a worker died.
 //
 // Workers may join mid-campaign (crash-restart): a handshake on the listen
 // socket during execute() admits them immediately and they start taking

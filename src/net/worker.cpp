@@ -79,7 +79,7 @@ WorkerLoop::WorkerLoop(fl::Federation& fed, WorkerOptions opts)
   state_.seed = opts_.seed;
 }
 
-int WorkerLoop::connect_and_handshake() {
+int WorkerLoop::connect_and_handshake(FrameReader& reader) {
   const Address addr = Address::parse(opts_.connect);
   for (int attempt = 0; attempt < opts_.connect_attempts; ++attempt) {
     if (util::shutdown_requested()) return -1;
@@ -102,7 +102,7 @@ int WorkerLoop::connect_and_handshake() {
     hello.calls_served = state_.calls_served;
 
     FdStream s(fd);
-    FrameReader reader;
+    reader = FrameReader();
     std::vector<std::uint8_t> body;
     FrameStatus fst = FrameStatus::kNeedMore;
     WelcomeMsg welcome;
@@ -195,13 +195,13 @@ int WorkerLoop::run() {
                 << ")";
   }
 
-  int fd = connect_and_handshake();
+  FrameReader reader;
+  int fd = connect_and_handshake(reader);
   if (fd < 0) {
     FC_LOG_ERROR << "worker: could not reach server at " << opts_.connect;
     return 1;
   }
 
-  FrameReader reader;
   std::vector<std::uint8_t> body;
   double last_beat = util::process_elapsed_seconds();
   while (true) {
@@ -214,41 +214,9 @@ int WorkerLoop::run() {
       return 0;
     }
 
-    bool readable = false;
-    try {
-      readable = wait_readable(fd, opts_.heartbeat_ms);
-    } catch (const std::exception&) {
-      readable = false;
-    }
-    if (!readable) {
-      const double now = util::process_elapsed_seconds();
-      if ((now - last_beat) * 1000.0 >= opts_.heartbeat_ms) {
-        HeartbeatMsg hb;
-        hb.worker_id = worker_id_;
-        hb.calls_served = state_.calls_served;
-        FdStream s(fd);
-        write_frame(s, encode_heartbeat(hb));
-        last_beat = now;
-      }
-      continue;
-    }
-
-    std::uint8_t chunk[16 * 1024];
-    std::size_t got = 0;
-    FdStream s(fd);
-    const IoStatus ist = s.read_some(chunk, sizeof(chunk), got);
-    if (ist == IoStatus::kTimeout) continue;
-    if (ist != IoStatus::kOk) {
-      FC_LOG_WARN << "worker " << worker_id_
-                  << ": connection lost; reconnecting";
-      close_fd(fd);
-      fd = connect_and_handshake();
-      if (fd < 0) return 1;
-      reader = FrameReader();
-      continue;
-    }
-    reader.feed(chunk, got);
-
+    // Serve every complete frame already buffered before blocking on the
+    // socket: the handshake may have read past the welcome into the
+    // server's first request.
     bool conn_dead = false;
     while (!conn_dead) {
       const FrameStatus fst = reader.next(body);
@@ -281,10 +249,44 @@ int WorkerLoop::run() {
     }
     if (conn_dead) {
       close_fd(fd);
-      fd = connect_and_handshake();
+      fd = connect_and_handshake(reader);
       if (fd < 0) return 1;
-      reader = FrameReader();
+      continue;
     }
+
+    bool readable = false;
+    try {
+      readable = wait_readable(fd, opts_.heartbeat_ms);
+    } catch (const std::exception&) {
+      readable = false;
+    }
+    if (!readable) {
+      const double now = util::process_elapsed_seconds();
+      if ((now - last_beat) * 1000.0 >= opts_.heartbeat_ms) {
+        HeartbeatMsg hb;
+        hb.worker_id = worker_id_;
+        hb.calls_served = state_.calls_served;
+        FdStream s(fd);
+        write_frame(s, encode_heartbeat(hb));
+        last_beat = now;
+      }
+      continue;
+    }
+
+    std::uint8_t chunk[16 * 1024];
+    std::size_t got = 0;
+    FdStream s(fd);
+    const IoStatus ist = s.read_some(chunk, sizeof(chunk), got);
+    if (ist == IoStatus::kTimeout) continue;
+    if (ist != IoStatus::kOk) {
+      FC_LOG_WARN << "worker " << worker_id_
+                  << ": connection lost; reconnecting";
+      close_fd(fd);
+      fd = connect_and_handshake(reader);
+      if (fd < 0) return 1;
+      continue;
+    }
+    reader.feed(chunk, got);
   }
 }
 

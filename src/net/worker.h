@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "net/backoff.h"
+#include "net/frame.h"
 
 namespace fedclust::fl {
 class Federation;
@@ -66,7 +67,9 @@ class WorkerLoop {
 
  private:
   // Connect + hello/welcome handshake; returns the connected fd or -1.
-  int connect_and_handshake();
+  // Resets `reader`; on success it keeps whatever the handshake read past
+  // the welcome, which the caller must parse before reading again.
+  int connect_and_handshake(FrameReader& reader);
 
   // Serves one TrainReq; false when the reply could not be sent.
   bool serve(int fd, const std::vector<std::uint8_t>& body);

@@ -1,8 +1,9 @@
 // Client-store layer: PartitionPlan regeneration parity with the eager
-// build, MaterializedClientStore / VirtualClientStore semantics (LRU
-// determinism, eviction safety, build dedup under concurrency — the
-// tsan_smoke stress), SparseClientParams round-trip + corruption
-// rejection, and the StreamingAggregator reduction-tree contract.
+// build and prefix stability across population sizes, ClientStore
+// semantics (LRU determinism, the never-evicting full-capacity store,
+// eviction safety, build dedup under concurrency — the tsan_smoke
+// stress), SparseClientParams round-trip + corruption rejection, and the
+// StreamingAggregator reduction-tree contract.
 
 #include <gtest/gtest.h>
 
@@ -61,19 +62,39 @@ void expect_client_eq(const data::ClientData& a, const data::ClientData& b) {
 
 // --- PartitionPlan: virtual regeneration == eager build, bit for bit ---
 
+// A larger plan must also keep every client of a smaller one, on both
+// sides of the checkpoint stride: newcomer experiments federate the first
+// K plan ids and build the held-out newcomers from the ids past K.
 TEST(PartitionPlan, MaterializeMatchesEagerAcrossPartitions) {
+  const auto spec = small_spec();
+  const std::uint64_t seed = 42;
   for (const std::string partition : {"skew", "dirichlet", "iid"}) {
-    SCOPED_TRACE(partition);
-    const auto spec = small_spec();
-    const auto cfg = small_cfg(partition);
-    const std::uint64_t seed = 42;
-    const auto eager = data::make_federated_data(spec, cfg, seed);
-    const data::PartitionPlan plan(spec, cfg, seed);
-    ASSERT_EQ(plan.n_clients(), eager.size());
-    // Out-of-order access: each client is a pure function of (seed, id).
-    for (std::size_t i = plan.n_clients(); i-- > 0;) {
-      SCOPED_TRACE(i);
-      expect_client_eq(plan.materialize(i), eager[i]);
+    for (const std::size_t pool : {0, 3}) {
+      for (const double qskew : {1.0, 3.0}) {
+        SCOPED_TRACE(partition + " pool=" + std::to_string(pool) +
+                     " qskew=" + std::to_string(qskew));
+        auto cfg = small_cfg(partition);
+        cfg.label_set_pool = pool;
+        cfg.quantity_skew_factor = qskew;
+        const auto eager = data::make_federated_data(spec, cfg, seed);
+        const data::PartitionPlan plan(spec, cfg, seed);
+        ASSERT_EQ(plan.n_clients(), eager.size());
+        // Out-of-order access: each client is a pure function of (seed, id).
+        for (std::size_t i = plan.n_clients(); i-- > 0;) {
+          SCOPED_TRACE(i);
+          expect_client_eq(plan.materialize(i), eager[i]);
+        }
+
+        cfg.n_clients = 1100;
+        auto larger = cfg;
+        larger.n_clients = 1500;
+        const data::PartitionPlan prefix(spec, cfg, seed);
+        const data::PartitionPlan full(spec, larger, seed);
+        for (const std::size_t i : {0, 1, 1023, 1024, 1099}) {
+          SCOPED_TRACE(i);
+          expect_client_eq(prefix.materialize(i), full.materialize(i));
+        }
+      }
     }
   }
 }
@@ -113,24 +134,12 @@ TEST(PartitionPlan, CheckpointStrideCrossingIsConsistent) {
 
 // --- Stores ---
 
-TEST(MaterializedClientStore, AcquireAndBounds) {
-  const auto spec = small_spec();
-  const auto cfg = small_cfg("skew", 5);
-  fl::MaterializedClientStore store(data::make_federated_data(spec, cfg, 1));
-  EXPECT_EQ(store.size(), 5u);
-  const auto c3 = store.acquire(3);
-  EXPECT_EQ(c3->id(), 3u);
-  EXPECT_EQ(store.acquire(3).get(), c3.get());  // same instance, no copy
-  EXPECT_THROW(store.acquire(5), std::out_of_range);
-  EXPECT_EQ(store.stats().misses, 0u);  // no cache to miss
-}
-
-TEST(VirtualClientStore, MatchesEagerAndCountsDeterministically) {
+TEST(ClientStore, MatchesEagerAndCountsDeterministically) {
   const auto spec = small_spec();
   const auto cfg = small_cfg("skew", 10);
   const auto eager = data::make_federated_data(spec, cfg, 9);
   auto plan = std::make_shared<const data::PartitionPlan>(spec, cfg, 9);
-  fl::VirtualClientStore store(plan, /*capacity=*/3);
+  fl::ClientStore store(plan, /*capacity=*/3);
   EXPECT_EQ(store.size(), 10u);
 
   // Fixed access sequence -> fixed hit/miss/eviction sequence (plain LRU).
@@ -148,7 +157,7 @@ TEST(VirtualClientStore, MatchesEagerAndCountsDeterministically) {
   EXPECT_LE(store.cached(), store.capacity());
 
   // Same sequence on a fresh store reproduces the same counters.
-  fl::VirtualClientStore replay(plan, 3);
+  fl::ClientStore replay(plan, 3);
   for (const std::size_t id : seq) replay.acquire(id);
   EXPECT_EQ(replay.stats().misses, stats.misses);
   EXPECT_EQ(replay.stats().hits, stats.hits);
@@ -157,11 +166,30 @@ TEST(VirtualClientStore, MatchesEagerAndCountsDeterministically) {
   EXPECT_THROW(store.acquire(10), std::out_of_range);
 }
 
-TEST(VirtualClientStore, EvictedClientStaysAliveAndRegeneratesIdentically) {
+// Capacity == population (Federation without --virtual-clients): each
+// client is built on its first acquire and the same instance is handed out
+// from then on.
+TEST(ClientStore, FullCapacityBuildsEachClientOnce) {
+  const auto spec = small_spec();
+  const auto cfg = small_cfg("skew", 5);
+  auto plan = std::make_shared<const data::PartitionPlan>(spec, cfg, 1);
+  fl::ClientStore store(plan, plan->n_clients());
+  const auto c3 = store.acquire(3);
+  EXPECT_EQ(c3->id(), 3u);
+  for (std::size_t id = 0; id < store.size(); ++id) store.acquire(id);
+  EXPECT_EQ(store.acquire(3).get(), c3.get());  // same instance, no copy
+  EXPECT_EQ(store.cached(), 5u);
+  const auto stats = store.stats();
+  EXPECT_EQ(stats.misses, 5u);
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.evictions, 0u);
+}
+
+TEST(ClientStore, EvictedClientStaysAliveAndRegeneratesIdentically) {
   const auto spec = small_spec();
   const auto cfg = small_cfg("dirichlet", 6);
   auto plan = std::make_shared<const data::PartitionPlan>(spec, cfg, 11);
-  fl::VirtualClientStore store(plan, /*capacity=*/1);
+  fl::ClientStore store(plan, /*capacity=*/1);
   const auto held = store.acquire(2);
   store.acquire(3);  // capacity 1: evicts client 2
   store.acquire(4);
@@ -178,13 +206,13 @@ TEST(VirtualClientStore, EvictedClientStaysAliveAndRegeneratesIdentically) {
 // tsan_smoke: many threads hammering acquire() with capacity far below the
 // id range — the build-slot dedup, LRU updates, and eviction must be free
 // of races and deadlocks, and every thread must see the right client.
-TEST(VirtualClientStore, ConcurrentAcquireStress) {
+TEST(ClientStore, ConcurrentAcquireStress) {
   const auto spec = small_spec();
   auto cfg = small_cfg("skew", 32);
   cfg.train_per_client = 2;
   cfg.test_per_client = 1;
   auto plan = std::make_shared<const data::PartitionPlan>(spec, cfg, 5);
-  fl::VirtualClientStore store(plan, /*capacity=*/4);
+  fl::ClientStore store(plan, /*capacity=*/4);
 
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kIters = 200;

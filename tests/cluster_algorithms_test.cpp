@@ -200,19 +200,16 @@ TEST(PacflTest, NewcomerJoinsNearestSubspaceCluster) {
   cfg.fed.label_set_pool = 2;
   cfg.rounds = 1;
   cfg.algo.pacfl_k = 2;
-  // Build one extra client from the same pools as a newcomer.
-  auto ext_cfg = cfg;
-  ext_cfg.fed.n_clients = 11;
-  auto ext = data::make_federated_data(ext_cfg.data_spec, ext_cfg.fed,
-                                       cfg.seed);
-  const auto groups = data::group_ids(ext);
+  // Plan one extra client from the same pools as a newcomer. The plan is
+  // prefix-stable, so its first 10 clients are the federation's own.
+  auto ext_fed = cfg.fed;
+  ext_fed.n_clients = 11;
+  const data::PartitionPlan plan(cfg.data_spec, ext_fed, cfg.seed);
+  data::ClientData ext = plan.materialize(10);
+  const std::size_t newcomer_group = ext.group_id;
+  SimClient newcomer(10, std::move(ext.train), std::move(ext.test));
 
-  std::vector<data::ClientData> federated(
-      std::make_move_iterator(ext.begin()),
-      std::make_move_iterator(ext.begin() + 10));
-  SimClient newcomer(10, std::move(ext[10].train), std::move(ext[10].test));
-
-  Federation fed(cfg, std::move(federated));
+  Federation fed(cfg);
   Pacfl algo(fed);
   algo.run();
   const std::size_t joined = algo.assign_newcomer(newcomer);
@@ -225,7 +222,7 @@ TEST(PacflTest, NewcomerJoinsNearestSubspaceCluster) {
   for (std::size_t c = 0; c < 10; ++c) {
     if (algo.assignment()[c] != joined) continue;
     ++total;
-    same += groups[c] == groups[10];
+    same += plan.sketch(c).group_id == newcomer_group;
   }
   ASSERT_GT(total, 0u);
   EXPECT_GE(2 * same, total) << "newcomer joined a foreign cluster";
@@ -268,24 +265,12 @@ TEST(SgdClip, SmallGradientsUntouched) {
   EXPECT_NEAR(fc->bias().value[0], -0.4f, 1e-6);
 }
 
-// --------------------------------------------------------- federation
-
-TEST(FederationInjected, UsesProvidedData) {
-  ExperimentConfig cfg = base_config(4);
-  auto data = data::make_federated_data(cfg.data_spec, cfg.fed, 5);
-  data.erase(data.begin() + 3, data.end());  // inject fewer clients
-  Federation fed(cfg, std::move(data));
-  EXPECT_EQ(fed.n_clients(), 3u);
-  EXPECT_EQ(fed.sample_round(0).size(),
-            std::max<std::size_t>(1, static_cast<std::size_t>(0.5 * 3)));
-}
-
 // -------------------------------------------------- dropout & metrics
 
 TEST(Dropout, ReducesParticipationButNeverToZero) {
   ExperimentConfig cfg = base_config(8);
   cfg.sample_fraction = 1.0;
-  cfg.dropout_prob = 0.5;
+  cfg.fault.pre_round_dropout = 0.5;
   Federation fed(cfg);
   std::size_t total = 0;
   for (std::size_t r = 0; r < 50; ++r) {
@@ -301,7 +286,7 @@ TEST(Dropout, ReducesParticipationButNeverToZero) {
 
 TEST(Dropout, FederationStillTrainsEndToEnd) {
   ExperimentConfig cfg = base_config(8);
-  cfg.dropout_prob = 0.6;
+  cfg.fault.pre_round_dropout = 0.6;
   cfg.rounds = 4;
   Federation fed(cfg);
   FedAvg algo(fed);
@@ -309,7 +294,7 @@ TEST(Dropout, FederationStillTrainsEndToEnd) {
   EXPECT_EQ(t.records.size(), 4u);
   // Dropped clients ship nothing: comm below the no-dropout bill.
   ExperimentConfig full = cfg;
-  full.dropout_prob = 0.0;
+  full.fault.pre_round_dropout = 0.0;
   Federation fed2(full);
   FedAvg algo2(fed2);
   algo2.run();

@@ -1,6 +1,6 @@
 // Additional cross-cutting coverage: Per-FedAvg and LG semantics, the
-// shared-dictionary structure of the synthetic generators, dropout inside
-// full models, and IID sanity runs of the whole pipeline.
+// shared-dictionary structure of the synthetic generators, and IID sanity
+// runs of the whole pipeline.
 
 #include <gtest/gtest.h>
 
@@ -10,13 +10,7 @@
 #include "fl/perfedavg.h"
 #include "fl/fedavg.h"
 #include "linalg/svd.h"
-#include "nn/dropout.h"
-#include "nn/init.h"
-#include "nn/loss.h"
-#include "nn/optimizer.h"
 #include "nn/model_zoo.h"
-#include "nn/activations.h"
-#include "nn/pooling.h"
 #include "tensor/tensor_ops.h"
 
 namespace fedclust {
@@ -138,35 +132,6 @@ TEST(SyntheticStructure, ZeroNoiseSampleEqualsPrototype) {
   for (std::size_t i = 0; i < sample.size(); ++i) {
     EXPECT_FLOAT_EQ(sample[i], proto[i]);
   }
-}
-
-// -------------------------------------------------- dropout in a model
-
-TEST(DropoutInModel, TrainsAndEvalsDeterministically) {
-  util::Rng rng(11);
-  auto net = std::make_unique<nn::Sequential>();
-  net->emplace<nn::Flatten>();
-  net->add(nn::make_linear(16, 8, rng, "fc1"));
-  net->emplace<nn::ReLU>();
-  net->emplace<nn::Dropout>(0.3f, 7);
-  net->add(nn::make_linear(8, 2, rng, "classifier"));
-  nn::Model m(std::move(net));
-
-  tensor::Tensor x({4, 1, 4, 4});
-  for (auto& v : x.vec()) v = rng.normalf(0, 1);
-  const std::vector<std::int64_t> y = {0, 1, 0, 1};
-
-  // Training step works end to end (dropout backward uses its mask).
-  nn::Sgd opt(m.parameters(), {.lr = 0.1f});
-  opt.zero_grad();
-  const auto lr = nn::softmax_cross_entropy(m.forward(x, true), y);
-  m.backward(lr.grad_logits);
-  opt.step();
-
-  // Eval forward is dropout-free and hence repeatable.
-  const auto e1 = m.forward(x);
-  const auto e2 = m.forward(x);
-  EXPECT_EQ(e1.vec(), e2.vec());
 }
 
 // ------------------------------------------------------------ IID sanity

@@ -94,7 +94,7 @@ TEST(SampleRound, FullFractionSamplesEveryClientSorted) {
 
 TEST(SampleRound, NearCertainDropoutNeverYieldsAnEmptyRound) {
   auto cfg = cfg_for(12);
-  cfg.dropout_prob = 0.999;  // folded into the fault engine's pre-round class
+  cfg.fault.pre_round_dropout = 0.999;
   fl::Federation fed(cfg);
   for (std::size_t r = 0; r < 50; ++r) {
     EXPECT_FALSE(fed.sample_round(r).empty()) << "round " << r;
@@ -103,7 +103,7 @@ TEST(SampleRound, NearCertainDropoutNeverYieldsAnEmptyRound) {
 
 TEST(SampleRound, CohortIsDeterministicPerRound) {
   auto cfg = cfg_for(13);
-  cfg.dropout_prob = 0.4;
+  cfg.fault.pre_round_dropout = 0.4;
   fl::Federation a(cfg);
   fl::Federation b(cfg);
   for (std::size_t r = 0; r < 10; ++r) {
@@ -193,7 +193,7 @@ TEST_F(ThreadCountInvariance, FedClustMatchesSequentialAtFourThreads) {
 
 // Virtual client store equivalence (docs/INVARIANTS.md §Scale): clients
 // regenerated on demand behind a small LRU cache — small enough that
-// eviction churns constantly — must reproduce the materialized path
+// eviction churns constantly — must reproduce the never-evicting store
 // exactly: traces, comm byte counts, and the CRC of the algorithm's full
 // serialized state (every model parameter), at any thread count.
 TEST_F(ThreadCountInvariance, VirtualStoreMatchesMaterialized) {

@@ -1,6 +1,6 @@
 // Tests for the library's extension surface: SCAFFOLD and FedDyn
-// baselines, model checkpointing, Dropout, BatchNorm2d, the SGD gradient
-// offset hook, and the dendrogram Newick export.
+// baselines, model checkpointing, the SGD gradient offset hook, and the
+// dendrogram Newick export.
 
 #include <gtest/gtest.h>
 
@@ -16,9 +16,7 @@
 #include "fl/feddyn.h"
 #include "fl/flis.h"
 #include "fl/scaffold.h"
-#include "nn/batchnorm.h"
 #include "nn/checkpoint.h"
-#include "nn/dropout.h"
 #include "nn/init.h"
 #include "nn/optimizer.h"
 #include "nn/model_zoo.h"
@@ -245,127 +243,6 @@ TEST(Checkpoint, RejectsGarbage) {
   ss << "definitely not a checkpoint";
   nn::Model m = nn::mlp(4, {3}, 2, 1);
   EXPECT_THROW(nn::load_model(m, ss), std::runtime_error);
-}
-
-// ------------------------------------------------------------ dropout
-
-TEST(DropoutTest, EvalIsIdentity) {
-  nn::Dropout drop(0.5f, 1);
-  const nn::Tensor x({2, 4}, {1, 2, 3, 4, 5, 6, 7, 8});
-  const nn::Tensor y = drop.forward(x, /*train=*/false);
-  EXPECT_EQ(y.vec(), x.vec());
-}
-
-TEST(DropoutTest, TrainZeroesAndRescales) {
-  nn::Dropout drop(0.5f, 2);
-  nn::Tensor x = nn::Tensor::full({1, 2000}, 1.0f);
-  const nn::Tensor y = drop.forward(x, true);
-  std::size_t zeros = 0;
-  for (const float v : y.vec()) {
-    if (v == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_FLOAT_EQ(v, 2.0f);  // 1 / (1 - 0.5)
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(zeros), 1000.0, 100.0);
-}
-
-TEST(DropoutTest, BackwardUsesSameMask) {
-  nn::Dropout drop(0.5f, 3);
-  nn::Tensor x = nn::Tensor::full({1, 100}, 1.0f);
-  const nn::Tensor y = drop.forward(x, true);
-  const nn::Tensor gx = drop.backward(nn::Tensor::full({1, 100}, 1.0f));
-  for (std::size_t i = 0; i < 100; ++i) {
-    EXPECT_FLOAT_EQ(gx[i], y[i]);  // both are 0 or keep_scale
-  }
-}
-
-TEST(DropoutTest, ValidatesP) {
-  EXPECT_THROW(nn::Dropout(1.0f), std::invalid_argument);
-  EXPECT_THROW(nn::Dropout(-0.1f), std::invalid_argument);
-  nn::Dropout noop(0.0f);
-  const nn::Tensor x({1, 3}, {1, 2, 3});
-  EXPECT_EQ(noop.forward(x, true).vec(), x.vec());
-}
-
-// ---------------------------------------------------------- batchnorm
-
-TEST(BatchNormTest, NormalizesPerChannelInTraining) {
-  nn::BatchNorm2d bn(2);
-  util::Rng rng(4);
-  nn::Tensor x({4, 2, 3, 3});
-  for (auto& v : x.vec()) v = rng.normalf(5.0f, 2.0f);
-  const nn::Tensor y = bn.forward(x, true);
-  for (std::size_t c = 0; c < 2; ++c) {
-    double sum = 0.0;
-    double sq = 0.0;
-    for (std::size_t i = 0; i < 4; ++i) {
-      const float* plane = y.data() + (i * 2 + c) * 9;
-      for (std::size_t p = 0; p < 9; ++p) {
-        sum += plane[p];
-        sq += static_cast<double>(plane[p]) * plane[p];
-      }
-    }
-    const double mean = sum / 36.0;
-    EXPECT_NEAR(mean, 0.0, 1e-4);
-    EXPECT_NEAR(sq / 36.0 - mean * mean, 1.0, 1e-2);
-  }
-}
-
-TEST(BatchNormTest, RunningStatsConvergeAndDriveEval) {
-  nn::BatchNorm2d bn(1);
-  util::Rng rng(5);
-  // Many training passes over N(3, 2) data: running stats approach (3, 4).
-  for (int step = 0; step < 200; ++step) {
-    nn::Tensor x({8, 1, 4, 4});
-    for (auto& v : x.vec()) v = rng.normalf(3.0f, 2.0f);
-    bn.forward(x, true);
-  }
-  EXPECT_NEAR(bn.running_mean()[0], 3.0f, 0.3f);
-  EXPECT_NEAR(bn.running_var()[0], 4.0f, 0.8f);
-  // Eval mode uses running stats: a constant input x=3 maps near 0.
-  nn::Tensor x = nn::Tensor::full({1, 1, 2, 2}, 3.0f);
-  const nn::Tensor y = bn.forward(x, false);
-  EXPECT_NEAR(y[0], 0.0f, 0.2f);
-}
-
-TEST(BatchNormTest, GradCheck) {
-  nn::BatchNorm2d bn(2);
-  util::Rng rng(6);
-  nn::Tensor x({3, 2, 2, 2});
-  for (auto& v : x.vec()) v = rng.normalf(0, 1);
-  nn::Tensor proj(x.shape());
-  for (auto& v : proj.vec()) v = rng.normalf(0, 1);
-
-  const auto loss = [&] {
-    const nn::Tensor out = bn.forward(x, true);
-    double s = 0.0;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      s += static_cast<double>(out[i]) * proj[i];
-    }
-    return s;
-  };
-  bn.zero_grad();
-  bn.forward(x, true);
-  const nn::Tensor gx = bn.backward(proj);
-  const double eps = 1e-3;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const float saved = x[i];
-    x[i] = saved + static_cast<float>(eps);
-    const double lp = loss();
-    x[i] = saved - static_cast<float>(eps);
-    const double lm = loss();
-    x[i] = saved;
-    const double num = (lp - lm) / (2.0 * eps);
-    EXPECT_NEAR(gx[i], num, 5e-2 * (std::abs(num) + 1.0)) << i;
-  }
-}
-
-TEST(BatchNormTest, RunningStatsAreNotParameters) {
-  // The FL-averaging pitfall: only gamma/beta are learnable state.
-  nn::BatchNorm2d bn(3);
-  EXPECT_EQ(bn.parameters().size(), 2u);
 }
 
 // ------------------------------------------------------------- newick

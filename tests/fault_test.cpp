@@ -291,42 +291,17 @@ TEST(ConfigValidation, RejectsZeroRoundsAndEvalEvery) {
       std::string::npos);
 }
 
-TEST(ConfigValidation, RejectsBadDropoutProb) {
-  auto cfg = cfg_for(1);
-  cfg.dropout_prob = 1.0;
-  EXPECT_NE(
-      thrown_message([&] { fl::Federation fed(cfg); }).find("dropout_prob"),
-      std::string::npos);
-  cfg.dropout_prob = -0.1;
-  EXPECT_NE(
-      thrown_message([&] { fl::Federation fed(cfg); }).find("dropout_prob"),
-      std::string::npos);
-}
-
 TEST(ConfigValidation, RejectsBadFaultPlan) {
   auto cfg = cfg_for(1);
   cfg.fault.post_train_crash = 1.5;
   EXPECT_NE(thrown_message([&] { fl::Federation fed(cfg); })
                 .find("FaultPlan.post_train_crash"),
             std::string::npos);
-}
-
-// ---- legacy dropout_prob mapping -------------------------------------------
-
-TEST(LegacyDropout, MapsOntoPreRoundDropout) {
-  auto cfg = cfg_for(3);
-  cfg.dropout_prob = 0.3;
-  fl::Federation fed(cfg);
-  EXPECT_TRUE(fed.faults().active());
-  EXPECT_DOUBLE_EQ(fed.faults().plan().pre_round_dropout, 0.3);
-}
-
-TEST(LegacyDropout, ExplicitPlanValueWins) {
-  auto cfg = cfg_for(3);
-  cfg.dropout_prob = 0.3;
-  cfg.fault = fl::FaultPlan::parse("dropout=0.1");
-  fl::Federation fed(cfg);
-  EXPECT_DOUBLE_EQ(fed.faults().plan().pre_round_dropout, 0.1);
+  cfg = cfg_for(1);
+  cfg.fault.pre_round_dropout = 1.0;
+  EXPECT_NE(thrown_message([&] { fl::Federation fed(cfg); })
+                .find("FaultPlan.pre_round_dropout"),
+            std::string::npos);
 }
 
 // ---- deliver_update cost profiles ------------------------------------------

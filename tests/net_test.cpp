@@ -2,23 +2,28 @@
 // every-truncation and every-single-bit-flip rejection on a captured frame
 // stream (the framing counterpart of wire_test.cpp's envelope bit-flip
 // suite), short-read/short-write injection through a mock ByteStream,
-// backoff-schedule purity, transport message codecs, and the fault-plan
-// backoff knobs shared between FaultEngine and the real transport.
+// backoff-schedule purity, transport message codecs, the fault-plan
+// backoff knobs shared between FaultEngine and the real transport, and the
+// worker keeping what its handshake read past the welcome.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fl/fault.h"
+#include "fl/federation.h"
 #include "fl/wire.h"
 #include "net/backoff.h"
 #include "net/frame.h"
 #include "net/message.h"
 #include "net/socket.h"
 #include "net/stream.h"
+#include "net/worker.h"
 
 namespace fedclust {
 namespace {
@@ -535,6 +540,72 @@ TEST(Address, ParseForms) {
   EXPECT_THROW(net::Address::parse("tcp:h:99999"), std::invalid_argument);
   EXPECT_THROW(net::Address::parse("tcp:h:"), std::invalid_argument);
   EXPECT_THROW(net::Address::parse(""), std::invalid_argument);
+}
+
+// ------------------------------------------------------------ worker loop
+
+// The server may send the first TrainReq right behind its welcome, so the
+// worker's handshake can read into the request. Here both go out in one
+// write; the worker must still serve the request.
+TEST(WorkerLoop, ServesRequestSentWithTheWelcome) {
+  fl::ExperimentConfig cfg;
+  cfg.data_spec = data::dataset_spec("fmnist");
+  cfg.data_spec.hw = 8;
+  cfg.fed.n_clients = 2;
+  cfg.fed.train_per_client = 4;
+  cfg.fed.test_per_client = 2;
+  cfg.model.arch = "mlp";
+  cfg.model.in_channels = 1;
+  cfg.model.image_hw = 8;
+  cfg.model.num_classes = 10;
+  cfg.local.epochs = 1;
+  fl::Federation fed(cfg);
+
+  const std::string path = ::testing::TempDir() + "net_test_" +
+                           std::to_string(::getpid()) + ".sock";
+  const std::string addr = "unix:" + path;
+  const int lfd = net::listen_on(net::Address::parse(addr));
+  net::WorkerOptions opts;
+  opts.connect = addr;
+  opts.io_timeout_ms = 5000;
+  opts.connect_attempts = 1;
+  net::WorkerLoop loop(fed, opts);
+  int rc = -1;
+  std::thread worker([&] { rc = loop.run(); });
+
+  bool served = false;
+  const int fd = net::wait_readable(lfd, 5000) ? net::accept_conn(lfd) : -1;
+  if (fd >= 0) {
+    net::set_recv_timeout(fd, 5000);
+    net::FdStream s(fd);
+    FrameReader reader;
+    std::vector<std::uint8_t> body;
+    FrameStatus fst = FrameStatus::kNeedMore;
+    net::HelloMsg hello;
+    net::TrainReqMsg req;
+    req.opts = cfg.local;
+    req.rng = util::Rng(3).state();
+    req.start_env = fl::wire::encode(
+        fl::wire::MessageKind::kModelPull, fl::wire::CodecId::kRawF32,
+        fl::wire::kServerSender, 0, fed.init_params());
+    std::vector<std::uint8_t> bytes =
+        net::frame_encode(net::encode_welcome(net::WelcomeMsg{}));
+    const auto req_frame = net::frame_encode(net::encode_train_req(req));
+    bytes.insert(bytes.end(), req_frame.begin(), req_frame.end());
+    net::TrainRespMsg resp;
+    served = net::read_frame(s, reader, body, fst) == IoStatus::kOk &&
+             net::decode_hello(body, hello) &&
+             net::write_all(s, bytes.data(), bytes.size()) == IoStatus::kOk &&
+             net::read_frame(s, reader, body, fst) == IoStatus::kOk &&
+             net::decode_train_resp(body, resp) && resp.ok;
+    net::write_frame(s, net::encode_shutdown());
+    net::close_fd(fd);
+  }
+  net::close_fd(lfd);
+  ::unlink(path.c_str());
+  worker.join();
+  EXPECT_TRUE(served);
+  EXPECT_EQ(rc, 0);
 }
 
 }  // namespace

@@ -209,6 +209,29 @@ TEST(SnapshotConfig, FingerprintSeparatesConfigs) {
   EXPECT_NE(fl::config_fingerprint(base), fl::config_fingerprint(other));
 }
 
+// Golden fingerprints: snapshots written by earlier builds must stay
+// resumable, so removing or reordering a fingerprinted field must not move
+// these values.
+TEST(SnapshotConfig, FingerprintsMatchGoldenValues) {
+  EXPECT_EQ(fl::config_fingerprint(fl::ExperimentConfig{}),
+            0xced9e3ad97bb225fULL);
+
+  fl::ExperimentConfig sketch;
+  sketch.landmarks = 256;
+  sketch.eval_clients = 200;
+  sketch.fed.label_set_pool = 4;
+  EXPECT_EQ(fl::config_fingerprint(sketch), 0x612a1c37b9fa39c0ULL);
+
+  fl::ExperimentConfig faulted;
+  faulted.fault = fl::FaultPlan::parse("crash=0.05,comm=0.1,retries=2");
+  faulted.codec = fl::wire::CodecId::kQInt8;
+  EXPECT_EQ(fl::config_fingerprint(faulted), 0x1990ca82a02b7bc8ULL);
+
+  fl::ExperimentConfig dropout;
+  dropout.fault.pre_round_dropout = 0.3;
+  EXPECT_EQ(fl::config_fingerprint(dropout), 0xbfe184d19630b81bULL);
+}
+
 TEST(SnapshotConfig, RngProbesArePureInSeed) {
   const auto a = fl::rng_probes_for(small_cfg(5));
   EXPECT_EQ(a, fl::rng_probes_for(small_cfg(5)));

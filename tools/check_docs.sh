@@ -34,14 +34,17 @@ help_flags=$({ "$sim" --help; "$report" --help; "$server" --help;
 doc_flags=$(grep -ohE '\-\-[a-zA-Z][a-zA-Z0-9_-]*' "${doc_files[@]}" |
             sed 's/^--//' | sort -u)
 
+# Membership tests read here-strings, not `echo | grep -q`: grep -q exits
+# at the first match, and under pipefail the echo's SIGPIPE would then
+# report a documented flag as missing.
 for f in $help_flags; do
-  echo "$f" | grep -qE "$ignore" && continue
-  echo "$doc_flags" | grep -qx "$f" ||
+  grep -qE "$ignore" <<<"$f" && continue
+  grep -qx -- "$f" <<<"$doc_flags" ||
     { echo "check_docs: --$f is in --help but undocumented" >&2; fail=1; }
 done
 for f in $doc_flags; do
-  echo "$f" | grep -qE "$ignore" && continue
-  echo "$help_flags" | grep -qx "$f" ||
+  grep -qE "$ignore" <<<"$f" && continue
+  grep -qx -- "$f" <<<"$help_flags" ||
     { echo "check_docs: docs mention --$f, absent from --help" >&2; fail=1; }
 done
 
@@ -67,8 +70,8 @@ for doc in "${doc_files[@]}"; do
     for b in $bins; do allowed+="${bin_flags[$b]}"$'\n'; done
     for f in $(grep -oE -- '\-\-[a-zA-Z][a-zA-Z0-9_-]*' <<<"$line" |
                sed 's/^--//' | sort -u); do
-      echo "$f" | grep -qE "$ignore" && continue
-      echo "$allowed" | grep -qx "$f" ||
+      grep -qE "$ignore" <<<"$f" && continue
+      grep -qx -- "$f" <<<"$allowed" ||
         { echo "check_docs: $doc:$lineno documents --$f against" \
                "$(echo "$bins" | paste -sd,), which lacks it" >&2; fail=1; }
     done

@@ -53,7 +53,6 @@ inline void add_experiment_options(util::ArgParser& args) {
                   "wire codec for model payloads: raw_f32 (byte-exact "
                   "default), f16, qint8 (per-chunk affine, ~3.9x smaller)",
                   "raw_f32");
-  args.add_option("dropout", "client dropout probability", "0");
   args.add_option("fault-spec",
                   "fault-injection plan, comma-separated key=value pairs "
                   "(dropout, crash, straggle, delay, comm, corrupt, "
@@ -65,12 +64,14 @@ inline void add_experiment_options(util::ArgParser& args) {
                   "");
   args.add_option("seed", "root seed", "1");
   args.add_option("virtual-clients",
-                  "regenerate clients on demand from (seed, id) behind an "
-                  "LRU cache instead of materializing the whole population "
-                  "up front; results are bit-identical either way (1|0)",
+                  "bound the client store to an LRU cache of "
+                  "--client-cache clients instead of keeping every client "
+                  "it builds (0 = never evict); clients are built on demand "
+                  "from (seed, id) either way, and results are "
+                  "bit-identical (1|0)",
                   "0");
   args.add_option("client-cache",
-                  "max clients resident in the virtual store's LRU cache "
+                  "max clients resident in the bounded store's LRU cache "
                   "(0 = default 256; ignored without --virtual-clients)",
                   "0");
   args.add_option("eval-clients",
@@ -137,7 +138,6 @@ inline fl::ExperimentConfig build_experiment_config(
   cfg.rounds = static_cast<std::size_t>(args.integer("rounds"));
   cfg.sample_fraction = args.real("sample");
   cfg.codec = fl::wire::codec_from_string(args.str("codec"));
-  cfg.dropout_prob = args.real("dropout");
   cfg.fault = fl::FaultPlan::parse(args.str("fault-spec"));
   cfg.seed = static_cast<std::uint64_t>(args.integer("seed"));
   cfg.virtual_clients = args.integer("virtual-clients") != 0;

@@ -133,14 +133,13 @@ int main(int argc, char** argv) {
     std::cout << "simd kernels: isa=" << util::isa_name(util::active_isa())
               << " fast_math="
               << (util::fast_math_kernels() ? "on" : "off") << "\n";
-    std::cout << "peak rss " << util::peak_rss_kb() << " KiB";
-    if (cfg.virtual_clients) {
+    {
       const fl::ClientStore::CacheStats stats = fed.store_stats();
-      std::cout << " (client store: " << stats.hits << " hits, "
+      std::cout << "peak rss " << util::peak_rss_kb()
+                << " KiB (client store: " << stats.hits << " hits, "
                 << stats.misses << " misses, " << stats.evictions
-                << " evictions)";
+                << " evictions)\n";
     }
-    std::cout << "\n";
     {
       // Digest of the algorithm's full serialized state (all model
       // parameters included): two runs print the same line iff they ended
