@@ -18,6 +18,7 @@
 
 #include "data/dataset.h"
 #include "data/synthetic.h"
+#include "util/fields.h"
 
 namespace fedclust::data {
 
@@ -40,6 +41,20 @@ struct FederatedConfig {
   // tests and ablations where ARI against a known partition is needed.
   std::size_t label_set_pool = 0;
 };
+
+// FederatedConfig's fields in canonical order (util/fields.h).
+template <util::ConfigRef<FederatedConfig> F, class V>
+constexpr void for_each_field(F& f, V&& v) {
+  v({"n_clients"}, f.n_clients);
+  v({"train_per_client"}, f.train_per_client);
+  v({"test_per_client"}, f.test_per_client);
+  v({"quantity_skew_factor"}, f.quantity_skew_factor);
+  v({"partition"}, f.partition);
+  v({"skew_fraction"}, f.skew_fraction);
+  v({"dirichlet_alpha"}, f.dirichlet_alpha);
+  v({"label_set_pool"}, f.label_set_pool);
+}
+static_assert(util::field_list_complete<FederatedConfig>);
 
 struct ClientData {
   Dataset train;

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "util/fields.h"
 #include "util/rng.h"
 
 namespace fedclust::data {
@@ -46,6 +47,23 @@ struct SyntheticSpec {
   float noise = 0.6f;                  // pixel noise sigma
   float grating_scale = 0.5f;          // class-identity grating strength
 };
+
+// SyntheticSpec's fields in canonical order (util/fields.h).
+template <util::ConfigRef<SyntheticSpec> S, class V>
+constexpr void for_each_field(S& s, V&& v) {
+  v({"name"}, s.name);
+  v({"channels"}, s.channels);
+  v({"hw"}, s.hw);
+  v({"num_classes"}, s.num_classes);
+  v({"dict_size"}, s.dict_size);
+  v({"atoms_per_class"}, s.atoms_per_class);
+  v({"prototypes_per_class"}, s.prototypes_per_class);
+  v({"coeff_jitter"}, s.coeff_jitter);
+  v({"proto_scale"}, s.proto_scale);
+  v({"noise"}, s.noise);
+  v({"grating_scale"}, s.grating_scale);
+}
+static_assert(util::field_list_complete<SyntheticSpec>);
 
 // Presets: "cifar10", "cifar100", "fmnist", "svhn". Throws on unknown name.
 SyntheticSpec dataset_spec(const std::string& name);

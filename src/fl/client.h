@@ -12,6 +12,7 @@
 
 #include "data/dataset.h"
 #include "nn/model.h"
+#include "util/fields.h"
 #include "util/rng.h"
 
 namespace fedclust::fl {
@@ -28,6 +29,20 @@ struct LocalTrainOptions {
   // FedProx proximal coefficient; the reference point is passed to train().
   float prox_mu = 0.0f;
 };
+
+// LocalTrainOptions' fields in canonical order (util/fields.h). Also the
+// TrainReq wire layout of the options (net/message.cpp).
+template <util::ConfigRef<LocalTrainOptions> O, class V>
+constexpr void for_each_field(O& o, V&& v) {
+  v({"epochs"}, o.epochs);
+  v({"batch_size"}, o.batch_size);
+  v({"lr"}, o.lr);
+  v({"momentum"}, o.momentum);
+  v({"weight_decay"}, o.weight_decay);
+  v({"clip_grad_norm"}, o.clip_grad_norm);
+  v({"prox_mu"}, o.prox_mu);
+}
+static_assert(util::field_list_complete<LocalTrainOptions>);
 
 class SimClient {
  public:

@@ -6,6 +6,8 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 #include "obs/journal.h"
 
@@ -19,12 +21,16 @@ constexpr std::uint64_t kDecisionSalt = 0xFA017DEC00000000ULL;
 constexpr std::uint64_t kCorruptSalt = 0xFA017C0B00000000ULL;
 constexpr std::uint64_t kClientStride = 1000003ULL;  // prime, as train_rng
 
-void check_prob(const char* field, double v) {
-  if (!(v >= 0.0) || v >= 1.0) {
+void require(bool ok, const char* field, const char* rule, double v) {
+  if (!ok) {
     throw std::invalid_argument(std::string("FaultPlan.") + field +
-                                " must be in [0, 1), got " +
+                                " must be " + rule + ", got " +
                                 std::to_string(v));
   }
+}
+
+void check_prob(const char* field, double v) {
+  require(v >= 0.0 && v < 1.0, field, "in [0, 1)", v);
 }
 
 double parse_double(const std::string& key, const std::string& value) {
@@ -37,6 +43,51 @@ double parse_double(const std::string& key, const std::string& value) {
     throw std::invalid_argument("FaultPlan: bad value '" + value +
                                 "' for key '" + key + "'");
   }
+}
+
+// Sets field `f` from its --fault-spec value.
+template <class T>
+void parse_spec_value(const util::FieldInfo& f, const std::string& value,
+                      T& out) {
+  if constexpr (std::is_same_v<T, double>) {
+    out = parse_double(f.spec_key, value);
+  } else if constexpr (std::is_same_v<T, std::size_t>) {
+    const double v = parse_double(f.spec_key, value);
+    require(v >= 0.0 && v == std::floor(v), f.name, "a non-negative integer",
+            v);
+    out = static_cast<std::size_t>(v);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    out = value;
+  } else if constexpr (std::is_same_v<T, std::vector<std::size_t>>) {
+    std::stringstream ids(value);  // "id:id:..."
+    std::string id;
+    while (std::getline(ids, id, ':')) {
+      if (id.empty()) continue;
+      out.push_back(static_cast<std::size_t>(parse_double(f.spec_key, id)));
+    }
+    std::sort(out.begin(), out.end());
+  } else {
+    static_assert(std::is_same_v<T, bool>);  // `enabled` has no spec key
+  }
+}
+
+// (spec key, value as the spec writes it) for every spec-keyed field of
+// `plan`, in list order.
+std::vector<std::pair<std::string, std::string>> spec_items(
+    const FaultPlan& plan) {
+  std::vector<std::pair<std::string, std::string>> items;
+  for_each_field(plan, [&](const util::FieldInfo& f, const auto& v) {
+    if (f.spec_key == nullptr) return;
+    std::ostringstream os;
+    if constexpr (std::is_same_v<std::decay_t<decltype(v)>,
+                                 std::vector<std::size_t>>) {
+      for (std::size_t i = 0; i < v.size(); ++i) os << (i ? ":" : "") << v[i];
+    } else {
+      os << v;
+    }
+    items.emplace_back(f.spec_key, os.str());
+  });
+  return items;
 }
 
 }  // namespace
@@ -53,41 +104,18 @@ void FaultPlan::validate() const {
   check_prob("straggler_prob", straggler_prob);
   check_prob("transient_comm_prob", transient_comm_prob);
   check_prob("corrupt_prob", corrupt_prob);
-  if (!(straggler_delay >= 1.0)) {
-    throw std::invalid_argument(
-        "FaultPlan.straggler_delay must be >= 1, got " +
-        std::to_string(straggler_delay));
-  }
-  if (!(explode_factor > 0.0) || !std::isfinite(explode_factor)) {
-    throw std::invalid_argument(
-        "FaultPlan.explode_factor must be finite and > 0, got " +
-        std::to_string(explode_factor));
-  }
-  if (!(round_deadline >= 0.0)) {
-    throw std::invalid_argument(
-        "FaultPlan.round_deadline must be >= 0, got " +
-        std::to_string(round_deadline));
-  }
-  if (!(over_select_fraction >= 0.0)) {
-    throw std::invalid_argument(
-        "FaultPlan.over_select_fraction must be >= 0, got " +
-        std::to_string(over_select_fraction));
-  }
-  if (!(max_update_norm >= 0.0)) {
-    throw std::invalid_argument(
-        "FaultPlan.max_update_norm must be >= 0, got " +
-        std::to_string(max_update_norm));
-  }
-  if (!(backoff_base > 0.0) || !std::isfinite(backoff_base)) {
-    throw std::invalid_argument(
-        "FaultPlan.backoff_base must be finite and > 0, got " +
-        std::to_string(backoff_base));
-  }
-  if (!(backoff_mult >= 1.0) || !std::isfinite(backoff_mult)) {
-    throw std::invalid_argument(
-        "FaultPlan.backoff_mult must be finite and >= 1, got " +
-        std::to_string(backoff_mult));
-  }
+  require(straggler_delay >= 1.0, "straggler_delay", ">= 1", straggler_delay);
+  require(explode_factor > 0.0 && std::isfinite(explode_factor),
+          "explode_factor", "finite and > 0", explode_factor);
+  require(round_deadline >= 0.0, "round_deadline", ">= 0", round_deadline);
+  require(over_select_fraction >= 0.0, "over_select_fraction", ">= 0",
+          over_select_fraction);
+  require(max_update_norm >= 0.0, "max_update_norm", ">= 0",
+          max_update_norm);
+  require(backoff_base > 0.0 && std::isfinite(backoff_base), "backoff_base",
+          "finite and > 0", backoff_base);
+  require(backoff_mult >= 1.0 && std::isfinite(backoff_mult), "backoff_mult",
+          "finite and >= 1", backoff_mult);
   if (corrupt_mode != "nan" && corrupt_mode != "inf" &&
       corrupt_mode != "explode" && corrupt_mode != "bitflip" &&
       corrupt_mode != "mix") {
@@ -113,55 +141,15 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
     }
     const std::string key = item.substr(0, eq);
     const std::string value = item.substr(eq + 1);
-    if (key == "dropout" || key == "pre_dropout") {
-      plan.pre_round_dropout = parse_double(key, value);
-    } else if (key == "crash") {
-      plan.post_train_crash = parse_double(key, value);
-    } else if (key == "straggle") {
-      plan.straggler_prob = parse_double(key, value);
-    } else if (key == "delay") {
-      plan.straggler_delay = parse_double(key, value);
-    } else if (key == "comm") {
-      plan.transient_comm_prob = parse_double(key, value);
-    } else if (key == "corrupt") {
-      plan.corrupt_prob = parse_double(key, value);
-    } else if (key == "corrupt_mode") {
-      plan.corrupt_mode = value;
-    } else if (key == "explode") {
-      plan.explode_factor = parse_double(key, value);
-    } else if (key == "deadline") {
-      plan.round_deadline = parse_double(key, value);
-    } else if (key == "retries") {
-      const double v = parse_double(key, value);
-      if (v < 0.0 || v != std::floor(v)) {
-        throw std::invalid_argument(
-            "FaultPlan.max_retries must be a non-negative integer, got " +
-            value);
-      }
-      plan.max_retries = static_cast<std::size_t>(v);
-    } else if (key == "backoff_base") {
-      plan.backoff_base = parse_double(key, value);
-    } else if (key == "backoff_mult") {
-      plan.backoff_mult = parse_double(key, value);
-    } else if (key == "over_select") {
-      plan.over_select_fraction = parse_double(key, value);
-    } else if (key == "max_norm") {
-      plan.max_update_norm = parse_double(key, value);
-    } else if (key == "only") {
-      std::stringstream ids(value);
-      std::string id;
-      while (std::getline(ids, id, ':')) {
-        if (id.empty()) continue;
-        plan.only_clients.push_back(
-            static_cast<std::size_t>(parse_double(key, id)));
-      }
-      std::sort(plan.only_clients.begin(), plan.only_clients.end());
-    } else {
-      throw std::invalid_argument(
-          "FaultPlan: unknown key '" + key +
-          "' (valid: dropout, crash, straggle, delay, comm, corrupt, "
-          "corrupt_mode, explode, deadline, retries, backoff_base, "
-          "backoff_mult, over_select, max_norm, only)");
+    bool known = false;
+    for_each_field(plan, [&](const util::FieldInfo& f, auto& field) {
+      if (f.spec_key == nullptr || key != f.spec_key) return;
+      parse_spec_value(f, value, field);
+      known = true;
+    });
+    if (!known) {
+      throw std::invalid_argument("FaultPlan: unknown key '" + key +
+                                  "' (valid: " + spec_keys() + ")");
     }
   }
   plan.validate();
@@ -169,33 +157,23 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
 }
 
 std::string FaultPlan::describe() const {
-  std::ostringstream os;
-  const auto field = [&](const char* key, double v, double def) {
-    if (v != def) os << (os.tellp() > 0 ? " " : "") << key << "=" << v;
-  };
-  field("dropout", pre_round_dropout, 0.0);
-  field("crash", post_train_crash, 0.0);
-  field("straggle", straggler_prob, 0.0);
-  field("delay", straggler_delay, 3.0);
-  field("comm", transient_comm_prob, 0.0);
-  field("corrupt", corrupt_prob, 0.0);
-  if (corrupt_mode != "mix") {
-    os << (os.tellp() > 0 ? " " : "") << "corrupt_mode=" << corrupt_mode;
+  const auto items = spec_items(*this);
+  const auto defaults = spec_items(FaultPlan{});
+  std::string out;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (items[i] == defaults[i]) continue;
+    out += (out.empty() ? "" : " ") + items[i].first + "=" + items[i].second;
   }
-  field("deadline", round_deadline, 0.0);
-  field("retries", static_cast<double>(max_retries), 2.0);
-  field("backoff_base", backoff_base, 0.25);
-  field("backoff_mult", backoff_mult, 2.0);
-  field("over_select", over_select_fraction, 0.0);
-  field("max_norm", max_update_norm, 0.0);
-  if (!only_clients.empty()) {
-    os << (os.tellp() > 0 ? " " : "") << "only=";
-    for (std::size_t i = 0; i < only_clients.size(); ++i) {
-      os << (i ? ":" : "") << only_clients[i];
-    }
+  if (out.empty()) return enabled ? "enabled (all-zero plan)" : "off";
+  return out;
+}
+
+std::string FaultPlan::spec_keys() {
+  std::string keys;
+  for (const auto& item : spec_items(FaultPlan{})) {
+    keys += (keys.empty() ? "" : ", ") + item.first;
   }
-  if (os.tellp() == 0) return enabled ? "enabled (all-zero plan)" : "off";
-  return os.str();
+  return keys;
 }
 
 FaultEngine::FaultEngine(FaultPlan plan, std::uint64_t seed)

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "util/fields.h"
 #include "util/rng.h"
 
 namespace fedclust::fl {
@@ -81,14 +82,38 @@ struct FaultPlan {
   // Throws std::invalid_argument naming the offending field.
   void validate() const;
   // Parses "key=value,key=value" (e.g. "crash=0.1,straggle=0.3,delay=4,
-  // deadline=2.5,corrupt=0.05,corrupt_mode=nan,comm=0.2,retries=3,
-  // backoff_base=0.5,backoff_mult=1.5,dropout=0.1,over_select=0.5,
-  // max_norm=500,only=0:3:7"). An empty spec yields a disabled plan;
-  // unknown keys throw.
+  // deadline=2.5,corrupt=0.05,corrupt_mode=nan,only=0:3:7"), one key per
+  // field as for_each_field lists them. An empty spec yields a disabled
+  // plan; unknown keys throw.
   static FaultPlan parse(const std::string& spec);
   // Compact "key=value ..." rendering of the non-default fields.
   std::string describe() const;
+  // The spec keys parse() accepts, comma-separated, in list order.
+  static std::string spec_keys();
 };
+
+// FaultPlan's fields in canonical order (util/fields.h), each with the
+// --fault-spec key that sets it.
+template <util::ConfigRef<FaultPlan> P, class V>
+constexpr void for_each_field(P& p, V&& v) {
+  v({"pre_round_dropout", "dropout"}, p.pre_round_dropout);
+  v({"post_train_crash", "crash"}, p.post_train_crash);
+  v({"straggler_prob", "straggle"}, p.straggler_prob);
+  v({"straggler_delay", "delay"}, p.straggler_delay);
+  v({"transient_comm_prob", "comm"}, p.transient_comm_prob);
+  v({"corrupt_prob", "corrupt"}, p.corrupt_prob);
+  v({"corrupt_mode", "corrupt_mode"}, p.corrupt_mode);
+  v({"explode_factor", "explode"}, p.explode_factor);
+  v({"round_deadline", "deadline"}, p.round_deadline);
+  v({"max_retries", "retries"}, p.max_retries);
+  v({"backoff_base", "backoff_base"}, p.backoff_base);
+  v({"backoff_mult", "backoff_mult"}, p.backoff_mult);
+  v({"over_select_fraction", "over_select"}, p.over_select_fraction);
+  v({"max_update_norm", "max_norm"}, p.max_update_norm);
+  v({"only_clients", "only"}, p.only_clients);
+  v({"enabled"}, p.enabled);  // no spec key: parse() sets it
+}
+static_assert(util::field_list_complete<FaultPlan>);
 
 // The per-(client, round) fault outcome, fully determined before any work
 // happens. All draws for one (client, round) come from one split stream in

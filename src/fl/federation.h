@@ -72,6 +72,29 @@ struct AlgoOptions {
   float fedclust_init_lr = 0.0f;
 };
 
+// AlgoOptions' fields in canonical order (util/fields.h).
+template <util::ConfigRef<AlgoOptions> A, class V>
+constexpr void for_each_field(A& a, V&& v) {
+  v({"prox_mu"}, a.prox_mu);
+  v({"lg_global_params"}, a.lg_global_params);
+  v({"perfedavg_alpha"}, a.perfedavg_alpha);
+  v({"perfedavg_beta"}, a.perfedavg_beta);
+  v({"perfedavg_eval_epochs"}, a.perfedavg_eval_epochs);
+  v({"cfl_eps1"}, a.cfl_eps1);
+  v({"cfl_eps2"}, a.cfl_eps2);
+  v({"ifca_k"}, a.ifca_k);
+  v({"pacfl_p"}, a.pacfl_p);
+  v({"pacfl_threshold_deg"}, a.pacfl_threshold_deg);
+  v({"pacfl_k"}, a.pacfl_k);
+  v({"fedclust_lambda"}, a.fedclust_lambda);
+  v({"fedclust_k"}, a.fedclust_k);
+  v({"fedclust_linkage"}, a.fedclust_linkage);
+  v({"fedclust_distance"}, a.fedclust_distance);
+  v({"fedclust_init_epochs"}, a.fedclust_init_epochs);
+  v({"fedclust_init_lr"}, a.fedclust_init_lr);
+}
+static_assert(util::field_list_complete<AlgoOptions>);
+
 struct ExperimentConfig {
   data::SyntheticSpec data_spec;
   data::FederatedConfig fed;
@@ -111,7 +134,44 @@ struct ExperimentConfig {
   // the exact O(N²) path. Changes the partition — and therefore the whole
   // trajectory — so a non-zero value IS part of config_fingerprint.
   std::size_t landmarks = 0;
+  // --fast-math-kernels (FMA kernels, int8-domain qint8 aggregation).
+  // Changes results, so a true value IS part of config_fingerprint.
+  // tools/experiment_flags.h sets the process-wide kernel switch from it.
+  bool fast_math_kernels = false;
 };
+
+// ExperimentConfig's fields in canonical order — the config fingerprint's
+// byte order (util/fields.h). The nested groups are named by their manifest
+// keys.
+template <util::ConfigRef<ExperimentConfig> C, class V>
+constexpr void for_each_field(C& c, V&& v) {
+  using util::Fingerprint;
+  v({"data"}, c.data_spec);
+  v({"federation"}, c.fed);
+  v({"model"}, c.model);
+  v({"local"}, c.local);
+  v({"algo"}, c.algo);
+  v({"rounds"}, c.rounds);
+  v({"sample_fraction"}, c.sample_fraction);
+  v({"eval_every"}, c.eval_every);
+  // The removed dropout_prob knob (now fault.pre_round_dropout) keeps its
+  // slot at its old default, so existing snapshots keep their fingerprint.
+  const double retired_dropout_prob = 0.0;
+  v({.name = "dropout_prob", .fingerprint = Fingerprint::kRetired},
+    retired_dropout_prob);
+  v({"fault"}, c.fault);
+  v({"codec"}, c.codec);
+  v({"seed"}, c.seed);
+  v({.name = "virtual_clients", .fingerprint = Fingerprint::kNever},
+    c.virtual_clients);
+  v({.name = "client_cache", .fingerprint = Fingerprint::kNever},
+    c.client_cache);
+  v({"eval_clients"}, c.eval_clients);
+  v({.name = "landmarks", .fingerprint = Fingerprint::kIfSet}, c.landmarks);
+  v({.name = "fast_math_kernels", .fingerprint = Fingerprint::kIfSet},
+    c.fast_math_kernels);
+}
+static_assert(util::field_list_complete<ExperimentConfig>);
 
 class Federation {
  public:

@@ -10,6 +10,25 @@
 
 namespace fedclust::fl {
 
+namespace {
+
+// Journals client c's model pull, mirroring CommTracker's billing exactly:
+// one envelope for the model itself, one more for any extra floats riding
+// along (e.g. SCAFFOLD's control variate).
+void journal_download(const RoundTrainJob& job, std::size_t c,
+                      wire::CodecId codec) {
+  const std::uint64_t base_n = job.start->size();
+  std::uint64_t wire_bytes =
+      wire::encoded_size(codec, base_n) + wire::kHeaderSize;
+  if (job.download_floats > base_n) {
+    wire_bytes += wire::encoded_size(codec, job.download_floats - base_n) +
+                  wire::kHeaderSize;
+  }
+  OBS_JOURNAL(job.round, c, kDownload, job.download_floats * 4, wire_bytes);
+}
+
+}  // namespace
+
 void ParallelRoundRunner::for_each_index(
     std::size_t n, const std::function<void(std::size_t, nn::Model&)>& fn) {
   util::ThreadPool& pool = util::global_pool();
@@ -68,21 +87,7 @@ void ParallelRoundRunner::train_clients_into(
       // SCAFFOLD's control variate) are billed as a second envelope.
       ws.set_flat_params(
           fed_.pull_model(*job.start, job.round, job.download_floats));
-      if (journal_on) {
-        // Mirror CommTracker's billing exactly: one envelope for the model
-        // itself, one more for any extra floats (control variates).
-        const wire::CodecId codec = fed_.cfg().codec;
-        const std::uint64_t base_n = job.start->size();
-        std::uint64_t wire_bytes =
-            wire::encoded_size(codec, base_n) + wire::kHeaderSize;
-        if (job.download_floats > base_n) {
-          wire_bytes += wire::encoded_size(codec, job.download_floats -
-                                                      base_n) +
-                        wire::kHeaderSize;
-        }
-        OBS_JOURNAL(job.round, c, kDownload, job.download_floats * 4,
-                    wire_bytes);
-      }
+      if (journal_on) journal_download(job, c, fed_.cfg().codec);
     } else {
       ws.set_flat_params(*job.start);
     }
@@ -125,7 +130,6 @@ void ParallelRoundRunner::train_clients_remote_into(
     const std::function<void(std::size_t, RoundTrainResult&&)>& consume) {
   Transport& net = *fed_.transport();
   const bool journal_on = obs::EventJournal::enabled();
-  const wire::CodecId codec = fed_.cfg().codec;
   std::vector<TrainCall> calls(clients.size());
   std::vector<std::uint64_t> upload_floats(clients.size(), 0);
 
@@ -143,20 +147,7 @@ void ParallelRoundRunner::train_clients_remote_into(
     call.rng = job.rng.state();
     if (job.download_floats > 0) {
       call.start = fed_.pull_model(*job.start, job.round, job.download_floats);
-      if (journal_on) {
-        // Same kDownload mirror as the in-process path (one envelope for
-        // the model, one more for any extra floats riding along).
-        const std::uint64_t base_n = job.start->size();
-        std::uint64_t wire_bytes =
-            wire::encoded_size(codec, base_n) + wire::kHeaderSize;
-        if (job.download_floats > base_n) {
-          wire_bytes += wire::encoded_size(codec, job.download_floats -
-                                                      base_n) +
-                        wire::kHeaderSize;
-        }
-        OBS_JOURNAL(job.round, c, kDownload, job.download_floats * 4,
-                    wire_bytes);
-      }
+      if (journal_on) journal_download(job, c, fed_.cfg().codec);
     } else {
       call.start = *job.start;
     }

@@ -1,22 +1,24 @@
 #include "fl/snapshot.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
+#include "obs/json.h"
 #include "util/cpu.h"
+#include "util/fields.h"
 
 namespace fedclust::fl {
 
 namespace {
 
 // ---- config fingerprint ---------------------------------------------
-// FNV-1a 64 over a canonical little-endian serialization of every field
-// that shapes the trajectory. Field order is append order below; adding a
-// config field without appending it here silently weakens resume safety,
-// so keep this list in sync with ExperimentConfig.
+// FNV-1a 64 over a canonical little-endian serialization of ExperimentConfig:
+// its field list (for_each_field in fl/federation.h) in list order, under
+// each field's util::Fingerprint rule.
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
@@ -30,111 +32,38 @@ std::uint64_t fnv1a64(const std::vector<std::uint8_t>& bytes) {
   return h;
 }
 
-void put_f64_bits(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  util::put_u64_le(out, bits);
-}
+// The encoding follows the C++ type: u64 for size_t, f32, the f64 bit
+// pattern, one byte for bool and CodecId, a u64 length then the bytes of a
+// string, a u64 count then each id of an id list.
+struct FingerprintWriter {
+  std::vector<std::uint8_t>& out;
 
-void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
-  util::put_u64_le(out, s.size());
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-std::vector<std::uint8_t> canonical_config_bytes(const ExperimentConfig& c) {
-  std::vector<std::uint8_t> b;
-  // data_spec
-  put_str(b, c.data_spec.name);
-  util::put_u64_le(b, c.data_spec.channels);
-  util::put_u64_le(b, c.data_spec.hw);
-  util::put_u64_le(b, c.data_spec.num_classes);
-  util::put_u64_le(b, c.data_spec.dict_size);
-  util::put_u64_le(b, c.data_spec.atoms_per_class);
-  util::put_u64_le(b, c.data_spec.prototypes_per_class);
-  util::put_f32_le(b, c.data_spec.coeff_jitter);
-  util::put_f32_le(b, c.data_spec.proto_scale);
-  util::put_f32_le(b, c.data_spec.noise);
-  util::put_f32_le(b, c.data_spec.grating_scale);
-  // fed
-  util::put_u64_le(b, c.fed.n_clients);
-  util::put_u64_le(b, c.fed.train_per_client);
-  util::put_u64_le(b, c.fed.test_per_client);
-  put_f64_bits(b, c.fed.quantity_skew_factor);
-  put_str(b, c.fed.partition);
-  put_f64_bits(b, c.fed.skew_fraction);
-  put_f64_bits(b, c.fed.dirichlet_alpha);
-  util::put_u64_le(b, c.fed.label_set_pool);
-  // model
-  put_str(b, c.model.arch);
-  util::put_u64_le(b, c.model.in_channels);
-  util::put_u64_le(b, c.model.image_hw);
-  util::put_u64_le(b, c.model.num_classes);
-  util::put_u64_le(b, c.model.width);
-  // local
-  util::put_u64_le(b, c.local.epochs);
-  util::put_u64_le(b, c.local.batch_size);
-  util::put_f32_le(b, c.local.lr);
-  util::put_f32_le(b, c.local.momentum);
-  util::put_f32_le(b, c.local.weight_decay);
-  util::put_f32_le(b, c.local.clip_grad_norm);
-  util::put_f32_le(b, c.local.prox_mu);
-  // algo
-  util::put_f32_le(b, c.algo.prox_mu);
-  util::put_u64_le(b, c.algo.lg_global_params);
-  util::put_f32_le(b, c.algo.perfedavg_alpha);
-  util::put_f32_le(b, c.algo.perfedavg_beta);
-  util::put_u64_le(b, c.algo.perfedavg_eval_epochs);
-  util::put_f32_le(b, c.algo.cfl_eps1);
-  util::put_f32_le(b, c.algo.cfl_eps2);
-  util::put_u64_le(b, c.algo.ifca_k);
-  util::put_u64_le(b, c.algo.pacfl_p);
-  util::put_f32_le(b, c.algo.pacfl_threshold_deg);
-  util::put_u64_le(b, c.algo.pacfl_k);
-  util::put_f32_le(b, c.algo.fedclust_lambda);
-  util::put_u64_le(b, c.algo.fedclust_k);
-  put_str(b, c.algo.fedclust_linkage);
-  put_str(b, c.algo.fedclust_distance);
-  util::put_u64_le(b, c.algo.fedclust_init_epochs);
-  util::put_f32_le(b, c.algo.fedclust_init_lr);
-  // run shape
-  util::put_u64_le(b, c.rounds);
-  put_f64_bits(b, c.sample_fraction);
-  util::put_u64_le(b, c.eval_every);
-  // Slot of the removed legacy dropout knob (now fault.pre_round_dropout),
-  // kept at its old default so existing snapshots keep their fingerprint.
-  put_f64_bits(b, 0.0);
-  // fault plan
-  put_f64_bits(b, c.fault.pre_round_dropout);
-  put_f64_bits(b, c.fault.post_train_crash);
-  put_f64_bits(b, c.fault.straggler_prob);
-  put_f64_bits(b, c.fault.straggler_delay);
-  put_f64_bits(b, c.fault.transient_comm_prob);
-  put_f64_bits(b, c.fault.corrupt_prob);
-  put_str(b, c.fault.corrupt_mode);
-  put_f64_bits(b, c.fault.explode_factor);
-  put_f64_bits(b, c.fault.round_deadline);
-  util::put_u64_le(b, c.fault.max_retries);
-  put_f64_bits(b, c.fault.backoff_base);
-  put_f64_bits(b, c.fault.backoff_mult);
-  put_f64_bits(b, c.fault.over_select_fraction);
-  put_f64_bits(b, c.fault.max_update_norm);
-  util::put_u64_le(b, c.fault.only_clients.size());
-  for (const std::size_t id : c.fault.only_clients) util::put_u64_le(b, id);
-  b.push_back(c.fault.enabled ? 1 : 0);
-  // wire + seed
-  b.push_back(static_cast<std::uint8_t>(c.codec));
-  util::put_u64_le(b, c.seed);
-  // eval_clients changes every recorded accuracy, so it fingerprints;
-  // virtual_clients/client_cache are deliberately absent — like
-  // FEDCLUST_THREADS they are perf dials that must not change results.
-  util::put_u64_le(b, c.eval_clients);
-  // Landmark clustering changes the partition and thus the trajectory, so
-  // it fingerprints — but only when active: landmarks == 0 is byte-for-byte
-  // the exact-path config it always was, so --landmarks=0 runs (and their
-  // snapshots) stay bit-compatible with pre-landmark builds.
-  if (c.landmarks > 0) util::put_u64_le(b, c.landmarks);
-  return b;
-}
+  template <class T>
+  void operator()(const util::FieldInfo& f, const T& v) const {
+    if (f.fingerprint == util::Fingerprint::kNever) return;
+    if constexpr (util::HasFieldList<T>) {
+      for_each_field(v, *this);
+    } else if (f.fingerprint == util::Fingerprint::kIfSet && v == T{}) {
+      return;
+    } else if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
+      static_assert(sizeof(T) == 1);
+      out.push_back(static_cast<std::uint8_t>(v));
+    } else if constexpr (std::is_same_v<T, float>) {
+      util::put_f32_le(out, v);
+    } else if constexpr (std::is_same_v<T, double>) {
+      util::put_f64_le(out, v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      util::put_u64_le(out, v.size());
+      out.insert(out.end(), v.begin(), v.end());
+    } else if constexpr (std::is_same_v<T, std::vector<std::size_t>>) {
+      util::put_u64_le(out, v.size());
+      for (const std::size_t id : v) util::put_u64_le(out, id);
+    } else {
+      static_assert(std::is_unsigned_v<T>);
+      util::put_u64_le(out, v);
+    }
+  }
+};
 
 // ---- body (de)serialization -----------------------------------------
 
@@ -237,42 +166,63 @@ RunSnapshot parse_body(const std::string& body) {
 
 // ---- manifest helpers -----------------------------------------------
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+std::string jstr(const std::string& s) {
+  return '"' + obs::json::escape(s) + '"';
 }
 
-std::string jstr(const std::string& s) { return "\"" + json_escape(s) + "\""; }
-
+// JSON has no inf/nan literals, so non-finite values are written as strings.
 std::string jnum(double v) {
   std::ostringstream os;
   os.precision(17);
   os << v;
-  return os.str();
+  return std::isfinite(v) ? os.str() : jstr(os.str());
 }
+
+// Writes a field list as the members of a JSON object, one per line,
+// nested groups as nested objects.
+class JsonFields {
+ public:
+  JsonFields(std::ostream& os, std::size_t indent)
+      : os_(os), pad_(indent, ' ') {}
+
+  template <class T>
+  void operator()(const util::FieldInfo& f, const T& v) {
+    if (f.fingerprint == util::Fingerprint::kRetired) return;
+    os_ << (first_ ? "" : ",\n") << pad_ << jstr(f.name) << ": ";
+    first_ = false;
+    if constexpr (util::HasFieldList<T>) {
+      os_ << "{\n";
+      for_each_field(v, JsonFields(os_, pad_.size() + 2));
+      os_ << "\n" << pad_ << "}";
+    } else if constexpr (std::is_same_v<T, bool>) {
+      os_ << (v ? "true" : "false");
+    } else if constexpr (std::is_same_v<T, wire::CodecId>) {
+      os_ << jstr(wire::codec_name(v));
+    } else if constexpr (std::is_floating_point_v<T>) {
+      os_ << jnum(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      os_ << jstr(v);
+    } else if constexpr (std::is_same_v<T, std::vector<std::size_t>>) {
+      os_ << "[";
+      for (std::size_t i = 0; i < v.size(); ++i) os_ << (i ? ", " : "") << v[i];
+      os_ << "]";
+    } else {
+      os_ << v;
+    }
+  }
+
+ private:
+  std::ostream& os_;
+  std::string pad_;
+  bool first_ = true;
+};
 
 }  // namespace
 
 std::uint64_t config_fingerprint(const ExperimentConfig& cfg) {
-  return fnv1a64(canonical_config_bytes(cfg));
+  std::vector<std::uint8_t> bytes;
+  for_each_field(cfg, FingerprintWriter{bytes});
+  return fnv1a64(bytes);
 }
 
 std::vector<RngProbe> rng_probes_for(const ExperimentConfig& cfg) {
@@ -393,7 +343,6 @@ std::string build_git_describe() {
 
 std::string manifest_json(const ExperimentConfig& cfg,
                           const std::string& method) {
-  const std::string git_describe = build_git_describe();
 #ifdef FEDCLUST_BUILD_FLAGS
   const std::string build_flags = FEDCLUST_BUILD_FLAGS;
 #else
@@ -408,105 +357,23 @@ std::string manifest_json(const ExperimentConfig& cfg,
 
   std::ostringstream os;
   os << "{\n";
-  os << "  \"manifest_version\": 1,\n";
-  os << "  \"method\": " << jstr(method) << ",\n";
-  os << "  \"config_fingerprint\": " << jstr(fp_hex) << ",\n";
-  os << "  \"seed\": " << cfg.seed << ",\n";
-  os << "  \"codec\": " << jstr(wire::codec_name(cfg.codec)) << ",\n";
-  os << "  \"fault_spec\": " << jstr(cfg.fault.describe()) << ",\n";
-  os << "  \"git_describe\": " << jstr(git_describe) << ",\n";
-  os << "  \"build_flags\": " << jstr(build_flags) << ",\n";
-  os << "  \"fedclust_threads\": " << jstr(threads) << ",\n";
-  os << "  \"kernels\": {\n";
-  os << "    \"isa\": " << jstr(util::isa_name(util::active_isa())) << ",\n";
-  os << "    \"fast_math\": "
-     << (util::fast_math_kernels() ? "true" : "false") << "\n";
-  os << "  },\n";
-  os << "  \"config\": {\n";
-  os << "    \"data\": {\n";
-  os << "      \"name\": " << jstr(cfg.data_spec.name) << ",\n";
-  os << "      \"channels\": " << cfg.data_spec.channels << ",\n";
-  os << "      \"hw\": " << cfg.data_spec.hw << ",\n";
-  os << "      \"num_classes\": " << cfg.data_spec.num_classes << ",\n";
-  os << "      \"dict_size\": " << cfg.data_spec.dict_size << ",\n";
-  os << "      \"atoms_per_class\": " << cfg.data_spec.atoms_per_class
-     << ",\n";
-  os << "      \"prototypes_per_class\": "
-     << cfg.data_spec.prototypes_per_class << ",\n";
-  os << "      \"coeff_jitter\": " << jnum(cfg.data_spec.coeff_jitter)
-     << ",\n";
-  os << "      \"proto_scale\": " << jnum(cfg.data_spec.proto_scale) << ",\n";
-  os << "      \"noise\": " << jnum(cfg.data_spec.noise) << ",\n";
-  os << "      \"grating_scale\": " << jnum(cfg.data_spec.grating_scale)
-     << "\n";
-  os << "    },\n";
-  os << "    \"federation\": {\n";
-  os << "      \"n_clients\": " << cfg.fed.n_clients << ",\n";
-  os << "      \"train_per_client\": " << cfg.fed.train_per_client << ",\n";
-  os << "      \"test_per_client\": " << cfg.fed.test_per_client << ",\n";
-  os << "      \"quantity_skew_factor\": "
-     << jnum(cfg.fed.quantity_skew_factor) << ",\n";
-  os << "      \"partition\": " << jstr(cfg.fed.partition) << ",\n";
-  os << "      \"skew_fraction\": " << jnum(cfg.fed.skew_fraction) << ",\n";
-  os << "      \"dirichlet_alpha\": " << jnum(cfg.fed.dirichlet_alpha)
-     << ",\n";
-  os << "      \"label_set_pool\": " << cfg.fed.label_set_pool << "\n";
-  os << "    },\n";
-  os << "    \"model\": {\n";
-  os << "      \"arch\": " << jstr(cfg.model.arch) << ",\n";
-  os << "      \"in_channels\": " << cfg.model.in_channels << ",\n";
-  os << "      \"image_hw\": " << cfg.model.image_hw << ",\n";
-  os << "      \"num_classes\": " << cfg.model.num_classes << ",\n";
-  os << "      \"width\": " << cfg.model.width << "\n";
-  os << "    },\n";
-  os << "    \"local\": {\n";
-  os << "      \"epochs\": " << cfg.local.epochs << ",\n";
-  os << "      \"batch_size\": " << cfg.local.batch_size << ",\n";
-  os << "      \"lr\": " << jnum(cfg.local.lr) << ",\n";
-  os << "      \"momentum\": " << jnum(cfg.local.momentum) << ",\n";
-  os << "      \"weight_decay\": " << jnum(cfg.local.weight_decay) << ",\n";
-  os << "      \"clip_grad_norm\": " << jnum(cfg.local.clip_grad_norm)
-     << ",\n";
-  os << "      \"prox_mu\": " << jnum(cfg.local.prox_mu) << "\n";
-  os << "    },\n";
-  os << "    \"algo\": {\n";
-  os << "      \"prox_mu\": " << jnum(cfg.algo.prox_mu) << ",\n";
-  os << "      \"lg_global_params\": " << cfg.algo.lg_global_params << ",\n";
-  os << "      \"perfedavg_alpha\": " << jnum(cfg.algo.perfedavg_alpha)
-     << ",\n";
-  os << "      \"perfedavg_beta\": " << jnum(cfg.algo.perfedavg_beta)
-     << ",\n";
-  os << "      \"perfedavg_eval_epochs\": " << cfg.algo.perfedavg_eval_epochs
-     << ",\n";
-  os << "      \"cfl_eps1\": " << jnum(cfg.algo.cfl_eps1) << ",\n";
-  os << "      \"cfl_eps2\": " << jnum(cfg.algo.cfl_eps2) << ",\n";
-  os << "      \"ifca_k\": " << cfg.algo.ifca_k << ",\n";
-  os << "      \"pacfl_p\": " << cfg.algo.pacfl_p << ",\n";
-  os << "      \"pacfl_threshold_deg\": "
-     << jnum(cfg.algo.pacfl_threshold_deg) << ",\n";
-  os << "      \"pacfl_k\": " << cfg.algo.pacfl_k << ",\n";
-  os << "      \"fedclust_lambda\": " << jnum(cfg.algo.fedclust_lambda)
-     << ",\n";
-  os << "      \"fedclust_k\": " << cfg.algo.fedclust_k << ",\n";
-  os << "      \"fedclust_linkage\": " << jstr(cfg.algo.fedclust_linkage)
-     << ",\n";
-  os << "      \"fedclust_distance\": " << jstr(cfg.algo.fedclust_distance)
-     << ",\n";
-  os << "      \"fedclust_init_epochs\": " << cfg.algo.fedclust_init_epochs
-     << ",\n";
-  os << "      \"fedclust_init_lr\": " << jnum(cfg.algo.fedclust_init_lr)
-     << "\n";
-  os << "    },\n";
-  os << "    \"rounds\": " << cfg.rounds << ",\n";
-  os << "    \"sample_fraction\": " << jnum(cfg.sample_fraction) << ",\n";
-  os << "    \"eval_every\": " << cfg.eval_every << ",\n";
-  os << "    \"virtual_clients\": "
-     << (cfg.virtual_clients ? "true" : "false") << ",\n";
-  os << "    \"client_cache\": " << cfg.client_cache << ",\n";
-  os << "    \"eval_clients\": " << cfg.eval_clients << ",\n";
-  os << "    \"landmarks\": " << cfg.landmarks << "\n";
-  os << "  }\n";
-  os << "}\n";
+  JsonFields top(os, 2);
+  top({"manifest_version"}, 1);
+  top({"method"}, method);
+  top({"config_fingerprint"}, std::string(fp_hex));
+  top({"seed"}, cfg.seed);
+  top({"codec"}, cfg.codec);
+  top({"fault_spec"}, cfg.fault.describe());
+  top({"git_describe"}, build_git_describe());
+  top({"build_flags"}, build_flags);
+  top({"fedclust_threads"}, threads);
+  os << ",\n  \"kernels\": {\n";
+  JsonFields kernels(os, 4);
+  kernels({"isa"}, std::string(util::isa_name(util::active_isa())));
+  kernels({"fast_math"}, util::fast_math_kernels());
+  os << "\n  }";
+  top({"config"}, cfg);
+  os << "\n}\n";
   return os.str();
 }
 

@@ -1,7 +1,9 @@
 #include "net/message.h"
 
 #include <cstring>
+#include <type_traits>
 
+#include "util/fields.h"
 #include "util/serialization.h"
 
 namespace fedclust::net {
@@ -13,6 +15,7 @@ using util::get_u16_le;
 using util::get_u32_le;
 using util::get_u64_le;
 using util::put_f32_le;
+using util::put_f64_le;
 using util::put_u16_le;
 using util::put_u32_le;
 using util::put_u64_le;
@@ -83,12 +86,6 @@ class Cursor {
   bool ok_ = true;
 };
 
-void put_f64_le(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64_le(out, bits);
-}
-
 void put_blob(std::vector<std::uint8_t>& out,
               const std::vector<std::uint8_t>& blob) {
   put_u32_le(out, static_cast<std::uint32_t>(blob.size()));
@@ -107,27 +104,6 @@ void get_rng(Cursor& c, util::RngState& st) {
   for (int i = 0; i < 4; ++i) st.s[i] = c.u64();
   st.has_cached_normal = c.u8() != 0;
   st.cached_normal = c.f64();
-}
-
-void put_opts(std::vector<std::uint8_t>& out,
-              const fl::LocalTrainOptions& o) {
-  put_u64_le(out, o.epochs);
-  put_u64_le(out, o.batch_size);
-  put_f32_le(out, o.lr);
-  put_f32_le(out, o.momentum);
-  put_f32_le(out, o.weight_decay);
-  put_f32_le(out, o.clip_grad_norm);
-  put_f32_le(out, o.prox_mu);
-}
-
-void get_opts(Cursor& c, fl::LocalTrainOptions& o) {
-  o.epochs = static_cast<std::size_t>(c.u64());
-  o.batch_size = static_cast<std::size_t>(c.u64());
-  o.lr = c.f32();
-  o.momentum = c.f32();
-  o.weight_decay = c.f32();
-  o.clip_grad_norm = c.f32();
-  o.prox_mu = c.f32();
 }
 
 }  // namespace
@@ -200,7 +176,14 @@ std::vector<std::uint8_t> encode_train_req(const TrainReqMsg& m) {
   b.push_back(static_cast<std::uint8_t>(MsgType::kTrainReq));
   put_u64_le(b, m.client);
   put_u64_le(b, m.round);
-  put_opts(b, m.opts);
+  fl::for_each_field(m.opts, [&](const util::FieldInfo&, const auto& v) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(v)>, float>) {
+      put_f32_le(b, v);
+    } else {
+      static_assert(std::is_same_v<std::decay_t<decltype(v)>, std::size_t>);
+      put_u64_le(b, v);
+    }
+  });
   put_rng(b, m.rng);
   std::uint8_t flags = 0;
   if (m.prox_env) flags |= 1u;
@@ -218,7 +201,14 @@ bool decode_train_req(const std::vector<std::uint8_t>& body,
   if (c.u8() != static_cast<std::uint8_t>(MsgType::kTrainReq)) return false;
   out.client = c.u64();
   out.round = c.u64();
-  get_opts(c, out.opts);
+  fl::for_each_field(out.opts, [&](const util::FieldInfo&, auto& v) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(v)>, float>) {
+      v = c.f32();
+    } else {
+      static_assert(std::is_same_v<std::decay_t<decltype(v)>, std::size_t>);
+      v = static_cast<std::size_t>(c.u64());
+    }
+  });
   get_rng(c, out.rng);
   const std::uint8_t flags = c.u8();
   if (flags & ~3u) return false;

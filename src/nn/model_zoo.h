@@ -18,6 +18,7 @@
 #include <string>
 
 #include "nn/model.h"
+#include "util/fields.h"
 
 namespace fedclust::nn {
 
@@ -28,6 +29,17 @@ struct ModelSpec {
   std::size_t num_classes = 10;
   std::size_t width = 8;  // base channel width for resnet9 / vgglite
 };
+
+// ModelSpec's fields in canonical order (util/fields.h).
+template <util::ConfigRef<ModelSpec> M, class V>
+constexpr void for_each_field(M& m, V&& v) {
+  v({"arch"}, m.arch);
+  v({"in_channels"}, m.in_channels);
+  v({"image_hw"}, m.image_hw);
+  v({"num_classes"}, m.num_classes);
+  v({"width"}, m.width);
+}
+static_assert(util::field_list_complete<ModelSpec>);
 
 Model lenet5(std::size_t in_channels, std::size_t image_hw,
              std::size_t num_classes, std::uint64_t seed);

@@ -2,9 +2,10 @@
 
 // obs::json — a minimal recursive-descent JSON reader for the post-run
 // analysis tools (fedclust_report ingests journal JSONL, metrics JSONL,
-// and Chrome trace JSON). Lives in src/obs/ because the observability
-// library sits below fedclust_util in the layering and the report builder
-// (obs/report.h) needs it.
+// and Chrome trace JSON), plus the string escaping the JSON writers (Chrome
+// trace export, run manifests) share. Lives in src/obs/ because the
+// observability library sits below fedclust_util in the layering and the
+// report builder (obs/report.h) needs it.
 //
 // Scope: full JSON values (null/bool/number/string/array/object) with
 // standard escapes; numbers parse as double (the journal's uint64 fields
@@ -13,6 +14,7 @@
 // run-report size.
 
 #include <cstddef>
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,5 +53,30 @@ Value parse(const std::string& text);
 // Parses JSONL: one document per non-empty line. Throws like parse(),
 // naming the offending line.
 std::vector<Value> parse_lines(const std::string& text);
+
+// `s` escaped for use inside a JSON string literal (quotes not included).
+// Inline so JSON writers do not link the reader.
+inline std::string escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
 
 }  // namespace fedclust::obs::json

@@ -1,12 +1,13 @@
 #include "obs/trace.h"
 
-#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
+
+#include "obs/json.h"
 
 namespace fedclust::obs {
 
@@ -18,36 +19,6 @@ namespace {
 // thread — enough for several full quick-scale runs of round/client spans;
 // kernel-level spans may wrap, which the export reports via `dropped`.
 constexpr std::size_t kRingCapacity = 1u << 15;
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // Per-thread ring. `head` counts every append ever made; the live slot is
 // head % kRingCapacity. Written only by the owning thread; read during
@@ -155,11 +126,11 @@ std::string SpanTracer::chrome_trace_json() const {
     first = false;
     os << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << te.tid
        << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
-       << json_escape(te.label) << "\"}}";
+       << json::escape(te.label) << "\"}}";
     for (const auto& ev : te.events) {
       const std::int64_t dur = ev.end_us - ev.begin_us;
       os << ",{\"ph\":\"X\",\"pid\":1,\"tid\":" << te.tid << ",\"name\":\""
-         << json_escape(ev.name) << "\",\"ts\":" << ev.begin_us
+         << json::escape(ev.name) << "\",\"ts\":" << ev.begin_us
          << ",\"dur\":" << (dur > 0 ? dur : 0);
       if (ev.has_arg) {
         os << ",\"args\":{\"v\":" << ev.arg;

@@ -45,6 +45,12 @@ inline void put_f32_le(std::vector<std::uint8_t>& out, float v) {
   put_u32_le(out, bits);
 }
 
+inline void put_f64_le(std::vector<std::uint8_t>& out, double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  put_u64_le(out, bits);
+}
+
 inline std::uint16_t get_u16_le(const std::uint8_t* p) {
   return static_cast<std::uint16_t>(p[0] | (std::uint16_t{p[1]} << 8));
 }

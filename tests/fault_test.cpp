@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
+#include <type_traits>
 
 #include "core/fedclust.h"
 #include "core/registry.h"
@@ -105,7 +107,7 @@ TEST(FaultPlanParse, EmptySpecIsDisabled) {
   EXPECT_FALSE(plan.active());
 }
 
-TEST(FaultPlanParse, RoundTripsEveryKey) {
+TEST(FaultPlanParse, ParsesFullSpec) {
   const fl::FaultPlan plan = fl::FaultPlan::parse(
       "dropout=0.1,crash=0.2,straggle=0.3,delay=4,comm=0.15,corrupt=0.05,"
       "corrupt_mode=nan,explode=1e7,deadline=2.5,retries=3,over_select=0.5,"
@@ -126,6 +128,48 @@ TEST(FaultPlanParse, RoundTripsEveryKey) {
   EXPECT_DOUBLE_EQ(plan.max_update_norm, 500.0);
   EXPECT_EQ(plan.only_clients, (std::vector<std::size_t>{0, 3, 7}));
   EXPECT_FALSE(plan.describe().empty());
+}
+
+// A valid --fault-spec value for `field` that differs from its default.
+template <class T>
+std::string non_default_spec_value(const T& field) {
+  if constexpr (std::is_same_v<T, double>) {
+    return std::to_string(field == 0.0 ? 0.5 : field * 2);
+  } else if constexpr (std::is_same_v<T, std::size_t>) {
+    return std::to_string(field + 1);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return "nan";  // corrupt_mode; the default is "mix"
+  } else {
+    return "5:1";  // only
+  }
+}
+
+// For every spec key: a plan with only that key at a non-default value
+// describes it, and parsing the description reproduces the plan.
+TEST(FaultPlanParse, RoundTripsEveryKey) {
+  const fl::FaultPlan defaults;
+  std::string keys;
+  fl::for_each_field(defaults, [&](const util::FieldInfo& f,
+                                   const auto& field) {
+    if (f.spec_key == nullptr) return;
+    if constexpr (!std::is_same_v<std::decay_t<decltype(field)>, bool>) {
+      keys += (keys.empty() ? "" : ", ") + std::string(f.spec_key);
+      const std::string spec =
+          std::string(f.spec_key) + "=" + non_default_spec_value(field);
+      const fl::FaultPlan plan = fl::FaultPlan::parse(spec);
+      const std::string desc = plan.describe();
+      EXPECT_NE(desc.find(std::string(f.spec_key) + "="), std::string::npos)
+          << spec << " described as '" << desc << "'";
+      std::string respec = desc;
+      std::replace(respec.begin(), respec.end(), ' ', ',');
+      EXPECT_EQ(fl::FaultPlan::parse(respec).describe(), desc) << spec;
+    }
+  });
+  EXPECT_EQ(keys, fl::FaultPlan::spec_keys());
+  EXPECT_EQ(keys,
+            "dropout, crash, straggle, delay, comm, corrupt, corrupt_mode, "
+            "explode, deadline, retries, backoff_base, backoff_mult, "
+            "over_select, max_norm, only");
 }
 
 TEST(FaultPlanParse, AllZeroSpecIsEnabledButDescribable) {

@@ -24,6 +24,7 @@
 #include "net/socket.h"
 #include "net/stream.h"
 #include "net/worker.h"
+#include "util/serialization.h"
 
 namespace fedclust {
 namespace {
@@ -420,8 +421,9 @@ TEST(Message, HelloWelcomeHeartbeatErrorRoundTrip) {
   EXPECT_EQ(e2.reason, "envelope rejected");
 }
 
-TEST(Message, TrainReqRoundTripWithOptionals) {
-  const std::vector<float> params{1.5f, -2.25f, 0.0f, 1e-7f};
+const std::vector<float> kReqParams{1.5f, -2.25f, 0.0f, 1e-7f};
+
+net::TrainReqMsg train_req_with_prox() {
   net::TrainReqMsg m;
   m.client = 11;
   m.round = 4;
@@ -432,8 +434,14 @@ TEST(Message, TrainReqRoundTripWithOptionals) {
   m.rng = util::Rng(99).split(5).state();
   m.start_env = fl::wire::encode(fl::wire::MessageKind::kModelPull,
                                  fl::wire::CodecId::kRawF32,
-                                 fl::wire::kServerSender, 4, params);
+                                 fl::wire::kServerSender, 4, kReqParams);
   m.prox_env = m.start_env;
+  return m;
+}
+
+TEST(Message, TrainReqRoundTripWithOptionals) {
+  const std::vector<float>& params = kReqParams;
+  const net::TrainReqMsg m = train_req_with_prox();
 
   net::TrainReqMsg out;
   ASSERT_TRUE(net::decode_train_req(net::encode_train_req(m), out));
@@ -453,6 +461,26 @@ TEST(Message, TrainReqRoundTripWithOptionals) {
                                  env),
             fl::wire::DecodeStatus::kOk);
   EXPECT_EQ(env.payload, params);
+}
+
+// Golden encoding with every LocalTrainOptions field set (computed by a
+// build that wrote each option by hand): the field list must keep the
+// TrainReq layout byte for byte.
+TEST(Message, TrainReqEncodingIsStable) {
+  net::TrainReqMsg m = train_req_with_prox();
+  m.opts.momentum = 0.9f;
+  m.opts.weight_decay = 1e-4f;
+  m.opts.clip_grad_norm = 5.0f;
+  const std::vector<std::uint8_t> body = net::encode_train_req(m);
+  EXPECT_EQ(body.size(), 231u);
+  EXPECT_EQ(util::crc32c(body.data(), body.size()), 0x9245A24Eu);
+
+  net::TrainReqMsg out;
+  ASSERT_TRUE(net::decode_train_req(body, out));
+  EXPECT_EQ(out.opts.momentum, 0.9f);
+  EXPECT_EQ(out.opts.weight_decay, 1e-4f);
+  EXPECT_EQ(out.opts.clip_grad_norm, 5.0f);
+  EXPECT_EQ(net::encode_train_req(out), body);
 }
 
 TEST(Message, TrainRespRoundTripBothArms) {

@@ -13,6 +13,7 @@
 
 #include "core/registry.h"
 #include "fl/federation.h"
+#include "obs/json.h"
 #include "util/thread_pool.h"
 
 namespace fedclust {
@@ -207,6 +208,123 @@ TEST(SnapshotConfig, FingerprintSeparatesConfigs) {
   other = base;
   other.fault = fl::FaultPlan::parse("crash=0.1");
   EXPECT_NE(fl::config_fingerprint(base), fl::config_fingerprint(other));
+  other = base;
+  other.fast_math_kernels = true;
+  EXPECT_NE(fl::config_fingerprint(base), fl::config_fingerprint(other));
+}
+
+// Every field of every list set away from its default.
+fl::ExperimentConfig all_fields_cfg() {
+  fl::ExperimentConfig c;
+  c.data_spec = {"svhn", 1, 12, 7, 30, 5, 3, 0.3f, 1.5f, 0.4f, 0.7f};
+  c.fed = {33, 17, 9, 2.5, "dirichlet", 0.3, 0.5, 3};
+  c.model = {"resnet9", 1, 12, 7, 6};
+  c.local = {3, 8, 0.05f, 0.9f, 1e-4f, 5.0f, 0.01f};
+  c.algo = {0.02f, 2,  0.05f, 0.04f,      2,        0.3f, 0.7f, 3, 4, 12.5f,
+            2,     -1.0f, 5,  "complete", "cosine", 3,    0.04f};
+  c.rounds = 7;
+  c.sample_fraction = 0.25;
+  c.eval_every = 2;
+  c.codec = fl::wire::CodecId::kF16;
+  c.seed = 42;
+  c.virtual_clients = true;
+  c.client_cache = 64;
+  c.eval_clients = 11;
+  c.landmarks = 5;
+  c.fault = fl::FaultPlan::parse(
+      "dropout=0.1,crash=0.05,straggle=0.2,delay=4,comm=0.1,corrupt=0.05,"
+      "corrupt_mode=nan,explode=1000,deadline=2.5,retries=3,"
+      "backoff_base=0.5,backoff_mult=1.5,over_select=0.2,max_norm=500,"
+      "only=0:3:7");
+  return c;
+}
+
+// Values computed by a build that wrote every field by hand, before
+// fast_math_kernels existed: the list must reproduce those bytes exactly.
+TEST(SnapshotConfig, AllFieldsFingerprintMatchesGolden) {
+  fl::ExperimentConfig c = all_fields_cfg();
+  EXPECT_EQ(fl::config_fingerprint(c), 0x6a703d6ae1933755ULL);
+  c.virtual_clients = false;
+  c.client_cache = 0;
+  EXPECT_EQ(fl::config_fingerprint(c), 0x6a703d6ae1933755ULL);
+  c.landmarks = 0;
+  EXPECT_EQ(fl::config_fingerprint(c), 0x7b057f3d81960eb0ULL);
+}
+
+// Applies `fn(info, leaf)` to every leaf field of a list, in list order.
+template <class F>
+struct LeafWalker {
+  F& fn;
+  template <class T>
+  void operator()(const util::FieldInfo& f, T& v) const {
+    if constexpr (util::HasFieldList<T>) {
+      for_each_field(v, *this);
+    } else {
+      fn(f, v);
+    }
+  }
+};
+
+template <class F>
+void for_each_leaf(fl::ExperimentConfig& cfg, F fn) {
+  fl::for_each_field(cfg, LeafWalker<F>{fn});
+}
+
+// A value of the same type that differs from `v`.
+template <class T>
+T perturbed(const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return !v;
+  } else if constexpr (std::is_same_v<T, fl::wire::CodecId>) {
+    return v == fl::wire::CodecId::kQInt8 ? fl::wire::CodecId::kRawF32
+                                          : fl::wire::CodecId::kQInt8;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return v + "x";
+  } else if constexpr (std::is_same_v<T, std::vector<std::size_t>>) {
+    T out = v;
+    out.push_back(99);
+    return out;
+  } else {
+    return v + T{1};
+  }
+}
+
+TEST(SnapshotConfig, EveryListedFieldMovesTheFingerprint) {
+  // Base: every field at a non-default value except the two kIfSet fields,
+  // which sit at their defaults.
+  fl::ExperimentConfig base = all_fields_cfg();
+  base.landmarks = 0;
+  const std::uint64_t base_fp = fl::config_fingerprint(base);
+  std::size_t n_leaves = 0;
+  for_each_leaf(base, [&](const util::FieldInfo& f, auto& field) {
+    if constexpr (!std::is_const_v<std::remove_reference_t<decltype(field)>>) {
+      const std::size_t leaf = n_leaves++;
+      fl::ExperimentConfig other = base;
+      std::size_t i = 0;
+      for_each_leaf(other, [&](const util::FieldInfo&, auto& g) {
+        if constexpr (!std::is_const_v<std::remove_reference_t<decltype(g)>>) {
+          if (i++ == leaf) g = perturbed(g);
+        }
+      });
+      // Only the two store dials may leave the fingerprint unchanged: like
+      // FEDCLUST_THREADS, they must not change results.
+      const std::string name = f.name;
+      const std::uint64_t fp = fl::config_fingerprint(other);
+      if (name == "virtual_clients" || name == "client_cache") {
+        EXPECT_EQ(fp, base_fp) << name << " must not fingerprint";
+      } else {
+        EXPECT_NE(fp, base_fp) << name << " does not fingerprint";
+      }
+    }
+  });
+  EXPECT_EQ(n_leaves, 11u + 8u + 5u + 7u + 17u + 16u + 10u);
+
+  // kIfSet fields at their defaults hash as if they were not listed at all:
+  // the golden values predate fast_math_kernels, and landmarks = 0 is the
+  // pre-landmark encoding.
+  EXPECT_EQ(base_fp, 0x7b057f3d81960eb0ULL);
+  base.landmarks = 5;
+  EXPECT_EQ(fl::config_fingerprint(base), 0x6a703d6ae1933755ULL);
 }
 
 // Golden fingerprints: snapshots written by earlier builds must stay
@@ -254,6 +372,26 @@ TEST(SnapshotManifest, CarriesProvenanceAndFullConfig) {
   EXPECT_NE(weird.find("we\\\"ird"), std::string::npos);
 }
 
+TEST(SnapshotManifest, RecordsTheFaultPlan) {
+  fl::ExperimentConfig cfg = small_cfg(5);
+  cfg.fault = fl::FaultPlan::parse("corrupt=0.1,corrupt_mode=explode,"
+                                   "explode=10,only=4:2");
+  const obs::json::Value m = obs::json::parse(fl::manifest_json(cfg, "FedAvg"));
+  const obs::json::Value* config = m.find("config");
+  ASSERT_NE(config, nullptr);
+  const obs::json::Value* fault = config->find("fault");
+  ASSERT_NE(fault, nullptr);
+  EXPECT_EQ(fault->number_or("explode_factor", 0.0), 10.0);
+  EXPECT_EQ(fault->string_or("corrupt_mode", ""), "explode");
+  const obs::json::Value* only = fault->find("only_clients");
+  ASSERT_NE(only, nullptr);
+  ASSERT_EQ(only->array.size(), 2u);
+  EXPECT_EQ(only->array[0].number, 2.0);
+  EXPECT_EQ(config->find("data")->string_or("name", ""), "svhn");
+  EXPECT_EQ(m.string_or("fault_spec", ""),
+            "corrupt=0.1 corrupt_mode=explode explode=10 only=2:4");
+}
+
 // --------------------------------------------------- algorithm state
 
 TEST(AlgorithmState, SaveLoadRoundTripsForEveryMethod) {
@@ -297,6 +435,13 @@ TEST(AlgorithmState, ResumeRejectsMismatches) {
   fl::Federation fed_c(small_cfg(6));
   const auto mism = core::make_algorithm("FedAvg", fed_c);
   EXPECT_THROW(mism->resume_from(snap), fl::SnapshotError);
+
+  // Fast-math kernels change results, so they are a config mismatch too.
+  fl::ExperimentConfig fast = cfg;
+  fast.fast_math_kernels = true;
+  fl::Federation fed_f(fast);
+  const auto fast_algo = core::make_algorithm("FedAvg", fed_f);
+  EXPECT_THROW(fast_algo->resume_from(snap), fl::SnapshotError);
 
   // next_round beyond the configured horizon.
   fl::RunSnapshot beyond = snap;

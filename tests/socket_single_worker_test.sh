@@ -4,7 +4,9 @@
 # than one worker's socket buffers hold, so it checks the server's
 # per-worker in-flight bound (docs/TRANSPORT.md "Flow control"). The
 # campaign must finish without losing its worker and print the same state
-# digest and trace as fedclust_sim in-process.
+# digest and trace as fedclust_sim in-process. Then a worker started with
+# --fast-math-kernels=1, which changes results and so the config
+# fingerprint, must be refused at the handshake.
 # Usage: socket_single_worker_test.sh <fedclust_sim> <fedclust_server> <fedclust_worker>
 set -euo pipefail
 
@@ -55,4 +57,18 @@ inproc=$(grep '^state crc32c=' "$dir/inproc.out") || fail "no in-process digest"
 socket=$(grep '^state crc32c=' "$dir/server.out") || fail "no socket digest"
 [ "$inproc" = "$socket" ] || fail "digest $socket, in-process $inproc"
 cmp -s "$dir/inproc.csv" "$dir/socket.csv" || fail "trace CSVs differ"
-echo "socket_single_worker ok ($socket)"
+
+refuse_sock="unix:$dir/refuse.sock"
+FEDCLUST_THREADS=1 "$server" "${flags[@]}" --listen="$refuse_sock" \
+    --workers=1 --accept-timeout-ms=3000 > "$dir/refuse.out" 2>&1 &
+server_pid=$!
+pids+=("$server_pid")
+FEDCLUST_THREADS=1 "$worker" "${flags[@]}" --fast-math-kernels=1 \
+    --connect="$refuse_sock" > "$dir/refuse_worker.log" 2>&1 &
+pids+=($!)
+rc=0
+wait "$server_pid" || rc=$?
+[ "$rc" -eq 1 ] || fail "server exited $rc with a fast-math worker, want 1"
+grep -q 'config mismatch' "$dir/refuse.out" ||
+  fail "the fast-math worker was not refused for a config mismatch"
+echo "socket_single_worker ok ($socket; fast-math worker refused)"

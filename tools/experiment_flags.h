@@ -24,7 +24,7 @@
 namespace fedclust::tools {
 
 // The config-defining experiment flags (everything that feeds
-// config_fingerprint, plus --method and --fast-math-kernels).
+// config_fingerprint, plus --method).
 inline void add_experiment_options(util::ArgParser& args) {
   args.add_option("method", "Local|FedAvg|...|FedClust|SCAFFOLD|FedDyn|"
                             "Ditto|FLIS", "FedClust");
@@ -55,9 +55,7 @@ inline void add_experiment_options(util::ArgParser& args) {
                   "raw_f32");
   args.add_option("fault-spec",
                   "fault-injection plan, comma-separated key=value pairs "
-                  "(dropout, crash, straggle, delay, comm, corrupt, "
-                  "corrupt_mode, explode, deadline, retries, backoff_base, "
-                  "backoff_mult, over_select, max_norm, only=id:id:...); "
+                  "(" + fl::FaultPlan::spec_keys() + "; only=id:id:...); "
                   "retries/backoff_* also set the socket transport's "
                   "requeue schedule; e.g. "
                   "\"crash=0.1,straggle=0.2,deadline=4,corrupt=0.05\"",
@@ -90,7 +88,8 @@ inline void add_experiment_options(util::ArgParser& args) {
   args.add_option("fast-math-kernels",
                   "FMA-contracted SIMD kernels + int8-domain qint8 "
                   "aggregation; trades bit-identity with the scalar "
-                  "reference for speed (1|0)",
+                  "reference for speed, so it feeds the config fingerprint "
+                  "(1|0)",
                   "0");
 }
 
@@ -116,7 +115,7 @@ inline void add_obs_options(util::ArgParser& args) {
 }
 
 // Decodes the experiment flags into the config every binary agrees on.
-// Also applies --fast-math-kernels (a process-wide kernel switch).
+// Also applies cfg.fast_math_kernels to the process-wide kernel switch.
 inline fl::ExperimentConfig build_experiment_config(
     const util::ArgParser& args) {
   fl::ExperimentConfig cfg;
@@ -148,7 +147,8 @@ inline fl::ExperimentConfig build_experiment_config(
   cfg.algo.fedclust_k = static_cast<std::size_t>(args.integer("k"));
   cfg.algo.pacfl_k = cfg.algo.fedclust_k;
   cfg.algo.fedclust_init_epochs = 3;
-  util::set_fast_math_kernels(args.integer("fast-math-kernels") != 0);
+  cfg.fast_math_kernels = args.integer("fast-math-kernels") != 0;
+  util::set_fast_math_kernels(cfg.fast_math_kernels);
   return cfg;
 }
 

@@ -1,17 +1,20 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the full release test suite (including the
-# check_docs and one-worker socket_single_worker ctests), then the
-# concurrency tests (thread pool + parallel round executor + obs stress)
-# rebuilt and re-run under ThreadSanitizer, then the fault/wire/snapshot
-# tests rebuilt and re-run under Address+UBSanitizer, then simulator CLI
-# smokes: observability, fault injection, wire codecs, the event journal +
-# fedclust_report regression gate, the client store at 100k clients,
-# kill-and-resume, SIMD dispatch (scalar vs native ISA bit-identity), and
-# the multi-process transport (server + workers on a Unix socket, with a
-# kill -9 + checkpoint-restart round-trip, bit-identical to in-process).
+# check_docs, one-worker socket_single_worker and kill-and-resume
+# cli_resume ctests), then the concurrency tests (thread pool + parallel
+# round executor + obs stress) rebuilt and re-run under ThreadSanitizer,
+# then the fault/wire/snapshot tests rebuilt and re-run under
+# Address+UBSanitizer, then simulator CLI smokes: observability, fault
+# injection, wire codecs, the event journal + fedclust_report regression
+# gate, the client store at 100k clients, SIMD dispatch (scalar vs native
+# ISA bit-identity), and the multi-process transport (server + workers on
+# a Unix socket, with a kill -9 + checkpoint-restart round-trip,
+# bit-identical to in-process).
 # Run from the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+state_line() { grep '^state crc32c=' "$1"; }
 
 cmake --preset release
 cmake --build --preset release -j "$(nproc)"
@@ -145,49 +148,6 @@ rc=0
 grep -q 'REGRESSION wire_bytes' "$report_dir/compare.err" ||
   { echo "report smoke: wire-byte regression not flagged" >&2; exit 1; }
 echo "journal+report smoke ok"
-
-# Kill-and-resume smoke: checkpoint at round 2, halt (the deterministic
-# stand-in for a kill), resume, and require the per-round trace CSV and
-# the end-state digest to be bit-identical to an uninterrupted run —
-# with the resumed half running at 1 and 4 threads. A corrupted
-# (truncated) snapshot must be rejected, not half-loaded.
-resume_dir=build/resume_smoke
-rm -rf "$resume_dir" && mkdir -p "$resume_dir"
-state_line() { grep '^state crc32c=' "$1"; }
-for method in FedAvg FedClust; do
-  base_flags=(--method="$method" --clients=8 --rounds=4 --train=6
-              --test=4 --sample=0.5 --seed=11)
-  FEDCLUST_THREADS=1 ./build/tools/fedclust_sim "${base_flags[@]}" \
-      --out="$resume_dir/$method.full.csv" > "$resume_dir/$method.full.out"
-  FEDCLUST_THREADS=1 ./build/tools/fedclust_sim "${base_flags[@]}" \
-      --checkpoint-out="$resume_dir/$method" --halt-after=2 >/dev/null
-  [ -s "$resume_dir/$method/manifest.json" ] ||
-    { echo "resume smoke: $method manifest.json missing" >&2; exit 1; }
-  snap="$resume_dir/$method/snapshot-000002.fcsnap"
-  [ -s "$snap" ] ||
-    { echo "resume smoke: $method snapshot missing" >&2; exit 1; }
-  for threads in 1 4; do
-    FEDCLUST_THREADS=$threads ./build/tools/fedclust_sim \
-        "${base_flags[@]}" --resume="$snap" \
-        --out="$resume_dir/$method.t$threads.csv" \
-        > "$resume_dir/$method.t$threads.out"
-    cmp "$resume_dir/$method.full.csv" "$resume_dir/$method.t$threads.csv" ||
-      { echo "resume smoke: $method trace differs (threads=$threads)" >&2
-        exit 1; }
-    [ "$(state_line "$resume_dir/$method.full.out")" = \
-      "$(state_line "$resume_dir/$method.t$threads.out")" ] ||
-      { echo "resume smoke: $method state digest differs (threads=$threads)" >&2
-        exit 1; }
-  done
-done
-head -c 100 "$resume_dir/FedAvg/snapshot-000002.fcsnap" \
-  > "$resume_dir/corrupt.fcsnap"
-if ./build/tools/fedclust_sim --method=FedAvg --clients=8 --rounds=4 \
-    --train=6 --test=4 --sample=0.5 --seed=11 \
-    --resume="$resume_dir/corrupt.fcsnap" >/dev/null 2>&1; then
-  echo "resume smoke: corrupt snapshot was accepted" >&2; exit 1
-fi
-echo "resume smoke ok"
 
 # SIMD dispatch smoke: the same run under FEDCLUST_ISA=scalar and under the
 # best native ISA must produce bit-identical trace CSVs and state digests
