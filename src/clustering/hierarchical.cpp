@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <cstdio>
 #include <numeric>
 #include <stdexcept>
 
@@ -214,25 +213,10 @@ float gap_threshold(const Dendrogram& dendro, std::size_t min_clusters,
   return best_threshold;
 }
 
-std::string to_newick(const Dendrogram& dendro) {
-  const std::size_t n = dendro.n_leaves;
-  if (n == 0) return ";";
-  // Build the textual form of every internal node bottom-up.
-  std::vector<std::string> text(n + dendro.merges.size());
-  for (std::size_t i = 0; i < n; ++i) text[i] = std::to_string(i);
-  char buf[32];
-  for (std::size_t i = 0; i < dendro.merges.size(); ++i) {
-    const auto& m = dendro.merges[i];
-    std::snprintf(buf, sizeof(buf), "%.6g", static_cast<double>(m.distance));
-    text[n + i] = "(" + text[m.a] + "," + text[m.b] + "):" + buf;
-  }
-  return (dendro.merges.empty() ? text[0] : text.back()) + ";";
-}
-
-std::vector<std::size_t> cluster_by_threshold(const tensor::Tensor& dist,
-                                              float lambda,
-                                              Linkage linkage) {
-  return cut_by_threshold(agglomerative(dist, linkage), lambda);
+Cut cut(const Dendrogram& dendro, std::size_t k, float threshold) {
+  if (k > 0) return {cut_to_k(dendro, k), -1.0f};
+  const float lambda = threshold < 0.0f ? gap_threshold(dendro) : threshold;
+  return {cut_by_threshold(dendro, lambda), lambda};
 }
 
 }  // namespace fedclust::clustering

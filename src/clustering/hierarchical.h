@@ -54,15 +54,14 @@ std::size_t num_clusters(const std::vector<std::size_t>& labels);
 float gap_threshold(const Dendrogram& dendro, std::size_t min_clusters = 2,
                     std::size_t max_clusters = 16);
 
-// Newick serialization of the dendrogram (leaves named by index, branch
-// attributes carry the merge distance), e.g. "((0,1):0.5,(2,3):0.4):9.1;".
-// Useful for external visualization of FedClust's one-shot clustering.
-std::string to_newick(const Dendrogram& dendro);
+// A dendrogram cut and the threshold it applied.
+struct Cut {
+  std::vector<std::size_t> labels;  // as cut_by_threshold / cut_to_k
+  float lambda = -1.0f;             // threshold used; -1 for a fixed k
+};
 
-// Convenience: HC(M, λ) in one call — the exact server-side operation in
-// the paper.
-std::vector<std::size_t> cluster_by_threshold(
-    const tensor::Tensor& dist, float lambda,
-    Linkage linkage = Linkage::kAverage);
+// The one-shot clustering's cut, HC(M, λ): exactly k clusters when k > 0,
+// else at `threshold`, or at gap_threshold(dendro) when `threshold` < 0.
+Cut cut(const Dendrogram& dendro, std::size_t k, float threshold);
 
 }  // namespace fedclust::clustering

@@ -1,9 +1,7 @@
 #include "core/fedclust.h"
 
-#include <limits>
 #include <stdexcept>
 
-#include "clustering/distance.h"
 #include "clustering/hierarchical.h"
 #include "fl/cluster_common.h"
 #include "fl/landmark.h"
@@ -33,16 +31,15 @@ std::vector<float> FedClust::partial_weights_after_warmup(
 void FedClust::setup() {
   const std::size_t n = fed_.n_clients();
   const std::size_t p = fed_.model_size();
-  const std::size_t L = fl::effective_landmarks(n, fed_.cfg().landmarks);
 
   // Round 0: broadcast θ0 to every available client; each sends back only
   // the updated final-layer weights. The warmups are the expensive part of
   // setup (every client trains), so they run client-parallel.
   // θ0 is serialized once and every client warms up from the wire-decoded
   // broadcast; partial weights travel back in checksummed warmup envelopes.
-  // Landmark mode reuses the same 0xFEDC0000 out-of-band round key, so a
-  // given client's warmup draw — and its uploaded partial weights — are
-  // identical in exact and landmark modes.
+  // Every warmup uses the same 0xFEDC0000 out-of-band round key, so a given
+  // client's warmup draw — and its uploaded partial weights — are identical
+  // in exact and landmark modes.
   const std::vector<float> rx_init = fed_.through_wire(
       fl::wire::MessageKind::kModelPull, fed_.init_params(),
       fl::wire::kServerSender, 0xFEDC0000);
@@ -61,15 +58,12 @@ void FedClust::setup() {
     return out;
   };
 
-  // Pairwise proximity (Eq. 3; cosine available for the metric ablation) —
-  // the per-pair math behind clustering::{l2,cosine}_distance_matrix.
+  // Pairwise proximity (Eq. 3; cosine available for the metric ablation).
   const std::string& metric = fed_.cfg().algo.fedclust_distance;
   std::function<float(const std::vector<float>&, const std::vector<float>&)>
       pair_dist;
   if (metric == "l2") {
-    pair_dist = [](const std::vector<float>& a, const std::vector<float>& b) {
-      return tensor::l2_distance(a, b);
-    };
+    pair_dist = tensor::l2_distance;
   } else if (metric == "cosine") {
     pair_dist = [](const std::vector<float>& a, const std::vector<float>& b) {
       return 1.0f - tensor::cosine_similarity(a, b);
@@ -78,84 +72,45 @@ void FedClust::setup() {
     throw std::invalid_argument("FedClust: unknown distance " + metric);
   }
 
-  if (L == 0) {
-    // Exact path: every client's partials resident, full O(N²) proximity.
-    std::vector<std::vector<float>> partials;
-    {
-      OBS_SPAN("fedclust.warmup");
-      std::vector<std::size_t> everyone(n);
-      for (std::size_t c = 0; c < n; ++c) everyone[c] = c;
-      partials = warmup_batch(everyone);
-    }
+  // Proximity matrix M and one-shot HC(M, λ) through the landmark sketch
+  // (fl/landmark.h). Exact mode makes every client a landmark: the full
+  // N×N matrix, nothing streamed. With --landmarks=L the dendrogram sees
+  // only L sampled clients and everyone else streams through
+  // nearest-landmark assignment per cache-sized batch, so non-landmark
+  // partials are never all resident.
+  const std::vector<std::size_t> ids =
+      fl::cluster_landmarks(fed_.cfg().seed, n, fed_.cfg().landmarks);
+  landmark_ids_ = ids.size() < n ? ids : std::vector<std::size_t>{};
+  const std::size_t batch = fed_.cfg().client_cache > 0
+                                ? fed_.cfg().client_cache
+                                : 256;  // the client store's default
+  fl::LandmarkCutPolicy cut;
+  cut.linkage =
+      clustering::linkage_from_string(fed_.cfg().algo.fedclust_linkage);
+  // A fixed cluster count (sweeps / fixed-k comparisons) overrides λ.
+  cut.k = fed_.cfg().algo.fedclust_k;
+  cut.threshold = fed_.cfg().algo.fedclust_lambda;
+  fl::LandmarkCluster<std::vector<float>> sketch(n, ids, batch, warmup_batch,
+                                                 pair_dist);
+  fl::LandmarkResult res = sketch.run(cut);
+  report_.proximity = std::move(res.proximity);
+  report_.assignment = std::move(res.assignment);
+  report_.n_clusters = res.n_clusters;
+  report_.effective_lambda = res.effective_lambda;
 
-    // Proximity matrix M and one-shot HC(M, λ).
-    OBS_SPAN("fedclust.cluster");
-    if (metric == "l2") {
-      report_.proximity = clustering::l2_distance_matrix(partials);
-    } else {
-      report_.proximity = clustering::cosine_distance_matrix(partials);
-    }
-    const auto dendro = clustering::agglomerative(
-        report_.proximity,
-        clustering::linkage_from_string(fed_.cfg().algo.fedclust_linkage));
-    if (fed_.cfg().algo.fedclust_k > 0) {
-      // Fixed cluster count requested (sweeps / fixed-k comparisons).
-      report_.assignment =
-          clustering::cut_to_k(dendro, fed_.cfg().algo.fedclust_k);
-      report_.effective_lambda = -1.0f;
-    } else {
-      float lambda = fed_.cfg().algo.fedclust_lambda;
-      if (lambda < 0.0f) lambda = clustering::gap_threshold(dendro);
-      report_.effective_lambda = lambda;
-      report_.assignment = clustering::cut_by_threshold(dendro, lambda);
-    }
-    report_.n_clusters = clustering::num_clusters(report_.assignment);
-    landmark_ids_.clear();
-
-    // Store per-cluster partial-weight centroids for newcomer matching.
+  {
+    // Per-cluster partial-weight centroids for newcomer matching, over the
+    // landmarks' partials: every client's in exact mode, the cluster's
+    // defining sample otherwise. The partials are freed at the end of this
+    // block, before the cluster models are allocated.
+    const std::vector<std::vector<float>> partials =
+        sketch.take_landmark_features();
     cluster_partials_.assign(
-        report_.n_clusters,
-        std::vector<float>(partials.front().size(), 0.0f));
+        report_.n_clusters, std::vector<float>(partials.front().size(), 0.0f));
     std::vector<std::size_t> counts(report_.n_clusters, 0);
-    for (std::size_t c = 0; c < n; ++c) {
-      const std::size_t k = report_.assignment[c];
-      tensor::axpy(1.0f, partials[c], cluster_partials_[k]);
-      ++counts[k];
-    }
-    for (std::size_t k = 0; k < report_.n_clusters; ++k) {
-      tensor::scale_(cluster_partials_[k],
-                     1.0f / static_cast<float>(counts[k]));
-    }
-  } else {
-    // Landmark sketch (fl/landmark.h): dendrogram on L landmarks only,
-    // everyone else streamed through nearest-landmark assignment per
-    // cache-sized batch — non-landmark partials are never all resident.
-    landmark_ids_ = fl::sample_landmarks(fed_.cfg().seed, n, L);
-    const std::size_t batch = fed_.cfg().client_cache > 0
-                                  ? fed_.cfg().client_cache
-                                  : 256;  // the client store's default
-    fl::LandmarkCutPolicy cut;
-    cut.linkage =
-        clustering::linkage_from_string(fed_.cfg().algo.fedclust_linkage);
-    cut.k = fed_.cfg().algo.fedclust_k;
-    cut.threshold = fed_.cfg().algo.fedclust_lambda;
-    fl::LandmarkCluster<std::vector<float>> sketch(
-        n, landmark_ids_, batch, warmup_batch, pair_dist);
-    fl::LandmarkResult res = sketch.run(cut);
-    report_.proximity = std::move(res.proximity);
-    report_.assignment = std::move(res.assignment);
-    report_.n_clusters = res.n_clusters;
-    report_.effective_lambda = res.effective_lambda;
-
-    // Newcomer centroids from the resident landmark partials only — the
-    // landmark members are the cluster's defining sample.
-    const auto& lf = sketch.landmark_features();
-    cluster_partials_.assign(report_.n_clusters,
-                             std::vector<float>(lf.front().size(), 0.0f));
-    std::vector<std::size_t> counts(report_.n_clusters, 0);
-    for (std::size_t i = 0; i < landmark_ids_.size(); ++i) {
-      const std::size_t k = report_.assignment[landmark_ids_[i]];
-      tensor::axpy(1.0f, lf[i], cluster_partials_[k]);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const std::size_t k = report_.assignment[ids[i]];
+      tensor::axpy(1.0f, partials[i], cluster_partials_[k]);
       ++counts[k];
     }
     for (std::size_t k = 0; k < report_.n_clusters; ++k) {
@@ -178,7 +133,7 @@ void FedClust::setup() {
 
   FC_LOG_DEBUG << "FedClust one-shot clustering: " << report_.n_clusters
                << " clusters at lambda=" << fed_.cfg().algo.fedclust_lambda
-               << (L > 0 ? " (landmark sketch)" : "");
+               << (landmark_ids_.empty() ? "" : " (landmark sketch)");
 }
 
 void FedClust::round(std::size_t r) {
@@ -205,15 +160,8 @@ std::size_t FedClust::assign_newcomer(const fl::SimClient& newcomer,
       fed_.n_clients(), 0xFEDC0001);
 
   // Eq. 4: nearest stored cluster centroid in L2.
-  float best = std::numeric_limits<float>::infinity();
-  std::size_t best_k = 0;
-  for (std::size_t k = 0; k < cluster_partials_.size(); ++k) {
-    const float d = tensor::l2_distance(partial, cluster_partials_[k]);
-    if (d < best) {
-      best = d;
-      best_k = k;
-    }
-  }
+  const std::size_t best_k =
+      fl::nearest_landmark(partial, cluster_partials_, tensor::l2_distance);
   // The verdict travels back as a cluster-assignment envelope. Assignment
   // messages were modeled byte-free before the wire layer, so the exchange
   // is serialized and CRC-verified but not billed.

@@ -28,6 +28,14 @@ std::vector<std::string> extra_methods() {
   return {"SCAFFOLD", "FedDyn", "Ditto", "FLIS", "FedAvgM", "FedAdam"};
 }
 
+std::string method_names(const std::string& sep) {
+  std::string out;
+  for (const auto& list : {all_methods(), extra_methods()}) {
+    for (const std::string& m : list) out += (out.empty() ? "" : sep) + m;
+  }
+  return out;
+}
+
 std::unique_ptr<fl::FlAlgorithm> make_algorithm(const std::string& name,
                                                 fl::Federation& fed) {
   if (name == "Local") return std::make_unique<fl::LocalOnly>(fed);
@@ -55,7 +63,8 @@ std::unique_ptr<fl::FlAlgorithm> make_algorithm(const std::string& name,
     opts.server_lr = 0.01f;
     return std::make_unique<fl::FedOpt>(fed, opts);
   }
-  throw std::invalid_argument("make_algorithm: unknown method " + name);
+  throw std::invalid_argument("make_algorithm: unknown method " + name +
+                              " (one of " + method_names(", ") + ")");
 }
 
 }  // namespace fedclust::core

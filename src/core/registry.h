@@ -19,8 +19,12 @@ std::vector<std::string> all_methods();
 // and FLIS (the proxy-data clustering approach the paper criticizes).
 std::vector<std::string> extra_methods();
 
-// Throws std::invalid_argument for unknown names. The returned algorithm
-// borrows `fed` and must not outlive it.
+// Every name make_algorithm accepts (all_methods(), then extra_methods()),
+// joined by `sep`.
+std::string method_names(const std::string& sep);
+
+// Throws std::invalid_argument, listing the valid names, for unknown names.
+// The returned algorithm borrows `fed` and must not outlive it.
 std::unique_ptr<fl::FlAlgorithm> make_algorithm(const std::string& name,
                                                 fl::Federation& fed);
 

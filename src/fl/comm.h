@@ -20,8 +20,6 @@
 #include <atomic>
 #include <cstdint>
 
-#include "fl/codec.h"
-
 namespace fedclust::fl {
 
 // Point-in-time copy of every CommTracker ledger — what run snapshots
@@ -38,11 +36,6 @@ struct CommLedger {
 
 class CommTracker {
  public:
-  // Codec used by the deprecated float-count shims below to derive encoded
-  // bytes. Set once at Federation construction, before any transfer.
-  void set_codec(wire::CodecId codec) { codec_ = codec; }
-  wire::CodecId codec() const { return codec_; }
-
   // Client -> server: `messages` envelopes, each carrying `n_floats`
   // logical float32 values serialized to `encoded_bytes` payload bytes.
   void upload_envelope(std::uint64_t n_floats, std::uint64_t encoded_bytes,
@@ -107,7 +100,6 @@ class CommTracker {
   }
 
  private:
-  wire::CodecId codec_ = wire::CodecId::kRawF32;
   std::atomic<std::uint64_t> bytes_up_{0};
   std::atomic<std::uint64_t> bytes_down_{0};
   std::atomic<std::uint64_t> payload_bytes_{0};

@@ -88,7 +88,6 @@ Federation::Federation(ExperimentConfig cfg)
              store_capacity(cfg_)),
       workspace_(nn::build_model(cfg_.model, cfg_.seed)) {
   init_params_ = workspace_.flat_params();
-  comm_.set_codec(cfg_.codec);
   if (obs::MetricsRegistry::enabled()) {
     // Record the resolved kernel dispatch in the metrics summary so every
     // run documents which ISA produced its numbers.

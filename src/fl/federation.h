@@ -130,9 +130,9 @@ struct ExperimentConfig {
   // Landmark-sketch clustering (FedClust/PACFL setup): cluster only this
   // many deterministically sampled landmark clients on the full dendrogram,
   // then stream everyone else through nearest-landmark assignment in
-  // O(N·L) with bounded memory (fl/landmark.h). 0 (or >= n_clients) keeps
-  // the exact O(N²) path. Changes the partition — and therefore the whole
-  // trajectory — so a non-zero value IS part of config_fingerprint.
+  // O(N·L) with bounded memory (fl/landmark.h). 0 (or >= n_clients) makes
+  // every client a landmark: exact O(N²) clustering. Changes the partition,
+  // so a non-zero value IS part of config_fingerprint.
   std::size_t landmarks = 0;
   // --fast-math-kernels (FMA kernels, int8-domain qint8 aggregation).
   // Changes results, so a true value IS part of config_fingerprint.

@@ -57,13 +57,10 @@ void Flis::setup() {
                                       logits.vec(), c, 0xF1150000);
   });
 
-  const auto dist = clustering::cosine_distance_matrix(profiles);
-  const auto dendro =
-      clustering::agglomerative(dist, clustering::Linkage::kAverage);
-  assignment_ = k_ > 0
-                    ? clustering::cut_to_k(dendro, k_)
-                    : clustering::cut_by_threshold(
-                          dendro, clustering::gap_threshold(dendro));
+  const auto dendro = clustering::agglomerative(
+      clustering::cosine_distance_matrix(profiles),
+      clustering::Linkage::kAverage);
+  assignment_ = clustering::cut(dendro, k_, /*threshold=*/-1.0f).labels;
   cluster_models_.assign(clustering::num_clusters(assignment_),
                          fed_.init_params());
   FC_LOG_DEBUG << "FLIS formed " << cluster_models_.size() << " clusters";

@@ -1,5 +1,6 @@
 #include "fl/landmark.h"
 
+#include <numeric>
 #include <string>
 
 #include "util/rng.h"
@@ -19,6 +20,16 @@ std::vector<std::size_t> sample_landmarks(std::uint64_t seed,
                  .sample_without_replacement(n_clients, L);
   std::sort(ids.begin(), ids.end());
   return ids;
+}
+
+std::vector<std::size_t> cluster_landmarks(std::uint64_t seed,
+                                           std::size_t n_clients,
+                                           std::size_t landmarks) {
+  const std::size_t L = effective_landmarks(n_clients, landmarks);
+  if (L > 0) return sample_landmarks(seed, n_clients, L);
+  std::vector<std::size_t> everyone(n_clients);
+  std::iota(everyone.begin(), everyone.end(), std::size_t{0});
+  return everyone;
 }
 
 std::vector<std::vector<std::size_t>> landmark_assign_batches(

@@ -1,13 +1,14 @@
 #pragma once
 
-// Landmark-sketch clustering — the million-client companion to the exact
-// one-shot FedClust/PACFL setup.
+// Landmark-sketch clustering — the one-shot FedClust/PACFL setup, exact or
+// at million-client scale.
 //
-// The exact setup materializes one feature per client (warmup classifier
-// weights for FedClust, a subspace basis for PACFL) and builds the full
-// O(N²) proximity matrix before running the dendrogram; at population
-// scale the dendrogram — not the data — is the binding constraint. The
-// sketch instead:
+// The setup computes one feature per client (warmup classifier weights for
+// FedClust, a subspace basis for PACFL), a proximity matrix over them, and
+// a hierarchical dendrogram. Exact clustering is the sketch with every
+// client a landmark: the full O(N²) matrix and nothing left to stream. At
+// population scale the dendrogram — not the data — is the binding
+// constraint, so --landmarks=L instead:
 //
 //   1. deterministically samples L landmark clients from a dedicated
 //      salted RNG stream (pure in the root seed; mirrored by a snapshot
@@ -48,6 +49,13 @@ inline constexpr std::uint64_t kLandmarkStream = 0x1A7DB4A2C5EEDULL;
 // the whole population (both mean "exact clustering").
 std::size_t effective_landmarks(std::size_t n_clients, std::size_t landmarks);
 
+// The landmark set the one-shot clustering runs on: every client, in id
+// order, when effective_landmarks(n_clients, landmarks) is 0 (exact
+// clustering), else sample_landmarks(seed, n_clients, landmarks).
+std::vector<std::size_t> cluster_landmarks(std::uint64_t seed,
+                                           std::size_t n_clients,
+                                           std::size_t landmarks);
+
 // min(L, n) distinct landmark ids drawn from the kLandmarkStream split of
 // the root seed, sorted ascending. Pure in (seed, n_clients, landmarks).
 std::vector<std::size_t> sample_landmarks(std::uint64_t seed,
@@ -61,7 +69,7 @@ std::vector<std::vector<std::size_t>> landmark_assign_batches(
     std::size_t n_clients, const std::vector<std::size_t>& landmark_ids,
     std::size_t batch_size);
 
-// How the L×L dendrogram is cut — the same knobs the exact paths use.
+// How the L×L dendrogram is built and cut (see clustering::cut).
 struct LandmarkCutPolicy {
   clustering::Linkage linkage = clustering::Linkage::kAverage;
   std::size_t k = 0;        // > 0: cut to exactly k clusters
@@ -69,16 +77,16 @@ struct LandmarkCutPolicy {
 };
 
 struct LandmarkResult {
-  std::vector<std::size_t> landmark_ids;  // sorted ascending, size L
-  tensor::Tensor proximity;               // (L, L) landmark proximity
-  std::vector<std::size_t> assignment;    // client -> cluster, size N
+  tensor::Tensor proximity;             // (L, L) landmark proximity
+  std::vector<std::size_t> assignment;  // client -> cluster, size N
   std::size_t n_clusters = 0;
   // Threshold actually used on the landmark dendrogram (-1 for fixed k).
   float effective_lambda = 0.0f;
 };
 
 // Index of the nearest landmark feature under `dist`, ties broken to the
-// lowest index (strict < keeps the first minimum). Exposed for tests.
+// lowest index (strict < keeps the first minimum). Newcomer matching uses
+// it too.
 template <typename Feature, typename Dist>
 std::size_t nearest_landmark(const Feature& f,
                              const std::vector<Feature>& landmark_features,
@@ -96,12 +104,15 @@ std::size_t nearest_landmark(const Feature& f,
 }
 
 // The sketch itself, generic over the per-client feature (FedClust:
-// flat classifier weights; PACFL: a subspace basis tensor).
+// flat classifier weights; PACFL: a subspace basis tensor). landmark_ids
+// must be sorted ascending, 0 < L <= n_clients; L == n_clients is exact
+// clustering.
 //
 //   features(ids) -> one feature per id, in id order. Must be pure per id
 //     (the same id yields the same feature under any batching), which is
 //     what makes the result independent of batch_size and thread count.
-//   distance(a, b) -> the proximity the exact path uses for its matrix.
+//   distance(a, b) -> the pairwise proximity behind the L×L matrix and the
+//     nearest-landmark search.
 template <typename Feature>
 class LandmarkCluster {
  public:
@@ -118,21 +129,20 @@ class LandmarkCluster {
         batch_size_(batch_size),
         features_(std::move(features)),
         distance_(std::move(distance)) {
-    if (landmark_ids_.empty() || landmark_ids_.size() >= n_clients_) {
+    if (landmark_ids_.empty() || landmark_ids_.size() > n_clients_) {
       throw std::invalid_argument(
-          "LandmarkCluster: need 0 < L < n_clients landmarks");
+          "LandmarkCluster: need 0 < L <= n_clients landmarks");
     }
   }
 
-  // Landmark features stay resident for the whole run (L of them — the
-  // sketch's memory budget); valid after run().
-  const std::vector<Feature>& landmark_features() const {
-    return landmark_features_;
+  // The landmark features, in landmark_ids order, moved out to the caller
+  // (L of them — the sketch's memory budget); valid once after run().
+  std::vector<Feature> take_landmark_features() {
+    return std::move(landmark_features_);
   }
 
   LandmarkResult run(const LandmarkCutPolicy& cut) {
     LandmarkResult out;
-    out.landmark_ids = landmark_ids_;
     const std::size_t L = landmark_ids_.size();
 
     // 1. Landmark features + L×L proximity + dendrogram cut. The feature
@@ -146,22 +156,15 @@ class LandmarkCluster {
         L, [&](std::size_t i, std::size_t j) {
           return distance_(landmark_features_[i], landmark_features_[j]);
         });
-    const auto dendro = clustering::agglomerative(out.proximity, cut.linkage);
-    std::vector<std::size_t> landmark_labels;
-    if (cut.k > 0) {
-      landmark_labels = clustering::cut_to_k(dendro, cut.k);
-      out.effective_lambda = -1.0f;
-    } else {
-      float lambda = cut.threshold;
-      if (lambda < 0.0f) lambda = clustering::gap_threshold(dendro);
-      out.effective_lambda = lambda;
-      landmark_labels = clustering::cut_by_threshold(dendro, lambda);
-    }
-    out.n_clusters = clustering::num_clusters(landmark_labels);
+    const clustering::Cut landmark_cut = clustering::cut(
+        clustering::agglomerative(out.proximity, cut.linkage), cut.k,
+        cut.threshold);
+    out.effective_lambda = landmark_cut.lambda;
+    out.n_clusters = clustering::num_clusters(landmark_cut.labels);
 
     out.assignment.assign(n_clients_, 0);
     for (std::size_t i = 0; i < L; ++i) {
-      out.assignment[landmark_ids_[i]] = landmark_labels[i];
+      out.assignment[landmark_ids_[i]] = landmark_cut.labels[i];
     }
 
     // 2. Stream the rest: per batch, compute features, assign each client
@@ -176,15 +179,18 @@ class LandmarkCluster {
       util::parallel_for(0, batch.size(), [&](std::size_t i) {
         const std::size_t j =
             nearest_landmark(feats[i], landmark_features_, distance_);
-        out.assignment[batch[i]] = landmark_labels[j];
+        out.assignment[batch[i]] = landmark_cut.labels[j];
       });
       assigned += batch.size();
     }
 
-    OBS_COUNTER_ADD("cluster.landmark.count", L);
-    OBS_COUNTER_ADD("cluster.landmark.clusters", out.n_clusters);
-    OBS_COUNTER_ADD("cluster.landmark.batches", batches.size());
-    OBS_COUNTER_ADD("cluster.landmark.assigned", assigned);
+    // Sketch telemetry only: exact runs report all-zero landmark counters.
+    if (L < n_clients_) {
+      OBS_COUNTER_ADD("cluster.landmark.count", L);
+      OBS_COUNTER_ADD("cluster.landmark.clusters", out.n_clusters);
+      OBS_COUNTER_ADD("cluster.landmark.batches", batches.size());
+      OBS_COUNTER_ADD("cluster.landmark.assigned", assigned);
+    }
     return out;
   }
 

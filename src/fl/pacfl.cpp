@@ -1,9 +1,7 @@
 #include "fl/pacfl.h"
 
-#include <limits>
 #include <stdexcept>
 
-#include "clustering/distance.h"
 #include "clustering/hierarchical.h"
 #include "fl/cluster_common.h"
 #include "fl/landmark.h"
@@ -47,7 +45,6 @@ tensor::Tensor Pacfl::subspace_of(const data::Dataset& ds) const {
 
 void Pacfl::setup() {
   const std::size_t n = fed_.n_clients();
-  const std::size_t L = effective_landmarks(n, fed_.cfg().landmarks);
 
   // One-shot subspace exchange. The per-client SVDs are independent (no
   // shared workspace involved), so they fan out directly; uploads are
@@ -67,53 +64,24 @@ void Pacfl::setup() {
     return out;
   };
 
-  if (L == 0) {
-    // Exact path: every basis resident (retained for newcomer matching),
-    // full O(N²) principal-angle matrix.
-    {
-      OBS_SPAN("pacfl.subspace_exchange");
-      std::vector<std::size_t> everyone(n);
-      for (std::size_t c = 0; c < n; ++c) everyone[c] = c;
-      bases_ = subspace_batch(everyone);
-    }
-
-    OBS_SPAN("pacfl.cluster");
-    const auto dist = clustering::distance_matrix(
-        n, [&](std::size_t i, std::size_t j) {
-          return linalg::principal_angle_distance_deg(bases_[i], bases_[j]);
-        });
-    const auto dendro =
-        clustering::agglomerative(dist, clustering::Linkage::kAverage);
-    if (fed_.cfg().algo.pacfl_k > 0) {
-      assignment_ = clustering::cut_to_k(dendro, fed_.cfg().algo.pacfl_k);
-    } else {
-      float threshold = fed_.cfg().algo.pacfl_threshold_deg;
-      if (threshold < 0.0f) threshold = clustering::gap_threshold(dendro);
-      assignment_ = clustering::cut_by_threshold(dendro, threshold);
-    }
-    landmark_ids_.clear();
-  } else {
-    // Landmark sketch (fl/landmark.h): principal-angle dendrogram on L
-    // landmark bases, everyone else streamed through nearest-landmark
-    // assignment per cache-sized batch. Only the landmark bases stay
-    // resident — they double as the newcomer-matching set.
-    landmark_ids_ = sample_landmarks(fed_.cfg().seed, n, L);
-    const std::size_t batch = fed_.cfg().client_cache > 0
-                                  ? fed_.cfg().client_cache
-                                  : 256;  // the client store's default
-    LandmarkCutPolicy cut;
-    cut.linkage = clustering::Linkage::kAverage;
-    cut.k = fed_.cfg().algo.pacfl_k;
-    cut.threshold = fed_.cfg().algo.pacfl_threshold_deg;
-    LandmarkCluster<tensor::Tensor> sketch(
-        n, landmark_ids_, batch, subspace_batch,
-        [](const tensor::Tensor& a, const tensor::Tensor& b) {
-          return linalg::principal_angle_distance_deg(a, b);
-        });
-    LandmarkResult res = sketch.run(cut);
-    assignment_ = std::move(res.assignment);
-    bases_ = sketch.landmark_features();
-  }
+  // Principal-angle dendrogram through the landmark sketch (fl/landmark.h):
+  // every client is a landmark in exact mode; with --landmarks=L only L
+  // sampled bases are clustered and everyone else streams through
+  // nearest-landmark assignment per cache-sized batch. The landmark bases
+  // stay resident as the newcomer-matching set.
+  const std::vector<std::size_t> ids =
+      cluster_landmarks(fed_.cfg().seed, n, fed_.cfg().landmarks);
+  landmark_ids_ = ids.size() < n ? ids : std::vector<std::size_t>{};
+  const std::size_t batch = fed_.cfg().client_cache > 0
+                                ? fed_.cfg().client_cache
+                                : 256;  // the client store's default
+  LandmarkCutPolicy cut;
+  cut.k = fed_.cfg().algo.pacfl_k;
+  cut.threshold = fed_.cfg().algo.pacfl_threshold_deg;
+  LandmarkCluster<tensor::Tensor> sketch(
+      n, ids, batch, subspace_batch, linalg::principal_angle_distance_deg);
+  assignment_ = sketch.run(cut).assignment;
+  bases_ = sketch.take_landmark_features();
 
   const std::size_t k = clustering::num_clusters(assignment_);
   cluster_models_.assign(k, fed_.init_params());
@@ -126,7 +94,7 @@ void Pacfl::setup() {
     }
   }
   FC_LOG_DEBUG << "PACFL formed " << k << " clusters"
-               << (L > 0 ? " (landmark sketch)" : "");
+               << (landmark_ids_.empty() ? "" : " (landmark sketch)");
 }
 
 void Pacfl::round(std::size_t r) {
@@ -144,15 +112,8 @@ std::size_t Pacfl::assign_newcomer(const SimClient& newcomer) {
   tensor::Tensor basis = subspace_of(newcomer.train_data());
   basis.vec() = fed_.upload_payload(wire::MessageKind::kSubspace, basis.vec(),
                                     assignment_.size(), 0);
-  float best = std::numeric_limits<float>::infinity();
-  std::size_t best_idx = 0;
-  for (std::size_t c = 0; c < bases_.size(); ++c) {
-    const float d = linalg::principal_angle_distance_deg(basis, bases_[c]);
-    if (d < best) {
-      best = d;
-      best_idx = c;
-    }
-  }
+  const std::size_t best_idx =
+      nearest_landmark(basis, bases_, linalg::principal_angle_distance_deg);
   // In landmark mode bases_[i] belongs to landmark_ids_[i]; in exact mode
   // it belongs to client i.
   const std::size_t best_client =

@@ -111,9 +111,11 @@ TEST(Hierarchical, SingleVsCompleteOnChain) {
   // distance 1, complete linkage does not.
   const std::vector<std::vector<float>> v = {{0.0f}, {1.0f}, {2.0f}, {3.0f}};
   const Tensor d = l2_distance_matrix(v);
-  const auto single = cluster_by_threshold(d, 1.0f, Linkage::kSingle);
+  const auto single =
+      cut_by_threshold(agglomerative(d, Linkage::kSingle), 1.0f);
   EXPECT_EQ(num_clusters(single), 1u);
-  const auto complete = cluster_by_threshold(d, 1.0f, Linkage::kComplete);
+  const auto complete =
+      cut_by_threshold(agglomerative(d, Linkage::kComplete), 1.0f);
   EXPECT_GT(num_clusters(complete), 1u);
 }
 
@@ -135,7 +137,7 @@ TEST_P(LinkageSweep, RecoversSeparatedBlobs) {
     }
   }
   const Tensor d = l2_distance_matrix(points);
-  const auto labels = cluster_by_threshold(d, 10.0f, GetParam());
+  const auto labels = cut_by_threshold(agglomerative(d, GetParam()), 10.0f);
   EXPECT_EQ(num_clusters(labels), 3u);
   EXPECT_DOUBLE_EQ(adjusted_rand_index(labels, truth), 1.0);
   // cut_to_k(3) must find the same partition.

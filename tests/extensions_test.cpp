@@ -1,14 +1,11 @@
 // Tests for the library's extension surface: SCAFFOLD and FedDyn
-// baselines, model checkpointing, the SGD gradient offset hook, and the
-// dendrogram Newick export.
+// baselines, model checkpointing, and the SGD gradient offset hook.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
 
-#include "clustering/distance.h"
-#include "clustering/hierarchical.h"
 #include "core/registry.h"
 #include "fl/fedavg.h"
 #include "fl/fedopt.h"
@@ -243,28 +240,6 @@ TEST(Checkpoint, RejectsGarbage) {
   ss << "definitely not a checkpoint";
   nn::Model m = nn::mlp(4, {3}, 2, 1);
   EXPECT_THROW(nn::load_model(m, ss), std::runtime_error);
-}
-
-// ------------------------------------------------------------- newick
-
-TEST(Newick, SerializesDendrogram) {
-  const std::vector<std::vector<float>> pts = {{0.0f}, {0.1f}, {10.0f}};
-  const auto d = clustering::agglomerative(
-      clustering::l2_distance_matrix(pts), clustering::Linkage::kSingle);
-  const std::string nw = clustering::to_newick(d);
-  // Leaves 0 and 1 merge first, then join 2.
-  EXPECT_EQ(nw.front(), '(');
-  EXPECT_EQ(nw.back(), ';');
-  EXPECT_NE(nw.find("(0,1)"), std::string::npos);
-  EXPECT_NE(nw.find("2"), std::string::npos);
-}
-
-TEST(Newick, TrivialCases) {
-  clustering::Dendrogram empty;
-  EXPECT_EQ(clustering::to_newick(empty), ";");
-  clustering::Dendrogram single;
-  single.n_leaves = 1;
-  EXPECT_EQ(clustering::to_newick(single), "0;");
 }
 
 }  // namespace

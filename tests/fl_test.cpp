@@ -40,8 +40,8 @@ ExperimentConfig tiny_config() {
 
 TEST(Comm, TracksBytesAndMb) {
   CommTracker t;
-  t.upload_envelope(100, wire::encoded_size(t.codec(), 100));
-  t.download_envelope(50, wire::encoded_size(t.codec(), 50));
+  t.upload_envelope(100, wire::encoded_size(wire::CodecId::kRawF32, 100));
+  t.download_envelope(50, wire::encoded_size(wire::CodecId::kRawF32, 50));
   EXPECT_EQ(t.bytes_up(), 400u);
   EXPECT_EQ(t.bytes_down(), 200u);
   EXPECT_EQ(t.bytes_total(), 600u);

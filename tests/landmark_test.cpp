@@ -1,13 +1,16 @@
-// Landmark-sketch clustering (fl/landmark.h + the FedClust/PACFL landmark
-// setup paths): deterministic landmark sampling, batch-size and
-// thread-count invariance of the streamed assignment, lowest-index
-// tie-breaking, snapshot round trips (with corruption rejected), and
-// cluster recovery vs the exact O(N²) path on a grouped population.
+// Landmark-sketch clustering (fl/landmark.h + the FedClust/PACFL setups
+// built on it): deterministic landmark sampling, exact clustering as the
+// every-client-a-landmark case, batch-size and thread-count invariance of
+// the streamed assignment, lowest-index tie-breaking, snapshot round trips
+// (with corruption rejected), and cluster recovery vs exact clustering on
+// a grouped population.
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <sstream>
 
+#include "clustering/distance.h"
 #include "clustering/metrics.h"
 #include "core/fedclust.h"
 #include "fl/landmark.h"
@@ -45,6 +48,28 @@ ExperimentConfig grouped_config() {
   return cfg;
 }
 
+// Synthetic 1-D features in 3 well-separated bands.
+std::vector<std::vector<float>> band_features(
+    const std::vector<std::size_t>& ids) {
+  std::vector<std::vector<float>> out;
+  out.reserve(ids.size());
+  for (const std::size_t id : ids) {
+    out.push_back({static_cast<float>(id % 3) * 10.0f +
+                   0.1f * static_cast<float>(id)});
+  }
+  return out;
+}
+
+float abs_dist(const std::vector<float>& a, const std::vector<float>& b) {
+  return std::abs(a[0] - b[0]);
+}
+
+std::vector<std::size_t> every_id(std::size_t n) {
+  std::vector<std::size_t> ids(n);
+  std::iota(ids.begin(), ids.end(), std::size_t{0});
+  return ids;
+}
+
 std::string state_bytes(const FlAlgorithm& algo) {
   std::ostringstream os(std::ios::binary);
   util::BinaryWriter w(os);
@@ -68,6 +93,10 @@ TEST(LandmarkSampling, EffectiveCountZeroMeansExact) {
   EXPECT_EQ(effective_landmarks(100, 100), 0u);  // covers everyone = exact
   EXPECT_EQ(effective_landmarks(100, 250), 0u);
   EXPECT_EQ(effective_landmarks(100, 99), 99u);
+  // Exact clustering runs the sketch with every client a landmark.
+  EXPECT_EQ(cluster_landmarks(7, 100, 0), every_id(100));
+  EXPECT_EQ(cluster_landmarks(7, 100, 250), every_id(100));
+  EXPECT_EQ(cluster_landmarks(7, 100, 99), sample_landmarks(7, 100, 99));
 }
 
 TEST(LandmarkSampling, AssignBatchesPartitionTheNonLandmarks) {
@@ -86,12 +115,8 @@ TEST(LandmarkCluster, NearestLandmarkTieBreaksToLowestIndex) {
   // Landmarks 0 and 2 are equidistant from the query; strict < must keep
   // the first (lowest-index) minimum.
   const std::vector<std::vector<float>> feats = {{1.0f}, {5.0f}, {-1.0f}};
-  const auto dist = [](const std::vector<float>& a,
-                       const std::vector<float>& b) {
-    return std::abs(a[0] - b[0]);
-  };
-  EXPECT_EQ(nearest_landmark(std::vector<float>{0.0f}, feats, dist), 0u);
-  EXPECT_EQ(nearest_landmark(std::vector<float>{-1.0f}, feats, dist), 2u);
+  EXPECT_EQ(nearest_landmark(std::vector<float>{0.0f}, feats, abs_dist), 0u);
+  EXPECT_EQ(nearest_landmark(std::vector<float>{-1.0f}, feats, abs_dist), 2u);
 }
 
 // The assignment must be a pure function of (feature, landmark set):
@@ -99,27 +124,13 @@ TEST(LandmarkCluster, NearestLandmarkTieBreaksToLowestIndex) {
 // count doing the per-batch fan-out.
 TEST(LandmarkCluster, AssignmentInvariantUnderBatchSizeAndThreads) {
   const std::size_t n = 50;
-  // Synthetic 1-D features in 3 well-separated bands.
-  const auto features = [&](const std::vector<std::size_t>& ids) {
-    std::vector<std::vector<float>> out;
-    out.reserve(ids.size());
-    for (const std::size_t id : ids) {
-      out.push_back({static_cast<float>(id % 3) * 10.0f +
-                     0.1f * static_cast<float>(id)});
-    }
-    return out;
-  };
-  const auto dist = [](const std::vector<float>& a,
-                       const std::vector<float>& b) {
-    return std::abs(a[0] - b[0]);
-  };
   const auto ids = sample_landmarks(3, n, 9);
   LandmarkCutPolicy cut;
   cut.k = 3;
   const auto run_with = [&](std::size_t batch, std::size_t threads) {
     util::reset_global_pool(threads);
-    LandmarkCluster<std::vector<float>> sketch(n, ids, batch, features,
-                                               dist);
+    LandmarkCluster<std::vector<float>> sketch(n, ids, batch, band_features,
+                                               abs_dist);
     return sketch.run(cut);
   };
   const std::size_t prev = util::global_pool().size() + 1;
@@ -134,17 +145,34 @@ TEST(LandmarkCluster, AssignmentInvariantUnderBatchSizeAndThreads) {
 }
 
 TEST(LandmarkCluster, RejectsDegenerateLandmarkCounts) {
-  const auto features = [](const std::vector<std::size_t>& ids) {
-    return std::vector<std::vector<float>>(ids.size(), {0.0f});
-  };
-  const auto dist = [](const std::vector<float>&, const std::vector<float>&) {
-    return 0.0f;
-  };
-  EXPECT_THROW(LandmarkCluster<std::vector<float>>(10, {}, 4, features, dist),
+  using Sketch = LandmarkCluster<std::vector<float>>;
+  EXPECT_THROW(Sketch(10, {}, 4, band_features, abs_dist),
                std::invalid_argument);
-  EXPECT_THROW(LandmarkCluster<std::vector<float>>(
-                   10, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 4, features, dist),
+  EXPECT_THROW(Sketch(10, every_id(11), 4, band_features, abs_dist),
                std::invalid_argument);
+}
+
+// Exact clustering is the sketch with every client a landmark: the full
+// proximity matrix, the plain dendrogram cut, nothing left to stream.
+TEST(LandmarkCluster, EveryClientALandmarkIsExactClustering) {
+  const std::size_t n = 30;
+  LandmarkCutPolicy cut;
+  cut.k = 3;
+  LandmarkCluster<std::vector<float>> sketch(n, every_id(n), 4,
+                                             band_features, abs_dist);
+  const LandmarkResult res = sketch.run(cut);
+
+  const auto feats = band_features(every_id(n));
+  const tensor::Tensor proximity = clustering::distance_matrix(
+      n, [&](std::size_t i, std::size_t j) {
+        return abs_dist(feats[i], feats[j]);
+      });
+  EXPECT_EQ(res.proximity.vec(), proximity.vec());
+  EXPECT_EQ(res.assignment,
+            clustering::cut_to_k(clustering::agglomerative(proximity), 3));
+  EXPECT_EQ(res.n_clusters, 3u);
+  EXPECT_EQ(res.effective_lambda, -1.0f);
+  EXPECT_EQ(sketch.take_landmark_features(), feats);
 }
 
 // End to end on the grouped population: the sketch, clustering only half
@@ -155,6 +183,7 @@ TEST(LandmarkFedClust, RecoversExactPartitionOnGroupedClients) {
   core::FedClust exact(exact_fed);
   exact.run();
   EXPECT_TRUE(exact.landmark_ids().empty());
+  EXPECT_EQ(exact.report().proximity.dim(0), 24u) << "N×N when exact";
 
   cfg.landmarks = 12;
   Federation lm_fed(cfg);

@@ -155,8 +155,10 @@ TEST(CommTracker, ConcurrentIncrementsAreExact) {
   for (std::size_t t = 0; t < n_threads; ++t) {
     threads.emplace_back([&comm] {
       for (std::size_t i = 0; i < per_thread; ++i) {
-        comm.upload_envelope(1, fl::wire::encoded_size(comm.codec(), 1));
-        comm.download_envelope(2, fl::wire::encoded_size(comm.codec(), 2));
+        comm.upload_envelope(
+            1, fl::wire::encoded_size(fl::wire::CodecId::kRawF32, 1));
+        comm.download_envelope(
+            2, fl::wire::encoded_size(fl::wire::CodecId::kRawF32, 2));
       }
     });
   }

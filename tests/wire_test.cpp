@@ -429,8 +429,8 @@ TEST(CommTracker, CountOnlyBillingMatchesRawEnvelopes) {
   // payload-free transfers such as IFCA's K-model browse) derives encoded
   // bytes from the configured codec; for raw_f32 that is the pre-wire n*4.
   fl::CommTracker comm;
-  comm.upload_envelope(100, fl::wire::encoded_size(comm.codec(), 100));
-  comm.download_envelope(25, fl::wire::encoded_size(comm.codec(), 25));
+  comm.upload_envelope(100, fl::wire::encoded_size(CodecId::kRawF32, 100));
+  comm.download_envelope(25, fl::wire::encoded_size(CodecId::kRawF32, 25));
   EXPECT_EQ(comm.bytes_up(), 400u);
   EXPECT_EQ(comm.bytes_down(), 100u);
   EXPECT_EQ(comm.messages(), 2u);
@@ -451,7 +451,6 @@ TEST(CommTracker, LedgerRoundTripsThroughRestore) {
 
 TEST(CommTracker, QInt8PutsFewerBytesOnTheWireThanPayload) {
   fl::CommTracker comm;
-  comm.set_codec(CodecId::kQInt8);
   comm.upload_envelope(1000, fl::wire::encoded_size(CodecId::kQInt8, 1000));
   const std::uint64_t encoded = fl::wire::encoded_size(CodecId::kQInt8, 1000);
   EXPECT_EQ(comm.bytes_up(), encoded);

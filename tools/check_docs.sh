@@ -4,7 +4,8 @@
 #      fedclust_server, and fedclust_worker is documented somewhere in
 #      README.md / EXPERIMENTS.md / docs/*.md, and every --flag those files
 #      mention exists in one of the four --helps (minus known non-CLI
-#      flags);
+#      flags), and README's --method row lists exactly the methods
+#      fedclust_sim --help names;
 #   2. every relative markdown link in docs/*.md points at a real file;
 #   3. every `path:line` anchor in docs/*.md names a real file and a
 #      line that exists.
@@ -78,6 +79,20 @@ for doc in "${doc_files[@]}"; do
   done < <(grep -nE 'fedclust_(sim|report|server|worker)' "$doc" |
            grep -E -- '\-\-[a-zA-Z]' || true)
 done
+
+# 1c. The README's --method row names exactly the methods fedclust_sim
+# accepts (its --help lists them, built from the method registry).
+help_methods=$("$sim" --help | grep -A1 -E '^  --method=' | tail -n 1 |
+               tr -d ' ' | tr '|' '\n' | sort)
+readme_methods=$(grep -E '^\| `--method` \| algorithm: ' README.md |
+                 sed -E 's/^\| `--method` \| algorithm: (.*) \|$/\1/' |
+                 sed 's/, /\n/g' | sort)
+if [ -z "$help_methods" ] || [ "$help_methods" != "$readme_methods" ]; then
+  echo "check_docs: README --method row differs from --help:" \
+       "$(diff <(echo "$readme_methods") <(echo "$help_methods") |
+          grep -E '^[<>]' | paste -sd' ')" >&2
+  fail=1
+fi
 
 # Relative markdown links: [text](target) where target is not a URL or
 # a pure #fragment must resolve against the doc's own directory.

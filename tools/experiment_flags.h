@@ -11,6 +11,7 @@
 
 #include <string>
 
+#include "core/registry.h"
 #include "fl/federation.h"
 #include "fl/fault.h"
 #include "fl/snapshot.h"
@@ -26,8 +27,7 @@ namespace fedclust::tools {
 // The config-defining experiment flags (everything that feeds
 // config_fingerprint, plus --method).
 inline void add_experiment_options(util::ArgParser& args) {
-  args.add_option("method", "Local|FedAvg|...|FedClust|SCAFFOLD|FedDyn|"
-                            "Ditto|FLIS", "FedClust");
+  args.add_option("method", core::method_names("|"), "FedClust");
   args.add_option("dataset", "cifar10|cifar100|fmnist|svhn", "cifar10");
   args.add_option("partition", "skew|dirichlet|iid", "skew");
   args.add_option("skew", "label-skew fraction", "0.2");

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the full release test suite (including the
-# check_docs, one-worker socket_single_worker and kill-and-resume
-# cli_resume ctests), then the concurrency tests (thread pool + parallel
-# round executor + obs stress) rebuilt and re-run under ThreadSanitizer,
-# then the fault/wire/snapshot tests rebuilt and re-run under
-# Address+UBSanitizer, then simulator CLI smokes: observability, fault
-# injection, wire codecs, the event journal + fedclust_report regression
-# gate, the client store at 100k clients, SIMD dispatch (scalar vs native
-# ISA bit-identity), and the multi-process transport (server + workers on
-# a Unix socket, with a kill -9 + checkpoint-restart round-trip,
+# check_docs, one-worker socket_single_worker, kill-and-resume cli_resume
+# and landmark-contract cli_landmark ctests), then the concurrency tests
+# (thread pool + parallel round executor + obs stress) rebuilt and re-run
+# under ThreadSanitizer, then the fault/wire/snapshot tests rebuilt and
+# re-run under Address+UBSanitizer, then simulator CLI smokes:
+# observability, fault injection, wire codecs, the event journal +
+# fedclust_report regression gate, the client store and landmark
+# clustering at 100k clients, SIMD dispatch (scalar vs native ISA
+# bit-identity), and the multi-process transport (server + workers on a
+# Unix socket, with a kill -9 + checkpoint-restart round-trip,
 # bit-identical to in-process).
 # Run from the repository root.
 set -euo pipefail
@@ -324,59 +325,14 @@ for threads in 1 4; do
 done
 echo "scale smoke ok (virtual rss ${virt_rss} KiB, ${evictions} evictions)"
 
-# Landmark clustering smoke (docs/SCALING.md §Landmark clustering), three
-# contracts:
-#   (a) --landmarks=0 is the exact path, bit-identical to not passing the
-#       flag at all (same CSV, same state digest, same fingerprint);
-#   (b) on a population with ground-truth group structure the sketch must
-#       reproduce the exact partition — gated through fedclust_report's
-#       adjusted-Rand agreement (--ari-min) over the journaled partitions;
-#   (c) FedClust at 100k virtual clients with --landmarks=256 must finish
-#       under the same RSS ceiling as the FedAvg scale smoke (the exact
-#       path would need the O(N²) proximity matrix, ~40 GB) and stay
-#       bit-identical at 1 and 4 worker threads.
+# Landmark clustering smoke (docs/SCALING.md §Landmark clustering):
+# FedClust at 100k virtual clients with --landmarks=256 must finish under
+# the same RSS ceiling as the FedAvg scale smoke (exact clustering would
+# need the O(N²) proximity matrix, ~40 GB) and stay bit-identical at 1 and
+# 4 worker threads. The quick landmark contracts (--landmarks=0 is exact
+# clustering, the sketch's agreement gate) are the cli_landmark ctest.
 lm_dir=build/landmark_smoke
 rm -rf "$lm_dir" && mkdir -p "$lm_dir"
-./build/tools/fedclust_sim --method=FedClust --clients=8 --rounds=2 \
-    --train=6 --test=4 --sample=0.5 --seed=5 \
-    --out="$lm_dir/exact.csv" > "$lm_dir/exact.out"
-./build/tools/fedclust_sim --method=FedClust --clients=8 --rounds=2 \
-    --train=6 --test=4 --sample=0.5 --seed=5 --landmarks=0 \
-    --out="$lm_dir/lm0.csv" > "$lm_dir/lm0.out"
-cmp "$lm_dir/exact.csv" "$lm_dir/lm0.csv" ||
-  { echo "landmark smoke: --landmarks=0 is not the exact path" >&2; exit 1; }
-[ "$(state_line "$lm_dir/exact.out")" = "$(state_line "$lm_dir/lm0.out")" ] ||
-  { echo "landmark smoke: --landmarks=0 state digest differs" >&2; exit 1; }
-
-agree_flags=(--method=FedClust --dataset=fmnist --partition=skew
-             --label-pool=4 --clients=32 --train=8 --test=4 --rounds=1
-             --sample=0.25 --k=4 --seed=7)
-./build/tools/fedclust_sim "${agree_flags[@]}" \
-    --journal-out="$lm_dir/exact.journal.jsonl" \
-    --metrics-out="$lm_dir/exact.metrics.jsonl" >/dev/null
-./build/tools/fedclust_sim "${agree_flags[@]}" --landmarks=16 \
-    --journal-out="$lm_dir/lm.journal.jsonl" \
-    --metrics-out="$lm_dir/lm.metrics.jsonl" >/dev/null
-./build/tools/fedclust_report \
-    --journal="$lm_dir/exact.journal.jsonl" \
-    --metrics="$lm_dir/exact.metrics.jsonl" \
-    --json-out="$lm_dir/exact.report.json" --md-out=/dev/null >/dev/null
-./build/tools/fedclust_report \
-    --journal="$lm_dir/lm.journal.jsonl" \
-    --metrics="$lm_dir/lm.metrics.jsonl" \
-    --md-out="$lm_dir/lm.report.md" \
-    --compare="$lm_dir/exact.report.json" --ari-min=0.9 \
-    --acc-tol=1 --bytes-tol-pct=100000 --time-tol-pct=100000 \
-    > "$lm_dir/agree.out" ||
-  { echo "landmark smoke: sketch partition diverged from exact" >&2
-    cat "$lm_dir/agree.out" >&2; exit 1; }
-grep -q 'clustering agreement' "$lm_dir/agree.out" ||
-  { echo "landmark smoke: no agreement line from fedclust_report" >&2
-    exit 1; }
-grep -q 'landmark sketch: 16 landmarks' "$lm_dir/lm.report.md" ||
-  { echo "landmark smoke: report lacks the landmark clustering section" >&2
-    exit 1; }
-
 lm_scale_flags=(--method=FedClust --dataset=fmnist --clients=100000
                 --train=1 --test=1 --sample=0.0005 --rounds=1
                 --eval-clients=50 --seed=3 --virtual-clients=1
