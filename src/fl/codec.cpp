@@ -88,7 +88,8 @@ std::vector<std::uint8_t> encode_payload(CodecId codec, const float* data,
     case CodecId::kRawF32:
       out.resize(n * 4);
       if (util::host_is_little_endian()) {
-        std::memcpy(out.data(), data, n * 4);
+        // n == 0 leaves out.data() null, which memcpy must not be passed.
+        if (n != 0) std::memcpy(out.data(), data, n * 4);
       } else {
         for (std::size_t i = 0; i < n; ++i) {
           util::store_f32_le(out.data() + i * 4, data[i]);
@@ -150,7 +151,7 @@ std::vector<float> decode_payload(CodecId codec, const std::uint8_t* data,
       check_len(len, n * 4, "raw_f32");
       out.resize(n);
       if (util::host_is_little_endian()) {
-        std::memcpy(out.data(), data, n * 4);
+        if (n != 0) std::memcpy(out.data(), data, n * 4);
       } else {
         for (std::size_t i = 0; i < n; ++i) {
           out[i] = util::get_f32_le(data + i * 4);

@@ -1,23 +1,36 @@
 #include "nn/activations.h"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace fedclust::nn {
 
+void relu_inplace(float* x, std::size_t n, std::uint8_t* mask) {
+  float* __restrict xp = x;
+  if (mask == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) xp[i] = xp[i] > 0.0f ? xp[i] : 0.0f;
+    return;
+  }
+  std::uint8_t* __restrict mp = mask;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool pos = xp[i] > 0.0f;
+    mp[i] = pos;
+    xp[i] = pos ? xp[i] : 0.0f;
+  }
+}
+
+void relu_backward_inplace(float* g, std::size_t n, const std::uint8_t* mask) {
+  float* __restrict gp = g;
+  const std::uint8_t* __restrict mp = mask;
+  for (std::size_t i = 0; i < n; ++i) gp[i] = mp[i] ? gp[i] : 0.0f;
+}
+
 Tensor ReLU::forward(const Tensor& x, bool train) {
   Tensor y = x;
   if (train) {
-    mask_.assign(x.size(), false);
+    mask_.resize(x.size());
     cached_shape_ = x.shape();
   }
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    if (y[i] > 0.0f) {
-      if (train) mask_[i] = true;
-    } else {
-      y[i] = 0.0f;
-    }
-  }
+  relu_inplace(y.data(), y.size(), train ? mask_.data() : nullptr);
   return y;
 }
 
@@ -26,28 +39,7 @@ Tensor ReLU::backward(const Tensor& grad_out) {
     throw std::logic_error("relu: backward without matching forward");
   }
   Tensor g = grad_out;
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    if (!mask_[i]) g[i] = 0.0f;
-  }
-  return g;
-}
-
-Tensor Tanh::forward(const Tensor& x, bool train) {
-  Tensor y = x;
-  for (auto& v : y.vec()) v = std::tanh(v);
-  if (train) cached_output_ = y;
-  return y;
-}
-
-Tensor Tanh::backward(const Tensor& grad_out) {
-  if (cached_output_.shape() != grad_out.shape()) {
-    throw std::logic_error("tanh: backward without matching forward");
-  }
-  Tensor g = grad_out;
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    const float t = cached_output_[i];
-    g[i] *= 1.0f - t * t;
-  }
+  relu_backward_inplace(g.data(), g.size(), mask_.data());
   return g;
 }
 

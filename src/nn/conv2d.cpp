@@ -91,8 +91,11 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const std::size_t out_area = oh * ow;
   const std::size_t col_rows = in_c_ * kernel_ * kernel_;
 
-  Tensor grad_in({n, in_c_, h, w});
-  std::vector<float> grad_col(col_rows * out_area);
+  // Without an input gradient (a model's first layer) the W^T x gy GEMM and
+  // col2im are skipped and grad_in stays empty.
+  const bool input_grad = needs_input_grad();
+  Tensor grad_in = input_grad ? Tensor({n, in_c_, h, w}) : Tensor();
+  std::vector<float> grad_col(input_grad ? col_rows * out_area : 0);
 
   for (std::size_t i = 0; i < n; ++i) {
     const float* gy = grad_out.data() + i * out_c_ * out_area;
@@ -108,6 +111,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
       for (std::size_t p = 0; p < out_area; ++p) s += plane[p];
       bias_.grad[oc] += static_cast<float>(s);
     }
+    if (!input_grad) continue;
     // dcol = W^T(col_rows, out_c) x gy(out_c, out_area), then scatter back.
     tensor::gemm(tensor::Trans::kYes, tensor::Trans::kNo, col_rows, out_area,
                  out_c_, 1.0f, weight_.value.data(), col_rows, gy, out_area,

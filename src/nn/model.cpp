@@ -7,6 +7,7 @@ namespace fedclust::nn {
 
 Model::Model(std::unique_ptr<Module> net, std::size_t classifier_param_count)
     : net_(std::move(net)), classifier_param_count_(classifier_param_count) {
+  net_->set_needs_input_grad(false);
   params_ = net_->parameters();
   if (classifier_param_count_ > params_.size()) {
     throw std::invalid_argument("Model: classifier_param_count exceeds params");

@@ -32,11 +32,16 @@ class Model {
     OBS_SPAN("model.forward");
     return net_->forward(x, train);
   }
-  Tensor backward(const Tensor& grad_out) {
+  // Accumulates parameter gradients only: the constructor turns off the
+  // first module's input gradient, which nothing reads.
+  void backward(const Tensor& grad_out) {
     OBS_SPAN("model.backward");
-    return net_->backward(grad_out);
+    net_->backward(grad_out);
   }
   void zero_grad() { net_->zero_grad(); }
+
+  // The module tree, e.g. for a test that turns the input gradient back on.
+  Module& net() { return *net_; }
 
   std::vector<Parameter*> parameters() { return net_->parameters(); }
   std::size_t num_params() const { return total_size_; }

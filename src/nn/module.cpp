@@ -27,6 +27,11 @@ Tensor Sequential::backward(const Tensor& grad_out) {
   return g;
 }
 
+void Sequential::set_needs_input_grad(bool on) {
+  Module::set_needs_input_grad(on);
+  if (!children_.empty()) children_.front()->set_needs_input_grad(on);
+}
+
 std::vector<Parameter*> Sequential::parameters() {
   std::vector<Parameter*> out;
   for (auto& child : children_) {

@@ -41,6 +41,13 @@ class Module {
   // each parameter's grad. Must be preceded by forward(x, /*train=*/true).
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
+  // Whether backward() must return dLoss/dInput (default on). Model clears
+  // it on its first module, whose input gradient nobody reads; a module
+  // that honours it (Conv2d) then returns an empty tensor. Parameter
+  // gradients never depend on it.
+  virtual void set_needs_input_grad(bool on) { needs_input_grad_ = on; }
+  bool needs_input_grad() const { return needs_input_grad_; }
+
   // Non-owning views of this module's parameters (empty for stateless
   // layers). Order is stable and defines the flat-vector layout.
   virtual std::vector<Parameter*> parameters() { return {}; }
@@ -48,6 +55,9 @@ class Module {
   virtual std::string name() const = 0;
 
   void zero_grad();
+
+ private:
+  bool needs_input_grad_ = true;
 };
 
 // Runs children in order; backward() runs them in reverse.
@@ -65,6 +75,8 @@ class Sequential : public Module {
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
+  // Only the first child's input gradient is the Sequential's own.
+  void set_needs_input_grad(bool on) override;
   std::vector<Parameter*> parameters() override;
   std::string name() const override { return "Sequential"; }
 

@@ -78,73 +78,6 @@ Tensor MaxPool2d::backward(const Tensor& grad_out) {
   return grad_in;
 }
 
-AvgPool2d::AvgPool2d(std::size_t kernel, std::size_t stride)
-    : kernel_(kernel), stride_(stride == 0 ? kernel : stride) {}
-
-Tensor AvgPool2d::forward(const Tensor& x, bool train) {
-  check_nchw(x, "avgpool");
-  const std::size_t n = x.dim(0);
-  const std::size_t c = x.dim(1);
-  const std::size_t h = x.dim(2);
-  const std::size_t w = x.dim(3);
-  const std::size_t oh = tensor::conv_out_dim(h, kernel_, stride_, 0);
-  const std::size_t ow = tensor::conv_out_dim(w, kernel_, stride_, 0);
-  const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
-
-  Tensor y({n, c, oh, ow});
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      const float* plane = x.data() + (i * c + ch) * h * w;
-      float* out = y.data() + (i * c + ch) * oh * ow;
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox) {
-          float s = 0.0f;
-          for (std::size_t ky = 0; ky < kernel_; ++ky) {
-            for (std::size_t kx = 0; kx < kernel_; ++kx) {
-              s += plane[(oy * stride_ + ky) * w + ox * stride_ + kx];
-            }
-          }
-          out[oy * ow + ox] = s * inv;
-        }
-      }
-    }
-  }
-  if (train) cached_in_shape_ = x.shape();
-  return y;
-}
-
-Tensor AvgPool2d::backward(const Tensor& grad_out) {
-  if (cached_in_shape_.empty()) {
-    throw std::logic_error("avgpool: backward without matching forward");
-  }
-  const std::size_t n = cached_in_shape_[0];
-  const std::size_t c = cached_in_shape_[1];
-  const std::size_t h = cached_in_shape_[2];
-  const std::size_t w = cached_in_shape_[3];
-  const std::size_t oh = grad_out.dim(2);
-  const std::size_t ow = grad_out.dim(3);
-  const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
-
-  Tensor grad_in(cached_in_shape_);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      float* plane = grad_in.data() + (i * c + ch) * h * w;
-      const float* gy = grad_out.data() + (i * c + ch) * oh * ow;
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox) {
-          const float g = gy[oy * ow + ox] * inv;
-          for (std::size_t ky = 0; ky < kernel_; ++ky) {
-            for (std::size_t kx = 0; kx < kernel_; ++kx) {
-              plane[(oy * stride_ + ky) * w + ox * stride_ + kx] += g;
-            }
-          }
-        }
-      }
-    }
-  }
-  return grad_in;
-}
-
 Tensor GlobalAvgPool2d::forward(const Tensor& x, bool train) {
   check_nchw(x, "gap");
   const std::size_t n = x.dim(0);

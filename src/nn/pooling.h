@@ -23,20 +23,6 @@ class MaxPool2d : public Module {
   tensor::Shape cached_out_shape_;
 };
 
-class AvgPool2d : public Module {
- public:
-  explicit AvgPool2d(std::size_t kernel, std::size_t stride = 0);
-
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  std::string name() const override { return "avgpool"; }
-
- private:
-  std::size_t kernel_;
-  std::size_t stride_;
-  tensor::Shape cached_in_shape_;
-};
-
 // Averages each channel plane to a single value: (N, C, H, W) -> (N, C).
 class GlobalAvgPool2d : public Module {
  public:

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "nn/activations.h"
 #include "tensor/tensor_ops.h"
 
 namespace fedclust::nn {
@@ -18,16 +19,10 @@ Tensor ResidualBlock::forward(const Tensor& x, bool train) {
   }
   tensor::add_(y, x);
   if (train) {
-    relu_mask_.assign(y.size(), false);
+    relu_mask_.resize(y.size());
     cached_shape_ = y.shape();
   }
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    if (y[i] > 0.0f) {
-      if (train) relu_mask_[i] = true;
-    } else {
-      y[i] = 0.0f;
-    }
-  }
+  relu_inplace(y.data(), y.size(), train ? relu_mask_.data() : nullptr);
   return y;
 }
 
@@ -38,9 +33,7 @@ Tensor ResidualBlock::backward(const Tensor& grad_out) {
   }
   // Gradient through the post-add ReLU feeds both branches.
   Tensor g = grad_out;
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    if (!relu_mask_[i]) g[i] = 0.0f;
-  }
+  relu_backward_inplace(g.data(), g.size(), relu_mask_.data());
   Tensor gx = body_->backward(g);
   tensor::add_(gx, g);  // skip connection
   return gx;

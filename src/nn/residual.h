@@ -6,6 +6,7 @@
 // identity-skip blocks; downsampling happens in the conv+pool stem between
 // blocks).
 
+#include <cstdint>
 #include <memory>
 
 #include "nn/module.h"
@@ -26,7 +27,7 @@ class ResidualBlock : public Module {
   std::unique_ptr<Module> body_;
   std::string name_;
   // Mask of the final ReLU.
-  std::vector<bool> relu_mask_;
+  std::vector<std::uint8_t> relu_mask_;
   tensor::Shape cached_shape_;
 };
 

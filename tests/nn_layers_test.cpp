@@ -3,8 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "nn/activations.h"
 #include "nn/conv2d.h"
@@ -25,6 +31,33 @@ Tensor random_input(tensor::Shape shape, util::Rng& rng, float scale = 1.0f) {
   for (auto& x : t.vec()) x = rng.normalf(0.0f, scale);
   return t;
 }
+
+// Smooth activation for the composed gradient checks below, where a
+// ReLU kink inside the finite-difference step would break the check.
+class Tanh : public Module {
+ public:
+  Tensor forward(const Tensor& x, bool train) override {
+    Tensor y = x;
+    for (auto& v : y.vec()) v = std::tanh(v);
+    if (train) cached_output_ = y;
+    return y;
+  }
+  Tensor backward(const Tensor& grad_out) override {
+    if (cached_output_.shape() != grad_out.shape()) {
+      throw std::logic_error("tanh: backward without matching forward");
+    }
+    Tensor g = grad_out;
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      const float t = cached_output_[i];
+      g[i] *= 1.0f - t * t;
+    }
+    return g;
+  }
+  std::string name() const override { return "tanh"; }
+
+ private:
+  Tensor cached_output_;
+};
 
 // Scalarizes the module output with fixed random projection weights so we
 // can finite-difference a single number.
@@ -216,16 +249,6 @@ TEST(MaxPool, GradCheck) {
   gc.check_input_grad();
 }
 
-TEST(AvgPool, ForwardAndGradCheck) {
-  util::Rng rng(6);
-  AvgPool2d pool(2);
-  const Tensor x({1, 1, 2, 2}, {1, 2, 3, 4});
-  const Tensor y = pool.forward(x, false);
-  EXPECT_FLOAT_EQ(y[0], 2.5f);
-  GradCheck gc(pool, random_input({2, 3, 4, 4}, rng), rng);
-  gc.check_input_grad();
-}
-
 TEST(GlobalAvgPool, ForwardAndGradCheck) {
   util::Rng rng(7);
   GlobalAvgPool2d gap;
@@ -260,6 +283,117 @@ TEST(ReLUTest, ForwardClampsAndGradMasks) {
   EXPECT_FLOAT_EQ(gx[0], 0.0f);
   EXPECT_FLOAT_EQ(gx[1], 0.0f);
   EXPECT_FLOAT_EQ(gx[2], 1.0f);
+}
+
+// ReLU is pinned bit for bit to `x > 0 ? x : +0.0f`: NaN and -0.0 map to
+// +0.0, which std::max(x, 0.0f) would not do (it keeps both), and which
+// EXPECT_FLOAT_EQ cannot see (it equates -0.0 with +0.0).
+
+std::uint32_t bits(float f) { return std::bit_cast<std::uint32_t>(f); }
+
+float relu_ref(float x) { return x > 0.0f ? x : 0.0f; }
+
+// Signed zeros, two quiet-NaN payloads, infinities, the smallest
+// denormals, the largest finites, then random values.
+std::vector<float> relu_edge_values(util::Rng& rng) {
+  std::vector<float> v = {0.0f,
+                          -0.0f,
+                          std::bit_cast<float>(0x7fc00001u),
+                          std::bit_cast<float>(0xffc12345u),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::denorm_min(),
+                          -std::numeric_limits<float>::denorm_min(),
+                          FLT_MAX,
+                          -FLT_MAX};
+  while (v.size() < 48) v.push_back(rng.normalf(0.0f, 1.0f));
+  return v;
+}
+
+// A gradient that carries NaN and -0.0 through the positive lanes too.
+Tensor relu_edge_grad(std::size_t n, util::Rng& rng) {
+  Tensor g({1, n});
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (i % 4) {
+      case 0: g[i] = -0.0f; break;
+      case 1: g[i] = std::bit_cast<float>(0x7fc0abcdu); break;
+      default: g[i] = rng.normalf(0.0f, 1.0f);
+    }
+  }
+  return g;
+}
+
+void expect_bits_eq(const Tensor& got, const std::vector<float>& want,
+                    const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(bits(got[i]), bits(want[i]))
+        << what << " at " << i << ": got " << got[i] << ", want " << want[i];
+  }
+}
+
+TEST(ReLUTest, ForwardAndBackwardAreBitExactSelects) {
+  util::Rng rng(16);
+  const std::vector<float> xs = relu_edge_values(rng);
+  const std::size_t n = xs.size();
+  const Tensor x({1, n}, xs);
+  const Tensor g = relu_edge_grad(n, rng);
+  std::vector<float> want_y(n);
+  std::vector<float> want_gx(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    want_y[i] = relu_ref(xs[i]);
+    want_gx[i] = xs[i] > 0.0f ? g[i] : 0.0f;
+  }
+
+  ReLU relu;
+  expect_bits_eq(relu.forward(x, /*train=*/false), want_y, "eval forward");
+  expect_bits_eq(relu.forward(x, /*train=*/true), want_y, "train forward");
+  expect_bits_eq(relu.backward(g), want_gx, "backward");
+
+  // An eval forward writes no mask: backward still applies the last
+  // training forward's mask, not one built from the negated input.
+  Tensor neg = x;
+  for (auto& v : neg.vec()) v = -v;
+  relu.forward(neg, /*train=*/false);
+  expect_bits_eq(relu.backward(g), want_gx, "backward after eval forward");
+}
+
+// Outputs -0.0 everywhere, the additive identity, so the residual's
+// post-add ReLU sees its input bits unchanged.
+class NegZeroBody : public Module {
+ public:
+  Tensor forward(const Tensor& x, bool /*train*/) override {
+    return Tensor::full(x.shape(), -0.0f);
+  }
+  Tensor backward(const Tensor& grad_out) override {
+    return Tensor::full(grad_out.shape(), -0.0f);
+  }
+  std::string name() const override { return "negzero"; }
+};
+
+TEST(Residual, PostAddReLUIsBitExactSelect) {
+  util::Rng rng(17);
+  const std::vector<float> xs = relu_edge_values(rng);
+  const std::size_t n = xs.size();
+  const Tensor x({1, n}, xs);
+  const Tensor g = relu_edge_grad(n, rng);
+  std::vector<float> want_y(n);
+  std::vector<float> want_gx(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    want_y[i] = relu_ref(xs[i]);
+    // Skip connection: body grad (-0.0) plus the ReLU-masked gradient.
+    want_gx[i] = -0.0f + (xs[i] > 0.0f ? g[i] : 0.0f);
+  }
+
+  ResidualBlock res(std::make_unique<NegZeroBody>());
+  expect_bits_eq(res.forward(x, /*train=*/false), want_y, "eval forward");
+  expect_bits_eq(res.forward(x, /*train=*/true), want_y, "train forward");
+  expect_bits_eq(res.backward(g), want_gx, "backward");
+
+  Tensor neg = x;
+  for (auto& v : neg.vec()) v = -v;
+  res.forward(neg, /*train=*/false);
+  expect_bits_eq(res.backward(g), want_gx, "backward after eval forward");
 }
 
 TEST(TanhTest, GradCheck) {

@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "nn/init.h"
 #include "nn/loss.h"
 #include "nn/model.h"
 #include "nn/model_zoo.h"
 #include "nn/optimizer.h"
+#include "obs/metrics.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
 
@@ -185,6 +187,58 @@ TEST(ModelZoo, FactoryReproducible) {
   EXPECT_EQ(f(3).flat_params(), f(3).flat_params());
 }
 
+// ------------------------------------------ first-layer input gradient
+
+bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+std::uint64_t gemm_calls() {
+  return obs::MetricsRegistry::instance().snapshot().counter_value(
+      "gemm.calls");
+}
+
+// A Model turns off its first module's input gradient, which nothing
+// reads. That drops one W^T x gy GEMM per sample from the first conv's
+// backward and must leave every parameter gradient bit-identical to the
+// full backward of the same net.
+TEST(ModelTest, FirstLayerSkipsOnlyTheInputGradient) {
+  auto& reg = obs::MetricsRegistry::instance();
+  reg.reset_values();
+  reg.set_enabled(true);
+  util::Rng rng(71);
+  const std::size_t n = 3;
+  Tensor x({n, 3, 16, 16});
+  for (auto& v : x.vec()) v = rng.normalf(0.0f, 1.0f);
+  const std::vector<std::int64_t> y = {0, 4, 9};
+  Model models[] = {lenet5(3, 16, 10, 5), resnet9(3, 16, 10, 8, 5),
+                    vgg_lite(3, 16, 10, 8, 5)};
+  for (Model& m : models) {
+    EXPECT_FALSE(m.net().needs_input_grad());
+    m.zero_grad();
+    const Tensor g = softmax_cross_entropy(m.forward(x, true), y).grad_logits;
+    std::uint64_t before = gemm_calls();
+    m.backward(g);
+    const std::uint64_t skipped_calls = gemm_calls() - before;
+    const std::vector<float> skipped = m.flat_grads();
+    m.forward(x, true);
+    EXPECT_EQ(m.net().backward(g).size(), 0u);
+
+    m.net().set_needs_input_grad(true);
+    m.zero_grad();
+    m.forward(x, true);
+    before = gemm_calls();
+    const Tensor gx = m.net().backward(g);
+    const std::uint64_t full_calls = gemm_calls() - before;
+    EXPECT_EQ(gx.shape(), x.shape());
+    EXPECT_TRUE(bitwise_equal(skipped, m.flat_grads()));
+    EXPECT_EQ(full_calls - skipped_calls, n);
+  }
+  reg.set_enabled(false);
+  reg.reset_values();
+}
+
 // ------------------------------------------------------------ optimizer
 
 TEST(SgdTest, PlainStep) {
@@ -240,6 +294,84 @@ TEST(SgdTest, ProximalTermPullsTowardReference) {
   opt.step();
   EXPECT_FLOAT_EQ(fc->weight().value[0], before);
   EXPECT_THROW(opt.set_prox_reference({1.0f}), std::invalid_argument);
+}
+
+// Every subset of {grad offset, weight decay, prox, momentum}, with
+// clipping on, over three tensors for five steps, against a straight
+// scalar loop in the documented per-element order: clip -> offset ->
+// weight decay -> prox -> momentum -> update. Bit for bit. Subset 15 has
+// every option on.
+TEST(SgdTest, EveryOptionSetMatchesScalarReferenceBitwise) {
+  for (int set = 0; set < 16; ++set) {
+    const bool use_offset = (set & 1) != 0;
+    const bool use_decay = (set & 2) != 0;
+    const bool use_prox = (set & 4) != 0;
+    const bool use_momentum = (set & 8) != 0;
+    util::Rng rng(56 + static_cast<std::uint64_t>(set));
+    Parameter a("a", Tensor({8, 16}));
+    Parameter b("b", Tensor({33}));
+    Parameter c("c", Tensor({5, 7}));
+    const std::vector<Parameter*> params = {&a, &b, &c};
+    std::vector<float> w;
+    for (Parameter* p : params) {
+      for (auto& v : p->value.vec()) {
+        v = rng.normalf(0.0f, 1.0f);
+        w.push_back(v);
+      }
+    }
+    const std::size_t total = w.size();
+    std::vector<float> ref(total);
+    std::vector<float> off(total);
+    for (auto& v : ref) v = rng.normalf(0.0f, 1.0f);
+    for (auto& v : off) v = rng.normalf(0.0f, 0.1f);
+    // A large step keeps a one-ulp change in g visible in w.
+    const SgdOptions o{.lr = 0.5f,
+                       .momentum = use_momentum ? 0.9f : 0.0f,
+                       .weight_decay = use_decay ? 0.01f : 0.0f,
+                       .clip_grad_norm = 1.5f,
+                       .prox_mu = use_prox ? 0.1f : 0.0f};
+    Sgd opt(params, o);
+    if (use_prox) opt.set_prox_reference(ref);
+    if (use_offset) opt.set_grad_offset(off);
+
+    std::vector<float> vel(total, 0.0f);
+    for (int step = 0; step < 5; ++step) {
+      // Alternate large and small gradients so clipping fires on some
+      // steps and not on others.
+      const float scale = step % 2 == 0 ? 3.0f : 0.02f;
+      std::vector<float> grads;
+      for (Parameter* p : params) {
+        for (auto& g : p->grad.vec()) {
+          g = rng.normalf(0.0f, scale);
+          grads.push_back(g);
+        }
+      }
+      opt.step();
+
+      double sq = 0.0;
+      for (const float g : grads) sq += static_cast<double>(g) * g;
+      const double norm = std::sqrt(sq);
+      const float clip = norm > o.clip_grad_norm
+                             ? static_cast<float>(o.clip_grad_norm / norm)
+                             : 1.0f;
+      for (std::size_t i = 0; i < total; ++i) {
+        float g = grads[i] * clip;
+        if (use_offset) g += off[i];
+        if (use_decay) g += o.weight_decay * w[i];
+        if (use_prox) g += o.prox_mu * (w[i] - ref[i]);
+        if (use_momentum) {
+          vel[i] = o.momentum * vel[i] + g;
+          g = vel[i];
+        }
+        w[i] -= o.lr * g;
+      }
+    }
+    std::vector<float> got;
+    for (Parameter* p : params) {
+      got.insert(got.end(), p->value.vec().begin(), p->value.vec().end());
+    }
+    EXPECT_TRUE(bitwise_equal(got, w)) << "option set " << set;
+  }
 }
 
 TEST(SgdTest, ZeroGrad) {
