@@ -1,7 +1,6 @@
 #include "harness.h"
 
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -12,6 +11,7 @@
 #include "util/config.h"
 #include "util/cpu.h"
 #include "util/logging.h"
+#include "util/serialization.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -39,13 +39,9 @@ double phase_seconds(const obs::MetricsRegistry::Snapshot& before,
 void write_bench_json(const fs::path& path, const std::string& name,
                       const fl::Trace& trace, double wall_seconds,
                       std::size_t rounds) {
-  std::ofstream os(path, std::ios::trunc);
-  if (!os) {
-    FC_LOG_WARN << "bench json: cannot open " << path.string();
-    return;
-  }
   const double throughput =
       wall_seconds > 0.0 ? static_cast<double>(rounds) / wall_seconds : 0.0;
+  std::ostringstream os;
   os << "{\n";
   os << "  \"name\": \"" << name << "\",\n";
   os << "  \"wall_seconds\": " << util::fmt_float(wall_seconds, 3) << ",\n";
@@ -60,6 +56,11 @@ void write_bench_json(const fs::path& path, const std::string& name,
   os << "  \"threads\": " << (util::global_pool().size() + 1) << ",\n";
   os << "  \"git_describe\": \"" << fl::build_git_describe() << "\"\n";
   os << "}\n";
+  try {
+    util::write_file(path.string(), os.str());
+  } catch (const std::runtime_error& e) {
+    FC_LOG_WARN << "bench json: " << e.what();
+  }
 }
 
 }  // namespace
@@ -151,8 +152,8 @@ fl::ExperimentConfig make_config(const std::string& dataset,
 }
 
 std::optional<fl::Trace> load_trace_csv(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) return std::nullopt;
+  if (!fs::exists(path)) return std::nullopt;
+  std::istringstream is(util::read_file(path));
   std::string line;
   if (!std::getline(is, line)) return std::nullopt;  // header
   fl::Trace t;

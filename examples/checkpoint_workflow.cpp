@@ -1,6 +1,7 @@
-// Checkpoint workflow: train a federation, save every cluster model to
-// disk, restore them in a fresh process-like context, and personalize a
-// restored model for one client.
+// Checkpoint workflow: train a federation with a checkpoint policy, restore
+// the final run snapshot into a fresh federation, check that the restored
+// state is bit-exact, and personalize a restored cluster model for one
+// client.
 //
 //   $ ./checkpoint_workflow
 
@@ -8,7 +9,6 @@
 #include <iostream>
 
 #include "core/fedclust.h"
-#include "nn/checkpoint.h"
 #include "util/table.h"
 
 int main() {
@@ -34,40 +34,44 @@ int main() {
   cfg.algo.fedclust_k = 4;
   cfg.algo.fedclust_init_epochs = 3;
 
-  fl::Federation fed(cfg);
-  core::FedClust algo(fed);
-  algo.run();
-
-  // Save each cluster model.
+  // Train, writing a run snapshot at the last round boundary.
   const auto dir = std::filesystem::temp_directory_path() / "fedclust_ckpt";
   std::filesystem::create_directories(dir);
-  nn::Model& ws = fed.workspace();
-  for (std::size_t k = 0; k < algo.report().n_clusters; ++k) {
-    ws.set_flat_params(algo.cluster_model(k));
-    const auto path = dir / ("cluster" + std::to_string(k) + ".fckpt");
-    nn::save_model_file(ws, path.string());
-    std::cout << "saved " << path << " (" << ws.num_params()
-              << " params)\n";
+  fl::Federation fed(cfg);
+  core::FedClust algo(fed);
+  algo.set_checkpoint_policy({dir.string(), /*every=*/cfg.rounds, 0});
+  algo.run();
+  const auto path = dir / fl::snapshot_filename(cfg.rounds);
+  std::cout << "saved " << path << " (" << algo.report().n_clusters
+            << " cluster models)\n";
+
+  // Restore into a brand-new federation. The snapshot is at the last
+  // boundary, so run() has no rounds left and only loads the state.
+  fl::Federation fresh(cfg);
+  core::FedClust restored(fresh);
+  restored.resume_from(fl::load_snapshot(path.string()));
+  restored.run();
+  bool exact = restored.state_crc32c() == algo.state_crc32c() &&
+               restored.report().n_clusters == algo.report().n_clusters;
+  for (std::size_t k = 0; exact && k < algo.report().n_clusters; ++k) {
+    exact = restored.cluster_model(k) == algo.cluster_model(k);
   }
+  std::cout << "\nrestored state and cluster models "
+            << (exact ? "bit-exact" : "MISMATCH") << "\n";
 
-  // Restore into a brand-new model instance and verify bit-exactness.
-  nn::Model restored = nn::build_model(cfg.model, /*seed=*/999);
-  nn::load_model_file(restored,
-                      (dir / "cluster0.fckpt").string());
-  const bool exact = restored.flat_params() == algo.cluster_model(0);
-  std::cout << "\nrestored cluster 0 " << (exact ? "bit-exact" : "MISMATCH")
-            << "\n";
-
-  // Personalize the restored model for the first client of cluster 0.
+  // Personalize the restored cluster-0 model for the first client of
+  // cluster 0.
   std::size_t client = 0;
-  while (algo.assignment()[client] != 0) ++client;
-  const double before = fed.client(client)->evaluate(restored) * 100.0;
+  while (restored.assignment()[client] != 0) ++client;
+  nn::Model& model = fresh.workspace();
+  model.set_flat_params(restored.cluster_model(0));
+  const double before = fresh.client(client)->evaluate(model) * 100.0;
   fl::LocalTrainOptions fine = cfg.local;
   fine.epochs = 5;
-  fed.client(client)->train(restored, fine, util::Rng(99));
-  const double after = fed.client(client)->evaluate(restored) * 100.0;
+  fresh.client(client)->train(model, fine, util::Rng(99));
+  const double after = fresh.client(client)->evaluate(model) * 100.0;
 
-  util::TablePrinter t("personalizing the restored checkpoint");
+  util::TablePrinter t("personalizing the restored cluster model");
   t.set_headers({"client", "cluster", "acc before %", "acc after %"});
   t.add_row({std::to_string(client), "0", util::fmt_float(before, 1),
              util::fmt_float(after, 1)});

@@ -35,24 +35,25 @@ void Ditto::round(std::size_t r) {
   ParallelRoundRunner runner(fed_);
   runner.for_each_client(sampled, [&](std::size_t idx, std::size_t c,
                                       nn::Model& ws) {
-    fed_.bill_download(p);
-    const auto client = fed_.client(c);
-
-    // (1) Global-objective step: plain FedAvg local training.
-    ws.set_flat_params(rx_global);
-    client->train(ws, fed_.cfg().local, fed_.train_rng(c, r));
-    updates[idx] = ws.flat_params();
-    weights[idx] = static_cast<double>(client->n_train());
-    delivered[idx] = fed_.deliver_update(c, r, updates[idx], p) ? 1 : 0;
-
-    // (2) Personal-objective step: prox-regularized training of v_i toward
-    // the global model it just downloaded. Stays on-device: no extra comm,
-    // and it proceeds even when the global-step upload was lost.
+    runner.bill_download(r, c, p);
     std::vector<float>& vi = personal_.touch(c);
-    ws.set_flat_params(vi);
-    client->train(ws, prox_opts, fed_.train_rng(c, 0xD177000 + r),
-                  &rx_global);
-    vi = ws.flat_params();
+    runner.journal_train(r, c, [&] {
+      const auto client = fed_.client(c);
+      // (1) Global-objective step: plain FedAvg local training.
+      ws.set_flat_params(rx_global);
+      client->train(ws, fed_.cfg().local, fed_.train_rng(c, r));
+      updates[idx] = ws.flat_params();
+      weights[idx] = static_cast<double>(client->n_train());
+
+      // (2) Personal-objective step: prox-regularized training of v_i
+      // toward the global model it just downloaded. Stays on-device: no
+      // extra comm, and it counts even when the global-step upload is lost.
+      ws.set_flat_params(vi);
+      client->train(ws, prox_opts, fed_.train_rng(c, 0xD177000 + r),
+                    &rx_global);
+      vi = ws.flat_params();
+    });
+    delivered[idx] = fed_.deliver_update(c, r, updates[idx], p) ? 1 : 0;
   });
 
   std::vector<std::pair<const std::vector<float>*, double>> entries;

@@ -202,13 +202,6 @@ std::vector<float> Federation::wire_round_trip(
 }
 
 std::vector<float> Federation::through_wire(wire::MessageKind kind,
-                                            const float* data, std::size_t n,
-                                            std::uint64_t sender,
-                                            std::size_t round) const {
-  return wire_round_trip(kind, data, n, sender, round, nullptr);
-}
-
-std::vector<float> Federation::through_wire(wire::MessageKind kind,
                                             const std::vector<float>& payload,
                                             std::uint64_t sender,
                                             std::size_t round) const {
@@ -232,32 +225,20 @@ std::vector<float> Federation::pull_model(const std::vector<float>& payload,
 }
 
 std::vector<float> Federation::upload_payload(wire::MessageKind kind,
-                                              const float* data, std::size_t n,
-                                              std::size_t client,
-                                              std::size_t round) {
-  std::uint64_t encoded = 0;
-  std::vector<float> rx = wire_round_trip(kind, data, n, client, round,
-                                          &encoded);
-  comm_.upload_envelope(n, encoded);
-  return rx;
-}
-
-std::vector<float> Federation::upload_payload(wire::MessageKind kind,
                                               const std::vector<float>& payload,
                                               std::size_t client,
                                               std::size_t round) {
-  return upload_payload(kind, payload.data(), payload.size(), client, round);
+  std::uint64_t encoded = 0;
+  std::vector<float> rx = wire_round_trip(kind, payload.data(), payload.size(),
+                                          client, round, &encoded);
+  comm_.upload_envelope(payload.size(), encoded);
+  return rx;
 }
 
 void Federation::bill_download(std::uint64_t n_floats,
                                std::uint64_t messages) {
   comm_.download_envelope(n_floats, wire::encoded_size(cfg_.codec, n_floats),
                           messages);
-}
-
-void Federation::bill_upload(std::uint64_t n_floats, std::uint64_t messages) {
-  comm_.upload_envelope(n_floats, wire::encoded_size(cfg_.codec, n_floats),
-                        messages);
 }
 
 bool Federation::deliver_update(std::size_t client, std::size_t round,
@@ -469,21 +450,14 @@ std::vector<double> Federation::local_accuracy_distribution(
     const std::function<const std::vector<float>&(std::size_t)>& params_of) {
   const auto ids = eval_ids();
   std::vector<double> accs(ids.size());
-  ParallelRoundRunner(*this).for_each_index(
-      ids.size(), [&](std::size_t idx, nn::Model& ws) {
-        const std::size_t i = ids[idx];
-        OBS_SPAN_ARG("client.eval", i);
-        ws.set_flat_params(params_of(i));
-        accs[idx] = client(i)->evaluate(ws);
-        // Eval sweeps don't carry a round index; the run loop sets the
-        // round context around evaluate_all, so out-of-band sweeps journal
-        // nothing. Micro-units keep the row integer-only.
-        if (obs::EventJournal::enabled()) {
-          obs::EventJournal::instance().record_in_context(
-              i, obs::JournalEvent::kEval,
-              static_cast<std::uint64_t>(std::llround(accs[idx] * 1e6)));
-        }
-      });
+  ParallelRoundRunner runner(*this);
+  runner.for_each_index(ids.size(), [&](std::size_t idx, nn::Model& ws) {
+    const std::size_t i = ids[idx];
+    OBS_SPAN_ARG("client.eval", i);
+    ws.set_flat_params(params_of(i));
+    accs[idx] = client(i)->evaluate(ws);
+    runner.journal_eval(i, accs[idx]);
+  });
   return accs;
 }
 

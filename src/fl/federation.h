@@ -267,9 +267,6 @@ class Federation {
   // quantized for lossy codecs. Pure and thread-safe; bills nothing — pair
   // with the billed helpers below. Throws if the self-produced envelope
   // fails to verify (a logic error, not a simulated fault).
-  std::vector<float> through_wire(wire::MessageKind kind, const float* data,
-                                  std::size_t n, std::uint64_t sender,
-                                  std::size_t round) const;
   std::vector<float> through_wire(wire::MessageKind kind,
                                   const std::vector<float>& payload,
                                   std::uint64_t sender,
@@ -287,9 +284,6 @@ class Federation {
   // subspace bases): round-trips through the wire and bills the upload.
   // Setup sweeps stay fault-free (ROADMAP "Robustness"), so this path never
   // consults the fault engine — faulted uploads go through deliver_update.
-  std::vector<float> upload_payload(wire::MessageKind kind, const float* data,
-                                    std::size_t n, std::size_t client,
-                                    std::size_t round);
   std::vector<float> upload_payload(wire::MessageKind kind,
                                     const std::vector<float>& payload,
                                     std::size_t client, std::size_t round);
@@ -298,12 +292,11 @@ class Federation {
   // message (IFCA's K-model browse): `messages` envelopes of `n_floats`
   // each through the experiment codec.
   void bill_download(std::uint64_t n_floats, std::uint64_t messages = 1);
-  void bill_upload(std::uint64_t n_floats, std::uint64_t messages = 1);
 
-  // Where train_clients executes local training: nullptr (the default) or
-  // a transport with remote() == false keeps the unchanged in-process path;
-  // a remote transport (net::ServerTransport) delegates the computation to
-  // worker processes. Not owned; the caller keeps it alive for the run.
+  // Where train_clients executes local training: nullptr (the default)
+  // keeps the in-process path; a transport (net::ServerTransport) delegates
+  // the computation to worker processes. Not owned; the caller keeps it
+  // alive for the run.
   // Deliberately excluded from config_fingerprint: the transport must not
   // change the trajectory (the bit-identity contract in docs/TRANSPORT.md).
   void set_transport(Transport* t) { transport_ = t; }

@@ -45,10 +45,6 @@ std::size_t Ifca::select_cluster_for(const SimClient& client) {
   return select_cluster_with(fed_.workspace(), client);
 }
 
-std::size_t Ifca::select_cluster(std::size_t c) {
-  return select_cluster_for(*fed_.client(c));
-}
-
 void Ifca::round(std::size_t r) {
   const auto sampled = fed_.sample_round(r);
   const std::size_t p = fed_.model_size();
@@ -73,14 +69,15 @@ void Ifca::round(std::size_t r) {
   runner.for_each_client(sampled, [&](std::size_t idx, std::size_t c,
                                       nn::Model& ws) {
     // The client needs every cluster model to choose: K model downloads.
-    fed_.bill_download(p, models_.size());
-    const auto client = fed_.client(c);
-    const std::size_t k = select_cluster_from(rx_models, ws, *client);
-    ws.set_flat_params(rx_models[k]);
-    client->train(ws, fed_.cfg().local, fed_.train_rng(c, r));
-    chosen[idx] = k;
+    runner.bill_download(r, c, p, models_.size());
+    runner.journal_train(r, c, [&] {
+      const auto client = fed_.client(c);
+      chosen[idx] = select_cluster_from(rx_models, ws, *client);
+      ws.set_flat_params(rx_models[chosen[idx]]);
+      client->train(ws, fed_.cfg().local, fed_.train_rng(c, r));
+      weights[idx] = static_cast<double>(client->n_train());
+    });
     locals[idx] = ws.flat_params();
-    weights[idx] = static_cast<double>(client->n_train());
     // Upload (trained model + cluster id) runs the fault/validation
     // gauntlet; lost updates are excluded from their cluster's average.
     delivered[idx] = fed_.deliver_update(c, r, locals[idx], p) ? 1 : 0;
@@ -118,6 +115,7 @@ double Ifca::evaluate_all() {
     const std::size_t k = select_cluster_with(ws, *client);
     ws.set_flat_params(models_[k]);
     accs[idx] = client->evaluate(ws);
+    runner.journal_eval(ids[idx], accs[idx]);
   });
   double sum = 0.0;
   for (const double a : accs) sum += a;

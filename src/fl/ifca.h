@@ -40,8 +40,6 @@ class Ifca : public FlAlgorithm {
   std::size_t select_cluster_from(
       const std::vector<std::vector<float>>& models, nn::Model& ws,
       const SimClient& client);
-  // argmin_k train_loss(model_k) for client c of the federation.
-  std::size_t select_cluster(std::size_t c);
 
   std::vector<std::vector<float>> models_;
 };

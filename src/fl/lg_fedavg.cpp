@@ -51,18 +51,20 @@ void LgFedAvg::round(std::size_t r) {
   ParallelRoundRunner runner(fed_);
   runner.for_each_client(sampled, [&](std::size_t idx, std::size_t c,
                                       nn::Model& ws) {
-    fed_.bill_download(g);  // only the global layers move
+    runner.bill_download(r, c, g);  // only the global layers move
     std::copy(rx_suffix.begin(), rx_suffix.end(),
               params_[c].begin() +
                   static_cast<std::ptrdiff_t>(global_offset_));
     ws.set_flat_params(params_[c]);
-    const auto client = fed_.client(c);
-    client->train(ws, fed_.cfg().local, fed_.train_rng(c, r));
+    runner.journal_train(r, c, [&] {
+      const auto client = fed_.client(c);
+      client->train(ws, fed_.cfg().local, fed_.train_rng(c, r));
+      weights[idx] = static_cast<double>(client->n_train());
+    });
     params_[c] = ws.flat_params();
     suffixes[idx].assign(
         params_[c].begin() + static_cast<std::ptrdiff_t>(global_offset_),
         params_[c].end());
-    weights[idx] = static_cast<double>(client->n_train());
     // Only the shared suffix travels; the local prefix stays on-device, so
     // a lost upload still keeps the client's personal layers trained.
     delivered[idx] = fed_.deliver_update(c, r, suffixes[idx], g) ? 1 : 0;

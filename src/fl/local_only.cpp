@@ -25,7 +25,9 @@ void LocalOnly::round(std::size_t r) {
       sampled, [&](std::size_t, std::size_t c, nn::Model& ws) {
         std::vector<float>& slot = params_.touch(c);
         ws.set_flat_params(slot);
-        fed_.client(c)->train(ws, fed_.cfg().local, fed_.train_rng(c, r));
+        runner.journal_train(r, c, [&] {
+          fed_.client(c)->train(ws, fed_.cfg().local, fed_.train_rng(c, r));
+        });
         slot = ws.flat_params();
       });
 }

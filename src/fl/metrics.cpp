@@ -44,15 +44,17 @@ std::size_t Trace::final_clusters() const {
 }
 
 void Trace::save_csv(const std::string& path) const {
-  util::CsvWriter csv(path, {"method", "dataset", "round", "acc", "mb_up",
-                             "mb_down", "clusters"});
+  // Cells are registry method names, dataset names and numbers, so none
+  // needs CSV quoting.
+  std::string csv = "method,dataset,round,acc,mb_up,mb_down,clusters\n";
   for (const auto& r : records) {
-    csv.add_row({method, dataset, std::to_string(r.round),
-                 util::fmt_float(r.avg_local_test_acc, 6),
-                 util::fmt_float(mb(r.bytes_up), 4),
-                 util::fmt_float(mb(r.bytes_down), 4),
-                 std::to_string(r.n_clusters)});
+    csv += method + ',' + dataset + ',' + std::to_string(r.round) + ',' +
+           util::fmt_float(r.avg_local_test_acc, 6) + ',' +
+           util::fmt_float(mb(r.bytes_up), 4) + ',' +
+           util::fmt_float(mb(r.bytes_down), 4) + ',' +
+           std::to_string(r.n_clusters) + '\n';
   }
+  util::write_file(path, csv);
 }
 
 }  // namespace fedclust::fl

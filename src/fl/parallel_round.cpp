@@ -1,5 +1,7 @@
 #include "fl/parallel_round.h"
 
+#include <cmath>
+
 #include "fl/codec.h"
 #include "fl/transport.h"
 #include "obs/journal.h"
@@ -12,17 +14,22 @@ namespace fedclust::fl {
 
 namespace {
 
+// Framed bytes of `messages` envelopes of `n_floats` each, as CommTracker
+// bills them.
+std::uint64_t envelope_wire_bytes(wire::CodecId codec, std::uint64_t n_floats,
+                                  std::uint64_t messages = 1) {
+  return messages * (wire::encoded_size(codec, n_floats) + wire::kHeaderSize);
+}
+
 // Journals client c's model pull, mirroring CommTracker's billing exactly:
 // one envelope for the model itself, one more for any extra floats riding
 // along (e.g. SCAFFOLD's control variate).
 void journal_download(const RoundTrainJob& job, std::size_t c,
                       wire::CodecId codec) {
   const std::uint64_t base_n = job.start->size();
-  std::uint64_t wire_bytes =
-      wire::encoded_size(codec, base_n) + wire::kHeaderSize;
+  std::uint64_t wire_bytes = envelope_wire_bytes(codec, base_n);
   if (job.download_floats > base_n) {
-    wire_bytes += wire::encoded_size(codec, job.download_floats - base_n) +
-                  wire::kHeaderSize;
+    wire_bytes += envelope_wire_bytes(codec, job.download_floats - base_n);
   }
   OBS_JOURNAL(job.round, c, kDownload, job.download_floats * 4, wire_bytes);
 }
@@ -53,6 +60,37 @@ void ParallelRoundRunner::for_each_client(
   });
 }
 
+void ParallelRoundRunner::bill_download(std::size_t round, std::size_t client,
+                                        std::uint64_t n_floats,
+                                        std::uint64_t messages) {
+  fed_.bill_download(n_floats, messages);
+  OBS_JOURNAL(round, client, kDownload, messages * n_floats * 4,
+              envelope_wire_bytes(fed_.cfg().codec, n_floats, messages));
+}
+
+void ParallelRoundRunner::journal_train(std::size_t round, std::size_t client,
+                                        const std::function<void()>& work) {
+  // Train wall time is journal-only telemetry; the clock is read only when
+  // a journal is open (and recorded as 0 with the wall clock off, keeping
+  // the determinism test's files bit-identical).
+  const bool timed =
+      obs::EventJournal::enabled() && obs::EventJournal::wall_clock();
+  const std::int64_t t0 = timed ? util::process_elapsed_micros() : 0;
+  work();
+  OBS_JOURNAL(round, client, kTrain,
+              timed ? static_cast<std::uint64_t>(
+                          util::process_elapsed_micros() - t0)
+                    : 0);
+}
+
+void ParallelRoundRunner::journal_eval(std::size_t client, double acc) {
+  if (obs::EventJournal::enabled()) {
+    obs::EventJournal::instance().record_in_context(
+        client, obs::JournalEvent::kEval,
+        static_cast<std::uint64_t>(std::llround(acc * 1e6)));
+  }
+}
+
 std::vector<RoundTrainResult> ParallelRoundRunner::train_clients(
     const std::vector<std::size_t>& clients,
     const std::function<RoundTrainJob(std::size_t, std::size_t)>& job_of) {
@@ -68,7 +106,7 @@ void ParallelRoundRunner::train_clients_into(
     const std::vector<std::size_t>& clients,
     const std::function<RoundTrainJob(std::size_t, std::size_t)>& job_of,
     const std::function<void(std::size_t, RoundTrainResult&&)>& consume) {
-  if (fed_.transport() != nullptr && fed_.transport()->remote()) {
+  if (fed_.transport() != nullptr) {
     train_clients_remote_into(clients, job_of, consume);
     return;
   }
@@ -79,7 +117,6 @@ void ParallelRoundRunner::train_clients_into(
     // per round. The job is fetched first so the round is in hand; job_of
     // is a pure field copy, so the span still covers all real work.
     OBS_SPAN_ARG2("client.train", c, job.round);
-    const bool journal_on = obs::EventJournal::enabled();
     if (job.download_floats > 0) {
       // The model pull travels the wire: the client trains from what the
       // codec round-trips (bit-exact for raw_f32), and the tracker bills
@@ -87,31 +124,21 @@ void ParallelRoundRunner::train_clients_into(
       // SCAFFOLD's control variate) are billed as a second envelope.
       ws.set_flat_params(
           fed_.pull_model(*job.start, job.round, job.download_floats));
-      if (journal_on) journal_download(job, c, fed_.cfg().codec);
+      if (obs::EventJournal::enabled()) {
+        journal_download(job, c, fed_.cfg().codec);
+      }
     } else {
       ws.set_flat_params(*job.start);
     }
-    // Train wall time is journal-only telemetry; the clock is read only
-    // when a journal is open (and recorded as 0 with the wall clock off,
-    // keeping the determinism test's files bit-identical).
-    std::int64_t train_t0 = 0;
-    if (journal_on && obs::EventJournal::wall_clock()) {
-      train_t0 = util::process_elapsed_micros();
-    }
     // One store acquisition per client step; the shared_ptr keeps the
     // client alive across train + n_train even if the LRU evicts it.
-    const auto client = fed_.client(c);
-    const float loss =
-        client->train(ws, job.opts, job.rng, job.prox_ref,
-                      job.grad_offset ? &*job.grad_offset : nullptr);
-    if (journal_on) {
-      const std::uint64_t train_us =
-          obs::EventJournal::wall_clock()
-              ? static_cast<std::uint64_t>(util::process_elapsed_micros() -
-                                           train_t0)
-              : 0;
-      OBS_JOURNAL(job.round, c, kTrain, train_us);
-    }
+    std::shared_ptr<const SimClient> client;
+    float loss = 0.0f;
+    journal_train(job.round, c, [&] {
+      client = fed_.client(c);
+      loss = client->train(ws, job.opts, job.rng, job.prox_ref,
+                           job.grad_offset ? &*job.grad_offset : nullptr);
+    });
     RoundTrainResult res;
     res.client = c;
     res.params = ws.flat_params();

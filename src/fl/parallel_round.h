@@ -81,6 +81,26 @@ class ParallelRoundRunner {
       const std::vector<std::size_t>& clients,
       const std::function<void(std::size_t, std::size_t, nn::Model&)>& fn);
 
+  // The journal rows of the canonical client step, for client loops that
+  // run their own step over for_each_client (Local, Ditto, LG, IFCA,
+  // Per-FedAvg), so every method journals what train_clients_into does.
+  // Both are thread-safe.
+  //
+  // Count-only download (Federation::bill_download) of `messages`
+  // envelopes of `n_floats` each, journaled as one `download` row for
+  // `client` — IFCA's K-model browse is one row of K envelopes.
+  void bill_download(std::size_t round, std::size_t client,
+                     std::uint64_t n_floats, std::uint64_t messages = 1);
+  // Runs `work`, all of `client`'s local work in `round`, and journals its
+  // one `train` row: the wall time in µs, or 0 with the journal's wall
+  // clock off.
+  void journal_train(std::size_t round, std::size_t client,
+                     const std::function<void()>& work);
+  // Journals `client`'s `eval` row (accuracy in micro-units) under the
+  // round context FlAlgorithm::run sets around evaluate_all; sweeps outside
+  // it journal nothing.
+  void journal_eval(std::size_t client, double acc);
+
   // The canonical round step shared by most algorithms: download, load
   // job.start, train, then resolve delivery through the federation's fault
   // engine (upload accounting, retries, corruption, validation — see

@@ -85,8 +85,9 @@ void PerFedAvg::round(std::size_t r) {
   ParallelRoundRunner runner(fed_);
   runner.for_each_client(sampled, [&](std::size_t idx, std::size_t c,
                                       nn::Model& ws) {
-    fed_.bill_download(p);
-    updates[idx] = maml_train(ws, c, r, rx_meta);
+    runner.bill_download(r, c, p);
+    runner.journal_train(
+        r, c, [&] { updates[idx] = maml_train(ws, c, r, rx_meta); });
     weights[idx] = static_cast<double>(fed_.client(c)->n_train());
     delivered[idx] = fed_.deliver_update(c, r, updates[idx], p) ? 1 : 0;
   });
@@ -115,6 +116,7 @@ double PerFedAvg::evaluate_all() {
     const auto client = fed_.client(i);
     client->train(ws, fine, fed_.train_rng(i, 0xEdA1));
     accs[idx] = client->evaluate(ws);
+    runner.journal_eval(i, accs[idx]);
   });
   double sum = 0.0;
   for (const double a : accs) sum += a;

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <type_traits>
 
@@ -164,6 +163,35 @@ RunSnapshot parse_body(const std::string& body) {
   return snap;
 }
 
+// Checks the frame, then parses the body; both kinds of rejection surface
+// as SnapshotError.
+RunSnapshot parse_sealed(std::string_view file) {
+  std::string_view body;
+  try {
+    body = util::unseal(file, kSnapshotMagic, kSnapshotVersion);
+  } catch (const std::runtime_error& e) {
+    throw SnapshotError(std::string("snapshot ") + e.what());
+  }
+  try {
+    return parse_body(std::string(body));
+  } catch (const std::runtime_error& e) {
+    // CRC-valid bytes that still fail to parse mean a writer bug, not disk
+    // corruption, but the caller's handling is the same.
+    throw SnapshotError(std::string("snapshot body malformed: ") + e.what());
+  }
+}
+
+// Runs a util::read_file / util::write_file call, rethrowing its failure as
+// the SnapshotError every snapshot caller handles.
+template <class F>
+auto as_snapshot_error(F&& io) {
+  try {
+    return io();
+  } catch (const std::runtime_error& e) {
+    throw SnapshotError(e.what());
+  }
+}
+
 // ---- manifest helpers -----------------------------------------------
 
 std::string jstr(const std::string& s) {
@@ -244,84 +272,24 @@ std::vector<RngProbe> rng_probes_for(const ExperimentConfig& cfg) {
 }
 
 std::vector<std::uint8_t> serialize_snapshot(const RunSnapshot& snap) {
-  const std::string body = serialize_body(snap);
-  std::vector<std::uint8_t> out;
-  out.reserve(kSnapshotHeaderBytes + body.size());
-  util::put_u32_le(out, kSnapshotMagic);
-  util::put_u16_le(out, kSnapshotVersion);
-  util::put_u16_le(out, 0);  // reserved
-  util::put_u64_le(out, body.size());
-  util::put_u32_le(
-      out, util::crc32c(reinterpret_cast<const std::uint8_t*>(body.data()),
-                        body.size()));
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
+  const std::string file =
+      util::seal(kSnapshotMagic, kSnapshotVersion, serialize_body(snap));
+  return {file.begin(), file.end()};
 }
 
 RunSnapshot parse_snapshot(const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() < kSnapshotHeaderBytes) {
-    throw SnapshotError("snapshot truncated: " + std::to_string(bytes.size()) +
-                        " bytes is smaller than the header");
-  }
-  const std::uint8_t* p = bytes.data();
-  if (util::get_u32_le(p) != kSnapshotMagic) {
-    throw SnapshotError("snapshot magic mismatch (not a snapshot file?)");
-  }
-  const std::uint16_t version = util::get_u16_le(p + 4);
-  if (version != kSnapshotVersion) {
-    throw SnapshotError("unsupported snapshot version " +
-                        std::to_string(version));
-  }
-  // Reserved must be zero so every header bit is validated — a single bit
-  // flip anywhere in the file is rejected (snapshot_test flips each one).
-  if (util::get_u16_le(p + 6) != 0) {
-    throw SnapshotError("snapshot reserved field is non-zero");
-  }
-  const std::uint64_t body_len = util::get_u64_le(p + 8);
-  if (bytes.size() != kSnapshotHeaderBytes + body_len) {
-    throw SnapshotError(
-        "snapshot length mismatch: header declares " +
-        std::to_string(body_len) + " body bytes, file carries " +
-        std::to_string(bytes.size() - kSnapshotHeaderBytes));
-  }
-  const std::uint32_t want_crc = util::get_u32_le(p + 16);
-  const std::uint32_t got_crc =
-      util::crc32c(p + kSnapshotHeaderBytes, body_len);
-  if (want_crc != got_crc) {
-    throw SnapshotError("snapshot body CRC mismatch: file corrupt");
-  }
-  try {
-    return parse_body(std::string(
-        reinterpret_cast<const char*>(p + kSnapshotHeaderBytes), body_len));
-  } catch (const std::runtime_error& e) {
-    // CRC-valid bytes that still fail to parse mean a writer bug, not disk
-    // corruption, but the caller's handling is the same.
-    throw SnapshotError(std::string("snapshot body malformed: ") + e.what());
-  }
+  return parse_sealed(std::string_view(
+      reinterpret_cast<const char*>(bytes.data()), bytes.size()));
 }
 
 void write_snapshot(const RunSnapshot& snap, const std::string& path) {
-  const std::vector<std::uint8_t> bytes = serialize_snapshot(snap);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) throw SnapshotError("cannot open for write: " + tmp);
-    os.write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
-    os.flush();
-    if (!os) throw SnapshotError("short write: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw SnapshotError("cannot rename " + tmp + " -> " + path);
-  }
+  const std::string file =
+      util::seal(kSnapshotMagic, kSnapshotVersion, serialize_body(snap));
+  as_snapshot_error([&] { util::write_file(path, file); });
 }
 
 RunSnapshot load_snapshot(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw SnapshotError("cannot open snapshot: " + path);
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(is)),
-                                  std::istreambuf_iterator<char>());
-  return parse_snapshot(bytes);
+  return parse_sealed(as_snapshot_error([&] { return util::read_file(path); }));
 }
 
 std::string snapshot_filename(std::uint64_t next_round) {
@@ -379,18 +347,8 @@ std::string manifest_json(const ExperimentConfig& cfg,
 
 void write_manifest(const ExperimentConfig& cfg, const std::string& method,
                     const std::string& dir) {
-  const std::string path = dir + "/manifest.json";
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os) throw SnapshotError("cannot open for write: " + tmp);
-    os << manifest_json(cfg, method);
-    os.flush();
-    if (!os) throw SnapshotError("short write: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw SnapshotError("cannot rename " + tmp + " -> " + path);
-  }
+  const std::string json = manifest_json(cfg, method);
+  as_snapshot_error([&] { util::write_file(dir + "/manifest.json", json); });
 }
 
 // ---- shared save_state/load_state helpers ---------------------------

@@ -13,8 +13,9 @@
 // exist only to detect drift (a changed RNG algorithm or stream layout)
 // between the writer and the reader, not to restore generator positions.
 //
-// File format (all little-endian; see docs/WIRE_FORMAT.md for the shared
-// primitives):
+// File format: the util::seal frame (util/serialization.h) with magic
+// 0xFEDC5A42 and version 1 around a BinaryWriter body (field order in
+// snapshot.cpp):
 //
 //   offset  size  field
 //   0       4     magic 0xFEDC5A42
@@ -22,13 +23,13 @@
 //   6       2     reserved (0)
 //   8       8     body length in bytes
 //   16      4     CRC32C over the body bytes
-//   20      ...   body (BinaryWriter stream, field order in snapshot.cpp)
+//   20      ...   body
 //
-// The CRC is verified before a single body byte is parsed, so a truncated
-// or bit-flipped snapshot is rejected before any value can reach a model
-// (the same quarantine discipline as wire envelopes). Writes go through a
-// temp file + rename so a crash mid-write never leaves a half snapshot
-// under the final name.
+// util::unseal verifies the CRC before a single body byte is parsed, so a
+// truncated or bit-flipped snapshot is rejected before any value can reach
+// a model (the same quarantine discipline as wire envelopes). Writes go
+// through util::write_file (temp file + rename), so a crash mid-write never
+// leaves a half snapshot under the final name.
 
 #include <cstdint>
 #include <stdexcept>
@@ -47,11 +48,10 @@ namespace fedclust::fl {
 
 inline constexpr std::uint32_t kSnapshotMagic = 0xFEDC5A42u;
 inline constexpr std::uint16_t kSnapshotVersion = 1;
-// magic + version + reserved + body length + body CRC32C.
-inline constexpr std::size_t kSnapshotHeaderBytes = 4 + 2 + 2 + 8 + 4;
 
 // Thrown for every rejected snapshot: bad magic/version, truncation, CRC
-// mismatch, or a resume attempted against a different configuration.
+// mismatch, a missing or unwritable file, or a resume attempted against a
+// different configuration.
 struct SnapshotError : std::runtime_error {
   explicit SnapshotError(const std::string& what) : std::runtime_error(what) {}
 };
@@ -100,7 +100,8 @@ std::vector<RngProbe> rng_probes_for(const ExperimentConfig& cfg);
 std::vector<std::uint8_t> serialize_snapshot(const RunSnapshot& snap);
 RunSnapshot parse_snapshot(const std::vector<std::uint8_t>& bytes);
 
-// File I/O. write_snapshot writes `path` atomically (temp file + rename);
+// File I/O through util::write_file / util::read_file. write_snapshot
+// replaces `path` atomically and throws SnapshotError when it cannot;
 // load_snapshot throws SnapshotError when the file is missing, unreadable,
 // or fails parse_snapshot's checks.
 void write_snapshot(const RunSnapshot& snap, const std::string& path);

@@ -4,9 +4,9 @@
 //
 // The in-process simulator and the socket-backed multi-process runner share
 // one seam. ParallelRoundRunner::train_clients asks the federation for its
-// transport; when none is installed (or it reports remote() == false) the
-// unchanged in-process path executes. When a remote transport is installed,
-// the runner splits the canonical client step into three phases:
+// transport; when none is installed the unchanged in-process path
+// executes. When a transport is installed, the runner splits the canonical
+// client step into three phases:
 //
 //   1. (server) build a TrainCall per sampled client — pull_model billing,
 //      kDownload journal rows, the exact start floats the client trains
@@ -63,15 +63,11 @@ struct TrainOutcome {
 };
 
 // Executes batches of TrainCalls. Implementations: the in-process path is
-// the *absence* of a transport (Federation::transport() == nullptr or
-// remote() == false); net::ServerTransport is the socket implementation.
+// the *absence* of a transport (Federation::transport() == nullptr);
+// net::ServerTransport is the socket implementation.
 class Transport {
  public:
   virtual ~Transport() = default;
-
-  // False keeps train_clients on the unchanged in-process path (useful for
-  // a loopback/testing transport that wants the hooks without the split).
-  virtual bool remote() const = 0;
 
   virtual std::string name() const = 0;
 

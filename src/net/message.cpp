@@ -108,19 +108,6 @@ void get_rng(Cursor& c, util::RngState& st) {
 
 }  // namespace
 
-const char* msg_type_name(MsgType t) {
-  switch (t) {
-    case MsgType::kHello: return "hello";
-    case MsgType::kWelcome: return "welcome";
-    case MsgType::kTrainReq: return "train_req";
-    case MsgType::kTrainResp: return "train_resp";
-    case MsgType::kHeartbeat: return "heartbeat";
-    case MsgType::kShutdown: return "shutdown";
-    case MsgType::kError: return "error";
-  }
-  return "unknown";
-}
-
 std::optional<MsgType> peek_type(const std::vector<std::uint8_t>& body) {
   if (body.empty()) return std::nullopt;
   const std::uint8_t t = body[0];

@@ -38,8 +38,6 @@ enum class MsgType : std::uint8_t {
   kError = 7,      // worker -> server: request could not be served
 };
 
-const char* msg_type_name(MsgType t);
-
 // Peeks the type byte; returns std::nullopt for empty bodies or unknown
 // type values.
 std::optional<MsgType> peek_type(const std::vector<std::uint8_t>& body);

@@ -60,7 +60,6 @@ class ServerTransport final : public fl::Transport {
   // Sends kShutdown to every live worker and closes all connections.
   void shutdown_workers();
 
-  bool remote() const override { return true; }
   std::string name() const override { return "socket"; }
 
   void execute(const std::vector<fl::TrainCall>& calls,

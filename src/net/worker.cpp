@@ -1,8 +1,9 @@
 #include "net/worker.h"
 
 #include <chrono>
-#include <cstdio>
-#include <fstream>
+#include <filesystem>
+#include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "fl/federation.h"
@@ -22,29 +23,36 @@ namespace fedclust::net {
 namespace {
 
 constexpr std::uint32_t kStateMagic = 0xFC3057A7u;
-constexpr std::uint32_t kStateVersion = 1;
+// v2: the util::seal frame around four u64 fields; v1 files are rejected.
+constexpr std::uint16_t kStateVersion = 2;
+constexpr std::size_t kStateBodyBytes = 4 * 8;
 
 }  // namespace
 
 bool load_worker_state(const std::string& path, std::uint64_t fingerprint,
                        std::uint64_t seed, WorkerState& out) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return false;
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(is)),
-                                  std::istreambuf_iterator<char>());
-  constexpr std::size_t kLen = 4 + 4 + 8 + 8 + 8 + 8 + 4;
-  if (bytes.size() != kLen) return false;
-  const std::uint8_t* p = bytes.data();
-  if (util::get_u32_le(p) != kStateMagic) return false;
-  if (util::get_u32_le(p + 4) != kStateVersion) return false;
-  if (util::crc32c(p, kLen - 4) != util::get_u32_le(p + kLen - 4)) {
+  if (!std::filesystem::exists(path)) return false;  // first start
+  WorkerState st;
+  try {
+    const std::string file = util::read_file(path);
+    const std::string_view body =
+        util::unseal(file, kStateMagic, kStateVersion);
+    if (body.size() != kStateBodyBytes) {
+      throw std::runtime_error("body is " + std::to_string(body.size()) +
+                               " bytes, want " +
+                               std::to_string(kStateBodyBytes));
+    }
+    std::istringstream is{std::string(body)};
+    util::BinaryReader r(is);
+    st.fingerprint = r.read_u64();
+    st.seed = r.read_u64();
+    st.last_round = r.read_u64();
+    st.calls_served = r.read_u64();
+  } catch (const std::runtime_error& e) {
+    FC_LOG_WARN << "worker: ignoring state file " << path << ": "
+                << e.what();
     return false;
   }
-  WorkerState st;
-  st.fingerprint = util::get_u64_le(p + 8);
-  st.seed = util::get_u64_le(p + 16);
-  st.last_round = util::get_u64_le(p + 24);
-  st.calls_served = util::get_u64_le(p + 32);
   // A state file from a different experiment must not seed a resume.
   if (st.fingerprint != fingerprint || st.seed != seed) return false;
   out = st;
@@ -52,25 +60,18 @@ bool load_worker_state(const std::string& path, std::uint64_t fingerprint,
 }
 
 void save_worker_state(const std::string& path, const WorkerState& st) {
-  std::vector<std::uint8_t> bytes;
-  util::put_u32_le(bytes, kStateMagic);
-  util::put_u32_le(bytes, kStateVersion);
-  util::put_u64_le(bytes, st.fingerprint);
-  util::put_u64_le(bytes, st.seed);
-  util::put_u64_le(bytes, st.last_round);
-  util::put_u64_le(bytes, st.calls_served);
-  util::put_u32_le(bytes, util::crc32c(bytes.data(), bytes.size()));
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    os.write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
-    if (!os) {
-      FC_LOG_WARN << "worker: failed writing state file " << tmp;
-      return;
-    }
+  std::ostringstream body(std::ios::binary);
+  util::BinaryWriter w(body);
+  w.write_u64(st.fingerprint);
+  w.write_u64(st.seed);
+  w.write_u64(st.last_round);
+  w.write_u64(st.calls_served);
+  try {
+    util::write_file(path,
+                     util::seal(kStateMagic, kStateVersion, body.str()));
+  } catch (const std::runtime_error& e) {
+    FC_LOG_WARN << "worker: failed saving state file: " << e.what();
   }
-  std::rename(tmp.c_str(), path.c_str());
 }
 
 WorkerLoop::WorkerLoop(fl::Federation& fed, WorkerOptions opts)

@@ -50,8 +50,11 @@ struct WorkerState {
   std::uint64_t calls_served = 0;
 };
 
-// Loads/saves the state file (atomic tmp+rename, crc-checked). load returns
-// false on missing file, damage, or config mismatch — callers start fresh.
+// Loads/saves the state file: a util::seal frame (version 2) around the four
+// fields, replaced atomically by util::write_file. load returns false on a
+// missing file, a damaged or older-version file, or a config mismatch —
+// callers start fresh. save logs a warning when any step of the write
+// fails, and the worker keeps serving.
 bool load_worker_state(const std::string& path, std::uint64_t fingerprint,
                        std::uint64_t seed, WorkerState& out);
 void save_worker_state(const std::string& path, const WorkerState& st);

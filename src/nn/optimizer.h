@@ -23,7 +23,6 @@ class Sgd {
  public:
   Sgd(std::vector<Parameter*> params, SgdOptions opts);
 
-  void set_lr(float lr) { opts_.lr = lr; }
   float lr() const { return opts_.lr; }
 
   // Installs the global-model snapshot for the proximal term. The flat

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -28,16 +27,6 @@ std::string fmt_fixed(double v, int decimals) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
   return buf;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    throw std::runtime_error("fedclust_report: cannot read " + path);
-  }
-  std::ostringstream os;
-  os << is.rdbuf();
-  return os.str();
 }
 
 std::uint64_t u64(const json::Value& obj, const std::string& key) {
@@ -290,16 +279,6 @@ RunReport build_report(const std::string& journal_text,
     }
   }
   return r;
-}
-
-RunReport build_report_from_files(const std::string& journal_path,
-                                  const std::string& metrics_path,
-                                  const std::string& trace_path,
-                                  std::size_t top_k) {
-  return build_report(
-      read_file(journal_path),
-      metrics_path.empty() ? std::string() : read_file(metrics_path),
-      trace_path.empty() ? std::string() : read_file(trace_path), top_k);
 }
 
 std::string to_json(const RunReport& r) {

@@ -161,13 +161,6 @@ RunReport build_report(const std::string& journal_text,
                        const std::string& trace_text,
                        std::size_t top_k = 5);
 
-// Same, reading each non-empty path from disk (empty path = absent
-// artifact). Throws when a named file cannot be read.
-RunReport build_report_from_files(const std::string& journal_path,
-                                  const std::string& metrics_path,
-                                  const std::string& trace_path,
-                                  std::size_t top_k = 5);
-
 // Deterministic serializations: equal reports produce byte-equal output.
 std::string to_json(const RunReport& r);
 std::string to_markdown(const RunReport& r);

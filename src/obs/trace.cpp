@@ -1,10 +1,8 @@
 #include "obs/trace.h"
 
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <sstream>
-#include <stdexcept>
 #include <unordered_set>
 
 #include "obs/json.h"
@@ -147,18 +145,6 @@ std::string SpanTracer::chrome_trace_json() const {
   }
   os << "],\"displayTimeUnit\":\"ms\"}\n";
   return os.str();
-}
-
-void SpanTracer::write_chrome_trace(const std::string& path) const {
-  std::ofstream os(path, std::ios::trunc);
-  if (!os) {
-    throw std::runtime_error("SpanTracer: cannot open trace output " + path);
-  }
-  os << chrome_trace_json();
-  os.flush();
-  if (!os) {
-    throw std::runtime_error("SpanTracer: write failed for " + path);
-  }
 }
 
 void SpanTracer::clear() {

@@ -17,7 +17,7 @@
 //    mutex) on the thread's first recorded span. Overflow overwrites the
 //    oldest events and is counted, never blocks.
 //
-// Export (collect / write_chrome_trace / clear) walks every thread's buffer
+// Export (collect / chrome_trace_json / clear) walks every thread's buffer
 // without synchronizing against writers, so call it only when no spans are
 // being recorded — after parallel work has joined, which is when runs
 // export anyway. Timestamps share util::process_epoch() with the logger,
@@ -97,9 +97,6 @@ class SpanTracer {
   // Chrome Trace Event Format: {"traceEvents":[...]} with one "X"
   // (complete) event per span and "M" thread_name metadata per thread.
   std::string chrome_trace_json() const;
-  // Writes chrome_trace_json() to `path`; throws std::runtime_error naming
-  // the path when the file cannot be created or written.
-  void write_chrome_trace(const std::string& path) const;
 
   // Drops all buffered events (buffers stay registered). Same concurrency
   // caveat as collect().

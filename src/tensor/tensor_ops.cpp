@@ -29,14 +29,6 @@ void fill_(Tensor& t, float value) {
 
 void add_(Tensor& y, const Tensor& x) { axpy(1.0f, x, y); }
 
-void sub_(Tensor& y, const Tensor& x) { axpy(-1.0f, x, y); }
-
-void hadamard_(Tensor& y, const Tensor& x) {
-  check_same_shape(x, y, "hadamard");
-  float* __restrict yp = y.data();
-  const float* __restrict xp = x.data();
-  for (std::size_t i = 0; i < y.size(); ++i) yp[i] *= xp[i];
-}
 
 float dot(const Tensor& a, const Tensor& b) {
   check_same_shape(a, b, "dot");
@@ -86,12 +78,6 @@ float sum(const Tensor& t) {
   double s = 0.0;
   for (const float x : t.vec()) s += x;
   return static_cast<float>(s);
-}
-
-float max_abs(const Tensor& t) {
-  float m = 0.0f;
-  for (const float x : t.vec()) m = std::max(m, std::abs(x));
-  return m;
 }
 
 void softmax_rows_(Tensor& logits) {

@@ -21,8 +21,6 @@ void scale_(std::vector<float>& v, float alpha);
 void fill_(Tensor& t, float value);
 
 void add_(Tensor& y, const Tensor& x);        // y += x
-void sub_(Tensor& y, const Tensor& x);        // y -= x
-void hadamard_(Tensor& y, const Tensor& x);   // y *= x (elementwise)
 
 float dot(const Tensor& a, const Tensor& b);
 float dot(const std::vector<float>& a, const std::vector<float>& b);
@@ -39,7 +37,6 @@ float cosine_similarity(const std::vector<float>& a,
                         const std::vector<float>& b);
 
 float sum(const Tensor& t);
-float max_abs(const Tensor& t);
 
 // Numerically stable row-wise softmax of an (n, k) matrix, in place.
 void softmax_rows_(Tensor& logits);

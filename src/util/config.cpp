@@ -32,29 +32,6 @@ std::int64_t env_int(const std::string& name, std::int64_t def) {
   return v;
 }
 
-double env_double(const std::string& name, double def) {
-  const auto raw = env_raw(name);
-  if (!raw) return def;
-  std::size_t pos = 0;
-  const double v = std::stod(*raw, &pos);
-  if (pos != raw->size()) {
-    throw std::runtime_error("env var " + name + " is not a number: " + *raw);
-  }
-  return v;
-}
-
-bool env_bool(const std::string& name, bool def) {
-  const auto raw = env_raw(name);
-  if (!raw) return def;
-  if (*raw == "1" || *raw == "true" || *raw == "yes" || *raw == "on") {
-    return true;
-  }
-  if (*raw == "0" || *raw == "false" || *raw == "no" || *raw == "off") {
-    return false;
-  }
-  throw std::runtime_error("env var " + name + " is not a boolean: " + *raw);
-}
-
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {
   add_flag("help", "print this help text and exit");

@@ -14,8 +14,6 @@ namespace fedclust::util {
 // Environment lookups with typed defaults. Malformed values throw.
 std::string env_string(const std::string& name, const std::string& def);
 std::int64_t env_int(const std::string& name, std::int64_t def);
-double env_double(const std::string& name, double def);
-bool env_bool(const std::string& name, bool def);
 
 // Parses "--key=value" and "--key value" style flags plus bare "--flag"
 // booleans. Unknown flags throw so typos surface immediately.

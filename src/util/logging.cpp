@@ -50,10 +50,6 @@ std::mutex& output_mutex() {
 
 LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
 
-void set_log_level(LogLevel level) {
-  g_level.store(level, std::memory_order_relaxed);
-}
-
 bool log_enabled(LogLevel level) { return level >= log_level(); }
 
 LogLine::LogLine(LogLevel level) : level_(level) {}

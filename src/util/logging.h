@@ -15,7 +15,6 @@ namespace fedclust::util {
 enum class LogLevel { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 
 LogLevel log_level();
-void set_log_level(LogLevel level);
 bool log_enabled(LogLevel level);
 
 // Accumulates one log line and emits it (with level tag and elapsed time)

@@ -46,7 +46,6 @@ class Rng {
 
   // Uniform in [0, 1).
   double uniform();
-  float uniformf() { return static_cast<float>(uniform()); }
   // Uniform in [lo, hi).
   double uniform(double lo, double hi);
 

@@ -1,7 +1,10 @@
 #include "util/serialization.h"
 
 #include <array>
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 
 #include "util/cpu.h"
@@ -83,9 +86,6 @@ void BinaryWriter::write_u32(std::uint32_t v) {
 void BinaryWriter::write_u64(std::uint64_t v) {
   write_le(os_, [v](std::vector<std::uint8_t>& b) { put_u64_le(b, v); });
 }
-void BinaryWriter::write_i64(std::int64_t v) {
-  write_u64(static_cast<std::uint64_t>(v));
-}
 void BinaryWriter::write_f32(float v) {
   write_le(os_, [v](std::vector<std::uint8_t>& b) { put_f32_le(b, v); });
 }
@@ -133,9 +133,6 @@ std::uint64_t BinaryReader::read_u64() {
   read_raw(b, sizeof(b));
   return get_u64_le(b);
 }
-std::int64_t BinaryReader::read_i64() {
-  return static_cast<std::int64_t>(read_u64());
-}
 float BinaryReader::read_f32() {
   std::uint8_t b[4];
   read_raw(b, sizeof(b));
@@ -174,48 +171,89 @@ std::vector<std::uint8_t> BinaryReader::read_bytes(std::size_t n) {
   return buf;
 }
 
-// ------------------------------------------------------------------ csv
+// ------------------------------------------------------------------ files
 
-namespace {
-
-std::string csv_escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (const char c : cell) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  return out + "\"";
+std::string read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) throw std::runtime_error("cannot read " + path);
+  std::ostringstream os;
+  os << is.rdbuf();
+  return std::move(os).str();
 }
 
-void append_line(const std::string& path,
-                 const std::vector<std::string>& cells, bool truncate) {
-  std::ofstream os(path, truncate ? std::ios::trunc : std::ios::app);
-  if (!os) throw std::runtime_error("CsvWriter: cannot open " + path);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i > 0) os << ',';
-    os << csv_escape(cells[i]);
+void write_file(const std::string& path, std::string_view bytes) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  const fs::file_status st = fs::status(path, ec);
+  const bool in_place = fs::exists(st) && !fs::is_regular_file(st);
+  const std::string target = in_place ? path : path + ".tmp";
+  {
+    std::ofstream os(target, std::ios::binary | std::ios::trunc);
+    if (!os) throw std::runtime_error("cannot open " + target + " for writing");
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    os.close();
+    if (!os) {
+      if (!in_place) std::remove(target.c_str());
+      throw std::runtime_error("write failed for " + path);
+    }
   }
-  os << '\n';
-  // Surface write failures (full disk, file removed mid-run) too: a trace
-  // that silently comes back empty is worse than an aborted run.
-  os.flush();
-  if (!os) throw std::runtime_error("CsvWriter: write failed for " + path);
+  if (!in_place && std::rename(target.c_str(), path.c_str()) != 0) {
+    std::remove(target.c_str());
+    throw std::runtime_error("cannot rename " + target + " to " + path);
+  }
 }
 
-}  // namespace
+// ------------------------------------------------------------------ seal
 
-CsvWriter::CsvWriter(const std::string& path,
-                     const std::vector<std::string>& columns)
-    : path_(path), n_cols_(columns.size()) {
-  append_line(path_, columns, /*truncate=*/true);
+std::string seal(std::uint32_t magic, std::uint16_t version,
+                 std::string_view body) {
+  std::vector<std::uint8_t> header;
+  header.reserve(kSealHeaderBytes);
+  put_u32_le(header, magic);
+  put_u16_le(header, version);
+  put_u16_le(header, 0);  // reserved
+  put_u64_le(header, body.size());
+  put_u32_le(header,
+             crc32c(reinterpret_cast<const std::uint8_t*>(body.data()),
+                    body.size()));
+  std::string file;
+  file.reserve(kSealHeaderBytes + body.size());
+  file.append(header.begin(), header.end());
+  file.append(body);
+  return file;
 }
 
-void CsvWriter::add_row(const std::vector<std::string>& cells) {
-  if (cells.size() != n_cols_) {
-    throw std::invalid_argument("CsvWriter: row width mismatch");
+std::string_view unseal(std::string_view file, std::uint32_t magic,
+                        std::uint16_t version) {
+  if (file.size() < kSealHeaderBytes) {
+    throw std::runtime_error("truncated: " + std::to_string(file.size()) +
+                             " bytes is smaller than the header");
   }
-  append_line(path_, cells, /*truncate=*/false);
+  const auto* p = reinterpret_cast<const std::uint8_t*>(file.data());
+  if (get_u32_le(p) != magic) {
+    throw std::runtime_error("magic mismatch (wrong file type?)");
+  }
+  const std::uint16_t got_version = get_u16_le(p + 4);
+  if (got_version != version) {
+    throw std::runtime_error("unsupported version " +
+                             std::to_string(got_version));
+  }
+  // Reserved must be zero so every header bit is validated: a single bit
+  // flip anywhere in the file is rejected.
+  if (get_u16_le(p + 6) != 0) {
+    throw std::runtime_error("reserved field is non-zero");
+  }
+  const std::uint64_t body_len = get_u64_le(p + 8);
+  if (file.size() - kSealHeaderBytes != body_len) {
+    throw std::runtime_error(
+        "length mismatch: header declares " + std::to_string(body_len) +
+        " body bytes, file carries " +
+        std::to_string(file.size() - kSealHeaderBytes));
+  }
+  if (crc32c(p + kSealHeaderBytes, body_len) != get_u32_le(p + 16)) {
+    throw std::runtime_error("body CRC mismatch: file corrupt");
+  }
+  return file.substr(kSealHeaderBytes);
 }
 
 }  // namespace fedclust::util

@@ -1,16 +1,18 @@
 #pragma once
 
-// Binary (de)serialization for checkpoints, wire envelopes, and experiment
-// traces, plus a small CSV writer. All multi-byte fields are explicitly
-// little-endian regardless of host byte order, so checkpoint files and wire
-// payloads are portable across machines; `crc32c` provides the Castagnoli
-// checksum used by both the wire layer and model checkpoints.
+// Binary (de)serialization for snapshots, worker state files and wire
+// envelopes, plus the whole-file I/O every file the product writes or reads
+// back goes through. All multi-byte fields are explicitly little-endian
+// regardless of host byte order, so files and wire payloads are portable
+// across machines; `crc32c` provides the Castagnoli checksum used by the
+// wire layer and the sealed file frame.
 
 #include <cstdint>
 #include <cstring>
 #include <ostream>
 #include <istream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fedclust::util {
@@ -20,7 +22,7 @@ namespace fedclust::util {
 //
 // `put_*` append to a byte vector; `get_*` read from a raw pointer the
 // caller has already bounds-checked. These are the shared encoding
-// primitives for fl::wire envelopes and nn::checkpoint files.
+// primitives for fl::wire envelopes and sealed files.
 
 inline void put_u16_le(std::vector<std::uint8_t>& out, std::uint16_t v) {
   out.push_back(static_cast<std::uint8_t>(v & 0xff));
@@ -129,7 +131,6 @@ class BinaryWriter {
 
   void write_u32(std::uint32_t v);
   void write_u64(std::uint64_t v);
-  void write_i64(std::int64_t v);
   void write_f32(float v);
   void write_f64(double v);
   void write_string(const std::string& s);
@@ -147,7 +148,6 @@ class BinaryReader {
 
   std::uint32_t read_u32();
   std::uint64_t read_u64();
-  std::int64_t read_i64();
   float read_f32();
   double read_f64();
   std::string read_string();
@@ -160,15 +160,40 @@ class BinaryReader {
   std::istream& is_;
 };
 
-// Appends rows to a CSV file; writes the header on construction.
-class CsvWriter {
- public:
-  CsvWriter(const std::string& path, const std::vector<std::string>& columns);
-  void add_row(const std::vector<std::string>& cells);
+// ------------------------------------------------------------------
+// Whole files.
 
- private:
-  std::string path_;
-  std::size_t n_cols_;
-};
+// The bytes of the file at `path`. Throws std::runtime_error naming the path
+// when it cannot be read.
+std::string read_file(const std::string& path);
+
+// Replaces the file at `path` with `bytes` atomically: writes `path`.tmp,
+// flushes it, then renames it over `path`, so a crash mid-write never leaves
+// a half file under the final name. A path that exists but is not a regular
+// file (/dev/null, a pipe) cannot be renamed over and is written in place.
+// Throws std::runtime_error naming the path when any step fails.
+void write_file(const std::string& path, std::string_view bytes);
+
+// The sealed frame every checksummed file uses (all little-endian):
+//
+//   offset  size  field
+//   0       4     magic (names the file type)
+//   4       2     version
+//   6       2     reserved (0)
+//   8       8     body length in bytes
+//   16      4     CRC32C over the body bytes
+//   20      ...   body
+inline constexpr std::size_t kSealHeaderBytes = 4 + 2 + 2 + 8 + 4;
+
+// Header + `body`.
+std::string seal(std::uint32_t magic, std::uint16_t version,
+                 std::string_view body);
+
+// The body of a sealed `file`, a view into it. Every header bit is checked,
+// and the CRC before the body is handed out, so a truncated, bit-flipped or
+// extended file is rejected before any byte reaches a parser. Throws
+// std::runtime_error naming the defect.
+std::string_view unseal(std::string_view file, std::uint32_t magic,
+                        std::uint16_t version);
 
 }  // namespace fedclust::util

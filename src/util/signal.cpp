@@ -36,6 +36,4 @@ bool shutdown_requested() {
 
 void request_shutdown() { g_shutdown.store(true, std::memory_order_relaxed); }
 
-void reset_shutdown() { g_shutdown.store(false, std::memory_order_relaxed); }
-
 }  // namespace fedclust::util

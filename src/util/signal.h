@@ -20,7 +20,4 @@ bool shutdown_requested();
 // Programmatic trigger — lets tests and the worker loop share the flag.
 void request_shutdown();
 
-// Clears the flag (tests only; real processes exit instead).
-void reset_shutdown();
-
 }  // namespace fedclust::util

@@ -1,10 +1,9 @@
 // Tests for the library's extension surface: SCAFFOLD and FedDyn
-// baselines, model checkpointing, and the SGD gradient offset hook.
+// baselines and the SGD gradient offset hook.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "core/registry.h"
 #include "fl/fedavg.h"
@@ -13,7 +12,6 @@
 #include "fl/feddyn.h"
 #include "fl/flis.h"
 #include "fl/scaffold.h"
-#include "nn/checkpoint.h"
 #include "nn/init.h"
 #include "nn/optimizer.h"
 #include "nn/model_zoo.h"
@@ -197,49 +195,6 @@ TEST(SgdOffset, AddsConstantToEveryStep) {
   opt.set_grad_offset({});
   opt.step();
   EXPECT_FLOAT_EQ(fc->weight().value[0], -2.0f);
-}
-
-// ------------------------------------------------------- checkpointing
-
-TEST(Checkpoint, RoundTripsParameters) {
-  nn::Model a = nn::lenet5(1, 16, 10, 5);
-  nn::Model b = nn::lenet5(1, 16, 10, 99);  // same arch, different weights
-  ASSERT_NE(a.flat_params(), b.flat_params());
-  std::stringstream ss;
-  nn::save_model(a, ss);
-  nn::load_model(b, ss);
-  EXPECT_EQ(a.flat_params(), b.flat_params());
-}
-
-TEST(Checkpoint, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/model.fckpt";
-  nn::Model a = nn::mlp(4, {3}, 2, 1);
-  nn::save_model_file(a, path);
-  nn::Model b = nn::mlp(4, {3}, 2, 2);
-  nn::load_model_file(b, path);
-  EXPECT_EQ(a.flat_params(), b.flat_params());
-  nn::Model c = nn::mlp(4, {3}, 2, 3);
-  EXPECT_THROW(nn::load_model_file(c, "/nonexistent.fckpt"),
-               std::runtime_error);
-}
-
-TEST(Checkpoint, RejectsArchitectureMismatch) {
-  nn::Model a = nn::mlp(4, {3}, 2, 1);
-  nn::Model wrong_shape = nn::mlp(4, {5}, 2, 1);
-  nn::Model wrong_depth = nn::mlp(4, {3, 3}, 2, 1);
-  std::stringstream s1;
-  nn::save_model(a, s1);
-  EXPECT_THROW(nn::load_model(wrong_shape, s1), std::runtime_error);
-  std::stringstream s2;
-  nn::save_model(a, s2);
-  EXPECT_THROW(nn::load_model(wrong_depth, s2), std::runtime_error);
-}
-
-TEST(Checkpoint, RejectsGarbage) {
-  std::stringstream ss;
-  ss << "definitely not a checkpoint";
-  nn::Model m = nn::mlp(4, {3}, 2, 1);
-  EXPECT_THROW(nn::load_model(m, ss), std::runtime_error);
 }
 
 }  // namespace

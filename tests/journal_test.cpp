@@ -7,26 +7,21 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <map>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/registry.h"
 #include "fl/federation.h"
 #include "obs/journal.h"
 #include "obs/json.h"
+#include "util/serialization.h"
 #include "util/thread_pool.h"
 
 namespace fedclust {
 namespace {
-
-std::string read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  EXPECT_TRUE(static_cast<bool>(is)) << path;
-  std::ostringstream os;
-  os << is.rdbuf();
-  return os.str();
-}
 
 fl::ExperimentConfig journal_cfg() {
   fl::ExperimentConfig cfg;
@@ -73,7 +68,7 @@ class JournalRun : public ::testing::Test {
     fl::Federation fed(journal_cfg());
     core::make_algorithm("FedClust", fed)->run();
     journal.close();
-    return read_file(path);
+    return util::read_file(path);
   }
 
  private:
@@ -128,6 +123,97 @@ TEST_F(JournalRun, FileParsesAndCoversTheLifecycle) {
   std::remove(path.c_str());
 }
 
+// fedclust_sim's flags --clients=20 --train=10 --test=10 --rounds=3 with
+// the CLI defaults for everything else.
+fl::ExperimentConfig cli_cfg() {
+  fl::ExperimentConfig cfg;
+  cfg.data_spec = data::dataset_spec("cifar10");
+  cfg.fed.n_clients = 20;
+  cfg.fed.train_per_client = 10;
+  cfg.fed.test_per_client = 10;
+  cfg.fed.partition = "skew";
+  cfg.fed.skew_fraction = 0.2;
+  cfg.model.arch = "lenet5";
+  cfg.model.in_channels = cfg.data_spec.channels;
+  cfg.model.image_hw = cfg.data_spec.hw;
+  cfg.model.num_classes = cfg.data_spec.num_classes;
+  cfg.local.epochs = 2;
+  cfg.local.lr = 0.02f;
+  cfg.local.momentum = 0.5f;
+  cfg.rounds = 3;
+  cfg.sample_fraction = 0.1;
+  cfg.seed = 1;
+  cfg.algo.fedclust_lambda = -1.0f;
+  cfg.algo.fedclust_init_epochs = 3;
+  return cfg;
+}
+
+std::vector<std::string> every_method() {
+  std::vector<std::string> methods = core::all_methods();
+  for (const std::string& m : core::extra_methods()) methods.push_back(m);
+  return methods;
+}
+
+// Every method journals the rows of its client steps, whether it trains
+// through ParallelRoundRunner::train_clients_into or its own loop: the
+// download and upload rows add up to the wire bytes CommTracker billed,
+// every sampled client has a train row, and every evaluated round has an
+// eval row per evaluated client.
+class JournalCoverage : public JournalRun,
+                        public ::testing::WithParamInterface<std::string> {};
+
+TEST_P(JournalCoverage, ClientStepsAreJournaled) {
+  const std::string method = GetParam();
+  util::reset_global_pool(2);
+  auto& journal = obs::EventJournal::instance();
+  journal.set_wall_clock(false);
+  const std::string path =
+      ::testing::TempDir() + "journal_" + method + ".jsonl";
+  journal.open(path);
+  fl::Federation fed(cli_cfg());
+  const fl::Trace trace = core::make_algorithm(method, fed)->run();
+  journal.close();
+
+  std::uint64_t wire_bytes = 0;
+  std::set<std::pair<std::uint64_t, std::uint64_t>> sampled, trained;
+  std::map<std::uint64_t, std::size_t> eval_rows;
+  for (const auto& row : obs::json::parse_lines(util::read_file(path))) {
+    const std::string ev = row.string_or("ev", "");
+    const auto round = static_cast<std::uint64_t>(row.number_or("round", 0));
+    const auto client = static_cast<std::uint64_t>(row.number_or("client", 0));
+    if (ev == "download" || ev == "upload") {
+      wire_bytes += static_cast<std::uint64_t>(row.number_or("wire_bytes", 0));
+    } else if (ev == "sampled") {
+      sampled.emplace(round, client);
+    } else if (ev == "train") {
+      trained.emplace(round, client);
+    } else if (ev == "eval") {
+      ++eval_rows[round];
+    }
+  }
+  std::remove(path.c_str());
+
+  // FedClust, PACFL and FLIS bill their setup transfers (warmup weights,
+  // subspaces, proxy profiles) without journaling them.
+  if (method != "FedClust" && method != "PACFL" && method != "FLIS") {
+    EXPECT_EQ(wire_bytes, fed.comm().wire_bytes());
+  }
+  EXPECT_FALSE(sampled.empty());
+  for (const auto& [round, client] : sampled) {
+    EXPECT_EQ(trained.count({round, client}), 1u)
+        << "no train row for round " << round << " client " << client;
+  }
+  std::map<std::uint64_t, std::size_t> want_eval_rows;
+  for (const fl::RoundRecord& rec : trace.records) {
+    want_eval_rows[rec.round] = fed.eval_ids().size();
+  }
+  EXPECT_EQ(eval_rows, want_eval_rows);
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryMethod, JournalCoverage,
+                         ::testing::ValuesIn(every_method()),
+                         [](const auto& info) { return info.param; });
+
 TEST(JournalUnit, DisabledRecordIsANoOp) {
   auto& journal = obs::EventJournal::instance();
   ASSERT_FALSE(obs::EventJournal::enabled());
@@ -146,7 +232,7 @@ TEST(JournalUnit, FlushSortsRowsIntoCanonicalOrder) {
   journal.record(1, 3, obs::JournalEvent::kSampled);
   EXPECT_EQ(journal.buffered_rows(), 3u);
   journal.close();
-  const auto lines = obs::json::parse_lines(read_file(path));
+  const auto lines = obs::json::parse_lines(util::read_file(path));
   ASSERT_EQ(lines.size(), 4u);  // header + 3 rows
   EXPECT_DOUBLE_EQ(lines[1].number_or("round", -1.0), 1.0);
   EXPECT_DOUBLE_EQ(lines[1].number_or("client", -1.0), 3.0);
@@ -170,7 +256,7 @@ TEST(JournalUnit, RoundContextGatesEvalRows) {
   journal.record_in_context(4, obs::JournalEvent::kEval, 250000);
   EXPECT_EQ(journal.buffered_rows(), 1u);
   journal.close();
-  const auto lines = obs::json::parse_lines(read_file(path));
+  const auto lines = obs::json::parse_lines(util::read_file(path));
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_DOUBLE_EQ(lines[1].number_or("round", -1.0), 9.0);
   EXPECT_DOUBLE_EQ(lines[1].number_or("acc_micro", -1.0), 500000.0);

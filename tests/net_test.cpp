@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -568,6 +569,71 @@ TEST(Address, ParseForms) {
   EXPECT_THROW(net::Address::parse("tcp:h:99999"), std::invalid_argument);
   EXPECT_THROW(net::Address::parse("tcp:h:"), std::invalid_argument);
   EXPECT_THROW(net::Address::parse(""), std::invalid_argument);
+}
+
+// ------------------------------------------------------------ worker state
+
+TEST(WorkerState, SealedFileRoundTripsAndEveryDefectStartsFresh) {
+  const std::string path = ::testing::TempDir() + "net_test_worker.state";
+  net::WorkerState st;
+  st.fingerprint = 0x0123456789abcdefULL;
+  st.seed = 13;
+  st.last_round = 7;
+  st.calls_served = 42;
+  net::save_worker_state(path, st);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  net::WorkerState got;
+  ASSERT_TRUE(net::load_worker_state(path, st.fingerprint, st.seed, got));
+  EXPECT_EQ(got.fingerprint, st.fingerprint);
+  EXPECT_EQ(got.seed, st.seed);
+  EXPECT_EQ(got.last_round, 7u);
+  EXPECT_EQ(got.calls_served, 42u);
+
+  const std::string good = util::read_file(path);
+  ASSERT_EQ(good.size(), util::kSealHeaderBytes + 4 * 8);
+  // Loading `bytes` must fail and leave `out` untouched.
+  const auto starts_fresh = [&](const std::string& bytes,
+                                std::uint64_t fingerprint,
+                                std::uint64_t seed) {
+    util::write_file(path, bytes);
+    net::WorkerState out;
+    out.last_round = 999;
+    return !net::load_worker_state(path, fingerprint, seed, out) &&
+           out.last_round == 999;
+  };
+  const auto damaged = [&](const std::string& bytes) {
+    return starts_fresh(bytes, st.fingerprint, st.seed);
+  };
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    EXPECT_TRUE(damaged(good.substr(0, len))) << "prefix of " << len;
+  }
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string bytes = good;
+      bytes[i] = static_cast<char>(bytes[i] ^ (1 << bit));
+      EXPECT_TRUE(damaged(bytes)) << "flip of byte " << i << " bit " << bit;
+    }
+  }
+  EXPECT_TRUE(damaged(good + '\0'));
+  // Another experiment's state file.
+  EXPECT_TRUE(starts_fresh(good, st.fingerprint + 1, st.seed));
+  EXPECT_TRUE(starts_fresh(good, st.fingerprint, st.seed + 1));
+  // The version 1 layout: magic, u32 version, the four fields, trailing CRC.
+  std::vector<std::uint8_t> v1;
+  util::put_u32_le(v1, 0xFC3057A7u);
+  util::put_u32_le(v1, 1);
+  for (const std::uint64_t v : {st.fingerprint, st.seed, st.last_round,
+                                st.calls_served}) {
+    util::put_u64_le(v1, v);
+  }
+  util::put_u32_le(v1, util::crc32c(v1.data(), v1.size()));
+  EXPECT_TRUE(damaged(std::string(v1.begin(), v1.end())));
+  // No file yet: a first start.
+  std::filesystem::remove(path);
+  EXPECT_FALSE(net::load_worker_state(path, st.fingerprint, st.seed, got));
+
+  // A failed save is logged, never thrown: the worker keeps serving.
+  EXPECT_NO_THROW(net::save_worker_state("/nonexistent-dir-net/w.state", st));
 }
 
 // ------------------------------------------------------------ worker loop

@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 
 #include "core/registry.h"
@@ -173,13 +172,6 @@ fl::ExperimentConfig tiny_cfg() {
   return cfg;
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream is(path);
-  std::stringstream ss;
-  ss << is.rdbuf();
-  return ss.str();
-}
-
 // ----------------------------------------------------------------- tracer
 
 TEST(SpanTracer, DisabledSpansRecordNothingAndSkipTheClock) {
@@ -225,17 +217,6 @@ TEST(SpanTracer, ChromeTraceJsonIsValidAndNamesThreads) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"alpha\""), std::string::npos);
   EXPECT_NE(json.find("thread_name"), std::string::npos);
-}
-
-TEST(SpanTracer, WriteChromeTraceThrowsWithPathOnBadDirectory) {
-  const ObsOn on;
-  const std::string bad = "/nonexistent-dir-obs/trace.json";
-  try {
-    obs::SpanTracer::instance().write_chrome_trace(bad);
-    FAIL() << "expected throw";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(bad), std::string::npos);
-  }
 }
 
 // ----------------------------------------------------------------- metrics
@@ -396,17 +377,6 @@ TEST(ObsEndToEnd, TinyRunEmitsRoundClientAndKernelSpans) {
   }
   EXPECT_EQ(lines, 2u);  // eval_every=1, rounds=2
   std::remove(jsonl.c_str());
-}
-
-TEST(ObsEndToEnd, WriteChromeTraceRoundTripsThroughAFile) {
-  const ObsOn on;
-  { OBS_SPAN("file-span"); }
-  const std::string path = ::testing::TempDir() + "obs_trace.json";
-  obs::SpanTracer::instance().write_chrome_trace(path);
-  const std::string json = slurp(path);
-  EXPECT_TRUE(is_valid_json(json));
-  EXPECT_NE(json.find("file-span"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 }  // namespace

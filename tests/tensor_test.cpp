@@ -66,15 +66,12 @@ TEST(TensorOps, AxpyAndScale) {
   EXPECT_EQ(y[0], 6.0f);
 }
 
-TEST(TensorOps, AddSubHadamard) {
+TEST(TensorOps, Add) {
   Tensor a({2}, {3, 4});
-  Tensor b({2}, {1, 2});
+  const Tensor b({2}, {1, 2});
   add_(a, b);
   EXPECT_EQ(a[0], 4.0f);
-  sub_(a, b);
-  EXPECT_EQ(a[1], 4.0f);
-  hadamard_(a, b);
-  EXPECT_EQ(a[1], 8.0f);
+  EXPECT_EQ(a[1], 6.0f);
 }
 
 TEST(TensorOps, ShapeMismatchThrows) {
@@ -108,10 +105,9 @@ TEST(TensorOps, CosineSimilarity) {
   EXPECT_EQ(cosine_similarity(a, z), 0.0f);
 }
 
-TEST(TensorOps, SumAndMaxAbs) {
+TEST(TensorOps, Sum) {
   const Tensor t({4}, {1, -5, 2, 0});
   EXPECT_FLOAT_EQ(sum(t), -2.0f);
-  EXPECT_FLOAT_EQ(max_abs(t), 5.0f);
 }
 
 TEST(TensorOps, SoftmaxRows) {

@@ -1,15 +1,14 @@
 // The typed wire layer: CRC32C and little-endian primitives, the three
 // payload codecs (raw_f32 byte-exact, f16, qint8), envelope framing with
 // checksum-first rejection of corrupt bytes, envelope-based comm billing,
-// checkpoint v2 integrity, span-name interning, and end-to-end federation
-// runs under a lossy codec (thread-count invariant, >= 3x smaller).
+// span-name interning, and end-to-end federation runs under a lossy codec
+// (thread-count invariant, >= 3x smaller).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,8 +18,6 @@
 #include "fl/federation.h"
 #include "fl/fedavg.h"
 #include "fl/wire.h"
-#include "nn/checkpoint.h"
-#include "nn/model_zoo.h"
 #include "obs/trace.h"
 #include "util/rng.h"
 #include "util/serialization.h"
@@ -425,7 +422,7 @@ TEST(CommTracker, BillsEnvelopes) {
 }
 
 TEST(CommTracker, CountOnlyBillingMatchesRawEnvelopes) {
-  // The count-only billing path (Federation::bill_upload/bill_download for
+  // The count-only billing path (Federation::bill_download for
   // payload-free transfers such as IFCA's K-model browse) derives encoded
   // bytes from the configured codec; for raw_f32 that is the pre-wire n*4.
   fl::CommTracker comm;
@@ -482,31 +479,6 @@ TEST(FaultWire, CorruptWireIsDeterministicAndDetected) {
   EXPECT_NE(a, c);  // distinct streams per client
   Envelope env;
   EXPECT_NE(fl::wire::try_decode(a.data(), a.size(), env), DecodeStatus::kOk);
-}
-
-// ----------------------------------------------------------- checkpoint v2
-
-TEST(CheckpointV2, DetectsPayloadCorruption) {
-  nn::Model a = nn::mlp(4, {3}, 2, 1);
-  std::stringstream ss;
-  nn::save_model(a, ss);
-  std::string bytes = ss.str();
-  bytes[bytes.size() - 3] ^= 0x10;  // flip a bit inside the f32 payload
-  std::stringstream corrupted(bytes);
-  nn::Model b = nn::mlp(4, {3}, 2, 2);
-  const std::vector<float> before = b.flat_params();
-  EXPECT_THROW(nn::load_model(b, corrupted), std::runtime_error);
-  EXPECT_EQ(b.flat_params(), before);  // nothing leaked into the model
-}
-
-TEST(CheckpointV2, RejectsOldVersions) {
-  nn::Model a = nn::mlp(4, {3}, 2, 1);
-  std::stringstream ss;
-  nn::save_model(a, ss);
-  std::string bytes = ss.str();
-  bytes[4] = 0x01;  // rewrite the version field to v1
-  std::stringstream old(bytes);
-  EXPECT_THROW(nn::load_model(a, old), std::runtime_error);
 }
 
 // ---------------------------------------------------------------- interning

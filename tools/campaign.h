@@ -51,8 +51,8 @@ inline void add_campaign_options(util::ArgParser& args) {
 // resumes from --resume, runs every round, then prints the summary line
 // (`summary_suffix` follows the dataset/partition, e.g. " over socket"),
 // the wire, SIMD, memory and state-digest lines, writes the trace CSV and
-// the observability outputs. Returns the run's wall-clock seconds.
-inline double run_campaign(const util::ArgParser& args, fl::Federation& fed,
+// the observability outputs.
+inline void run_campaign(const util::ArgParser& args, fl::Federation& fed,
                            fl::FlAlgorithm& algo,
                            const std::string& summary_suffix) {
   const fl::ExperimentConfig& cfg = fed.cfg();
@@ -126,7 +126,6 @@ inline double run_campaign(const util::ArgParser& args, fl::Federation& fed,
     std::cout << "interrupted: stopped at a round boundary, state "
               << "flushed\n";
   }
-  return run_seconds;
 }
 
 }  // namespace fedclust::tools

@@ -21,6 +21,7 @@
 #include "obs/trace.h"
 #include "util/config.h"
 #include "util/cpu.h"
+#include "util/serialization.h"
 
 namespace fedclust::tools {
 
@@ -178,7 +179,8 @@ inline void finish_observability(const util::ArgParser& args,
   const std::string metrics_out = args.str("metrics-out");
   const std::string journal_out = args.str("journal-out");
   if (!trace_out.empty()) {
-    obs::SpanTracer::instance().write_chrome_trace(trace_out);
+    util::write_file(trace_out,
+                     obs::SpanTracer::instance().chrome_trace_json());
     os << "span trace written to " << trace_out
        << " (open in https://ui.perfetto.dev)\n";
   }

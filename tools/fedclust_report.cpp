@@ -12,29 +12,11 @@
 // with a configurable tolerance) and the process exits non-zero on any
 // regression — tools/tier1.sh uses this as an automated gate.
 
-#include <fstream>
 #include <iostream>
-#include <sstream>
-#include <stdexcept>
 
 #include "obs/report.h"
 #include "util/config.h"
-
-namespace {
-
-void write_text(const std::string& path, const std::string& text) {
-  std::ofstream os(path, std::ios::trunc);
-  if (!os) {
-    throw std::runtime_error("fedclust_report: cannot open " + path);
-  }
-  os << text;
-  os.flush();
-  if (!os) {
-    throw std::runtime_error("fedclust_report: write failed for " + path);
-  }
-}
-
-}  // namespace
+#include "util/serialization.h"
 
 int main(int argc, char** argv) {
   using namespace fedclust;
@@ -90,15 +72,20 @@ int main(int argc, char** argv) {
       return 1;
     }
     const auto top_k = static_cast<std::size_t>(args.integer("top-k"));
-    const obs::report::RunReport report = obs::report::build_report_from_files(
-        args.str("journal"), args.str("metrics"), args.str("trace"), top_k);
+    const auto read_if_set = [&](const std::string& flag) {
+      return args.str(flag).empty() ? std::string()
+                                    : util::read_file(args.str(flag));
+    };
+    const obs::report::RunReport report = obs::report::build_report(
+        util::read_file(args.str("journal")), read_if_set("metrics"),
+        read_if_set("trace"), top_k);
 
     if (!args.str("json-out").empty()) {
-      write_text(args.str("json-out"), obs::report::to_json(report));
+      util::write_file(args.str("json-out"), obs::report::to_json(report));
       std::cout << "report JSON written to " << args.str("json-out") << "\n";
     }
     if (!args.str("md-out").empty()) {
-      write_text(args.str("md-out"), obs::report::to_markdown(report));
+      util::write_file(args.str("md-out"), obs::report::to_markdown(report));
       std::cout << "report markdown written to " << args.str("md-out")
                 << "\n";
     } else {
@@ -106,15 +93,8 @@ int main(int argc, char** argv) {
     }
 
     if (!args.str("compare").empty()) {
-      std::ifstream is(args.str("compare"), std::ios::binary);
-      if (!is) {
-        throw std::runtime_error("fedclust_report: cannot read baseline " +
-                                 args.str("compare"));
-      }
-      std::ostringstream buf;
-      buf << is.rdbuf();
       const obs::report::RunReport baseline =
-          obs::report::from_json(buf.str());
+          obs::report::from_json(util::read_file(args.str("compare")));
       obs::report::CompareThresholds thresholds;
       thresholds.acc_tol = args.real("acc-tol");
       thresholds.bytes_tol_pct = args.real("bytes-tol-pct");

@@ -9,14 +9,11 @@
 // boundary, writes a final checkpoint when --checkpoint-out is set, flushes
 // every open trace/metrics/journal sink, and exits 0.
 
-#include <fstream>
 #include <iostream>
 
 #include "campaign.h"
 #include "core/registry.h"
 #include "experiment_flags.h"
-#include "fl/snapshot.h"
-#include "util/mem.h"
 #include "util/signal.h"
 
 int main(int argc, char** argv) {
@@ -35,11 +32,6 @@ int main(int argc, char** argv) {
     tools::add_experiment_options(args);
     tools::add_obs_options(args);
     tools::add_campaign_options(args);
-    args.add_option("bench-out",
-                    "write a small JSON throughput record (rounds/s, peak "
-                    "RSS, git describe) to this path after the run (empty "
-                    "= off)",
-                    "");
     if (!args.parse(argc, argv)) return 0;
 
     util::install_shutdown_handler();
@@ -53,31 +45,7 @@ int main(int argc, char** argv) {
 
     fl::Federation fed(cfg);
     const auto algo = core::make_algorithm(args.str("method"), fed);
-    const double run_seconds = tools::run_campaign(args, fed, *algo, "");
-
-    if (!args.str("bench-out").empty()) {
-      std::ofstream os(args.str("bench-out"));
-      if (!os) {
-        throw std::runtime_error("cannot write " + args.str("bench-out"));
-      }
-      os.precision(6);
-      os << "{\n"
-         << "  \"method\": \"" << args.str("method") << "\",\n"
-         << "  \"clients\": " << cfg.fed.n_clients << ",\n"
-         << "  \"rounds\": " << cfg.rounds << ",\n"
-         << "  \"seconds\": " << run_seconds << ",\n"
-         << "  \"rounds_per_s\": "
-         << (run_seconds > 0.0 ? static_cast<double>(cfg.rounds) / run_seconds
-                               : 0.0)
-         << ",\n"
-         << "  \"peak_rss_kb\": " << util::peak_rss_kb() << ",\n"
-         << "  \"virtual_clients\": "
-         << (cfg.virtual_clients ? "true" : "false") << ",\n"
-         << "  \"git_describe\": \"" << fl::build_git_describe() << "\"\n"
-         << "}\n";
-      std::cout << "bench record written to " << args.str("bench-out")
-                << "\n";
-    }
+    tools::run_campaign(args, fed, *algo, "");
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";

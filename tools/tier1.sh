@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the full release test suite (including the
-# check_docs, one-worker socket_single_worker, kill-and-resume cli_resume
-# and landmark-contract cli_landmark ctests), then the concurrency tests
+# check_docs, one-worker socket_single_worker, kill -9 worker restart
+# socket_restart, kill-and-resume cli_resume and landmark-contract
+# cli_landmark ctests), then the concurrency tests
 # (thread pool + parallel round executor + obs stress) rebuilt and re-run
 # under ThreadSanitizer, then the fault/wire/snapshot tests rebuilt and
 # re-run under Address+UBSanitizer, then simulator CLI smokes:
 # observability, fault injection, wire codecs, the event journal +
 # fedclust_report regression gate, the client store and landmark
 # clustering at 100k clients, SIMD dispatch (scalar vs native ISA
-# bit-identity), and the multi-process transport (server + workers on a
-# Unix socket, with a kill -9 + checkpoint-restart round-trip,
-# bit-identical to in-process).
+# bit-identity), and the multi-process transport (server + two workers on
+# a Unix socket, bit-identical to in-process).
 # Run from the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -188,7 +188,7 @@ if FEDCLUST_ISA=bogus ./build/tools/fedclust_sim "${simd_flags[@]}" \
 fi
 echo "simd dispatch smoke ok (native isa: $native_isa)"
 
-# Multi-process transport smoke, part 1 — bit-identity: the same campaign
+# Multi-process transport smoke — bit-identity: the same campaign
 # run in-process (fedclust_sim) and over a Unix socket (fedclust_server +
 # two fedclust_worker processes) must produce byte-identical trace CSVs
 # and state digests, for FedAvg and FedClust, at 1 and 4 worker threads
@@ -231,61 +231,6 @@ for method in FedAvg FedClust; do
 done
 echo "transport bit-identity smoke ok"
 
-# Multi-process transport smoke, part 2 — crash supervision: kill -9 one
-# of two workers mid-campaign, restart it from its checkpoint state file,
-# and require the campaign to complete (server exit 0) with the crash
-# billed honestly (fault.worker_crash counter, worker_restart journal row)
-# while the trace and end state stay bit-identical to in-process.
-kill_flags=(--method=FedClust --clients=10 --rounds=12 --train=64 --test=8
-            --sample=0.5 --seed=13 --codec=qint8 --deterministic=1)
-FEDCLUST_THREADS=1 ./build/tools/fedclust_sim "${kill_flags[@]}" \
-    --out="$net_dir/kill.inproc.csv" > "$net_dir/kill.inproc.out" &
-inproc_pid=$!
-kill_sock="unix:$net_dir/kill.sock"
-FEDCLUST_THREADS=1 ./build/tools/fedclust_server "${kill_flags[@]}" \
-    --listen="$kill_sock" --workers=2 --net-timeout-ms=5000 \
-    --metrics-out="$net_dir/kill.metrics.jsonl" \
-    --journal-out="$net_dir/kill.journal.jsonl" \
-    --out="$net_dir/kill.csv" > "$net_dir/kill.out" 2>&1 &
-server_pid=$!
-start_kill_worker() {  # $1 = worker tag, $2 = incarnation tag
-  FEDCLUST_THREADS=1 ./build/tools/fedclust_worker "${kill_flags[@]}" \
-      --connect="$kill_sock" --checkpoint-state="$net_dir/kill.$1.state" \
-      > "$net_dir/kill.$1.$2.log" 2>&1 &
-}
-start_kill_worker w0 a; w0_pid=$!
-start_kill_worker w1 a; w1_pid=$!
-for _ in $(seq 1 200); do
-  grep -q 'round 1 ' "$net_dir/kill.out" 2>/dev/null && break
-  sleep 0.1
-done
-grep -q 'round 1 ' "$net_dir/kill.out" ||
-  { echo "transport smoke: campaign never reached round 1" >&2; exit 1; }
-kill -9 "$w0_pid"
-wait "$w0_pid" 2>/dev/null || true
-start_kill_worker w0 b; w0b_pid=$!
-wait "$server_pid" ||
-  { echo "transport smoke: server did not survive the kill -9" >&2
-    cat "$net_dir/kill.out" >&2; exit 1; }
-wait "$w1_pid" "$w0b_pid" ||
-  { echo "transport smoke: surviving/restarted worker failed" >&2; exit 1; }
-wait "$inproc_pid" ||
-  { echo "transport smoke: in-process reference run failed" >&2; exit 1; }
-grep -q '"fault\.worker_crash":[1-9]' "$net_dir/kill.metrics.jsonl" ||
-  { echo "transport smoke: crash not billed in fault.worker_crash" >&2
-    exit 1; }
-grep -q '"ev":"worker_restart"' "$net_dir/kill.journal.jsonl" ||
-  { echo "transport smoke: no worker_restart journal row" >&2; exit 1; }
-grep -q 'resuming from state file' "$net_dir/kill.w0.b.log" ||
-  { echo "transport smoke: restarted worker did not resume from state" >&2
-    exit 1; }
-cmp "$net_dir/kill.inproc.csv" "$net_dir/kill.csv" ||
-  { echo "transport smoke: trace differs after kill -9 + restart" >&2
-    exit 1; }
-[ "$(state_line "$net_dir/kill.inproc.out")" = \
-  "$(state_line "$net_dir/kill.out")" ] ||
-  { echo "transport smoke: state digest differs after kill -9" >&2; exit 1; }
-echo "transport crash-supervision smoke ok"
 
 # Scale smoke — the client store at population scale: 100k clients with a
 # 0.1% cohort must run in bounded memory (LRU cache of 64 that really
@@ -302,7 +247,6 @@ for threads in 1 4; do
   FEDCLUST_THREADS=$threads ./build/tools/fedclust_sim "${scale_flags[@]}" \
       --virtual-clients=1 --client-cache=64 \
       --out="$scale_dir/virt.t$threads.csv" \
-      --bench-out="$scale_dir/virt.t$threads.json" \
       > "$scale_dir/virt.t$threads.out"
   cmp "$scale_dir/full.csv" "$scale_dir/virt.t$threads.csv" ||
     { echo "scale smoke: trace differs from never-evicting store" \
@@ -311,7 +255,7 @@ for threads in 1 4; do
     "$(state_line "$scale_dir/virt.t$threads.out")" ] ||
     { echo "scale smoke: state digest differs (threads=$threads)" >&2
       exit 1; }
-  virt_rss=$(grep -oP '"peak_rss_kb": \K[0-9]+' "$scale_dir/virt.t$threads.json")
+  virt_rss=$(grep -oP '^peak rss \K[0-9]+' "$scale_dir/virt.t$threads.out")
   # Ceiling: 128 MiB leaves headroom over the observed ~25 MiB while still
   # proving the population never resided in memory.
   [ -n "$virt_rss" ] && [ "$virt_rss" -lt 131072 ] ||
@@ -340,9 +284,8 @@ lm_scale_flags=(--method=FedClust --dataset=fmnist --clients=100000
 for threads in 1 4; do
   FEDCLUST_THREADS=$threads ./build/tools/fedclust_sim \
       "${lm_scale_flags[@]}" --out="$lm_dir/scale.t$threads.csv" \
-      --bench-out="$lm_dir/scale.t$threads.json" \
       > "$lm_dir/scale.t$threads.out"
-  lm_rss=$(grep -oP '"peak_rss_kb": \K[0-9]+' "$lm_dir/scale.t$threads.json")
+  lm_rss=$(grep -oP '^peak rss \K[0-9]+' "$lm_dir/scale.t$threads.out")
   [ -n "$lm_rss" ] && [ "$lm_rss" -lt 131072 ] ||
     { echo "landmark smoke: 100k RSS $lm_rss KiB above 131072 KiB ceiling" \
         >&2; exit 1; }
@@ -356,13 +299,3 @@ cmp "$lm_dir/scale.t1.csv" "$lm_dir/scale.t4.csv" ||
     exit 1; }
 echo "landmark smoke ok (100k clients, 256 landmarks, rss ${lm_rss} KiB)"
 
-# Quick bench: a million-client streaming-aggregation round, recorded as
-# BENCH_round.json at the repository root (rounds/s, peak RSS, git
-# describe) so throughput can be tracked run over run.
-FEDCLUST_THREADS=4 ./build/tools/fedclust_sim --method=FedAvg \
-    --dataset=fmnist --clients=1000000 --train=1 --test=1 --sample=0.0001 \
-    --rounds=3 --eval-clients=50 --seed=3 --virtual-clients=1 \
-    --client-cache=64 --bench-out=BENCH_round.json > "$scale_dir/bench.out"
-grep -q '"rounds_per_s"' BENCH_round.json ||
-  { echo "quick bench: BENCH_round.json malformed" >&2; exit 1; }
-echo "quick bench ok ($(grep -oP '"rounds_per_s": \K[0-9.]+' BENCH_round.json) rounds/s)"
