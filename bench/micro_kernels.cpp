@@ -73,6 +73,50 @@ void BM_GemmTN(benchmark::State& state) {
 BENCHMARK(BM_GemmNT)->Arg(128)->Arg(256);
 BENCHMARK(BM_GemmTN)->Arg(128)->Arg(256);
 
+// The per-image GEMMs that LeNet-5 and ResNet-9 (width 8) run on 16x16 inputs
+// at batch 10, with their Trans flags: conv dW transposes B, conv dcol
+// transposes A, Linear forward transposes B. Small m and ragged n are the
+// norm here, unlike the square BM_Gemm sizes.
+struct ModelGemm {
+  const char* name;
+  tensor::Trans ta, tb;
+  std::size_t m, n, k;
+};
+constexpr tensor::Trans kN = tensor::Trans::kNo;
+constexpr tensor::Trans kT = tensor::Trans::kYes;
+const ModelGemm kModelGemms[] = {
+    {"lenet.conv1.fwd", kN, kN, 6, 256, 75},
+    {"lenet.conv1.dW", kN, kT, 6, 75, 256},
+    {"lenet.conv2.fwd", kN, kN, 16, 16, 150},
+    {"lenet.conv2.dcol", kT, kN, 150, 16, 16},
+    {"lenet.fc2.fwd", kN, kT, 10, 84, 120},
+    {"resnet9.res2.fwd", kN, kN, 32, 16, 288},
+    {"resnet9.res2.dcol", kT, kN, 288, 16, 32},
+    {"resnet9.res1.dW", kN, kT, 16, 144, 64},
+    {"resnet9.conv2.fwd", kN, kN, 16, 256, 72},
+};
+
+void BM_GemmModelShapes(benchmark::State& state) {
+  const ModelGemm& g = kModelGemms[state.range(0)];
+  // Stored as the layer stores them: op(A) is (m, k), op(B) is (k, n).
+  const auto a = random_tensor(g.ta == kN ? tensor::Shape{g.m, g.k}
+                                          : tensor::Shape{g.k, g.m}, 1);
+  const auto b = random_tensor(g.tb == kN ? tensor::Shape{g.k, g.n}
+                                          : tensor::Shape{g.n, g.k}, 2);
+  tensor::Tensor c({g.m, g.n});
+  for (auto _ : state) {
+    tensor::gemm(g.ta, g.tb, g.m, g.n, g.k, 1.0f, a.data(), a.dim(1),
+                 b.data(), b.dim(1), 0.0f, c.data(), g.n);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(g.name);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * g.m * g.n * g.k));
+}
+BENCHMARK(BM_GemmModelShapes)
+    ->DenseRange(0, std::size(kModelGemms) - 1);
+
 void BM_Im2Col(benchmark::State& state) {
   const std::size_t c = 6;
   const std::size_t hw = 16;

@@ -39,14 +39,19 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   const std::size_t out_area = oh * ow;
 
   Tensor y({n, out_c_, oh, ow});
-  Tensor cols = train ? Tensor({n, col_rows, out_area}) : Tensor();
+  if (train) {
+    // im2col writes every element, padding zeros included, so a column
+    // buffer of the right shape is reused as is.
+    const tensor::Shape cols_shape = {n, col_rows, out_area};
+    if (cached_cols_.shape() != cols_shape) cached_cols_ = Tensor(cols_shape);
+  }
 
   for (std::size_t i = 0; i < n; ++i) {
     float* out = y.data() + i * out_c_ * out_area;
     if (train) {
       // Training keeps the full column matrix — backward reuses it for the
       // dW and dcol GEMMs — so forward runs the unfused path over it.
-      float* col = cols.data() + i * col_rows * out_area;
+      float* col = cached_cols_.data() + i * col_rows * out_area;
       tensor::im2col(x.data() + i * in_c_ * h * w, in_c_, h, w, kernel_,
                      kernel_, stride_, pad_, col);
       // out(out_c, out_area) = W(out_c, col_rows) x col(col_rows, out_area)
@@ -69,7 +74,6 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   }
 
   if (train) {
-    cached_cols_ = std::move(cols);
     cached_n_ = n;
     cached_h_ = h;
     cached_w_ = w;

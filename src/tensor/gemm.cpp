@@ -28,15 +28,12 @@ std::vector<float>& transpose_scratch(int slot) {
 
 // Materializes op(X) into `out` as a contiguous row-major (rows, cols)
 // buffer; input is (cols, rows) with leading dim ldx.
-const float* transpose_into(std::vector<float>& out, const float* x,
+const float* transpose_into(const simd::KernelTable& kt,
+                            std::vector<float>& out, const float* x,
                             std::size_t rows, std::size_t cols,
                             std::size_t ldx) {
   out.resize(rows * cols);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      out[r * cols + c] = x[c * ldx + r];
-    }
-  }
+  kt.transpose(x, rows, cols, ldx, out.data());
   return out.data();
 }
 
@@ -72,18 +69,19 @@ void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
   if (m == 0 || n == 0 || k == 0 || alpha == 0.0f) return;
 
   // Normalize to the NN case by materializing transposed operands into the
-  // thread-local scratch. The copies are O(mk)/O(kn) against an O(mnk)
-  // kernel — negligible, and they keep the hot loop unit-stride.
+  // thread-local scratch, which keeps the hot loop unit-stride. The copies
+  // are O(mk)/O(kn) against an O(mnk) kernel, but at the models' small m or
+  // n that is not negligible, so they run the table's vector transpose.
   const float* an = a;
   std::size_t lda_n = lda;
   if (trans_a == Trans::kYes) {
-    an = transpose_into(transpose_scratch(0), a, m, k, lda);
+    an = transpose_into(kt, transpose_scratch(0), a, m, k, lda);
     lda_n = k;
   }
   const float* bn = b;
   std::size_t ldb_n = ldb;
   if (trans_b == Trans::kYes) {
-    bn = transpose_into(transpose_scratch(1), b, k, n, ldb);
+    bn = transpose_into(kt, transpose_scratch(1), b, k, n, ldb);
     ldb_n = n;
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/trace.h"
 
@@ -17,7 +18,30 @@ std::size_t conv_out_dim(std::size_t in, std::size_t kernel,
   return (padded - kernel) / stride + 1;
 }
 
-void im2col_rows(const float* img, std::size_t c, std::size_t h,
+namespace {
+
+// At stride 1 a kernel column offset d = kx - pad maps output column ox to
+// input column ox + d; returns the span [lo, hi) of ox that lands inside
+// [0, w), clamped to [0, ow] (empty when lo >= hi).
+std::pair<std::size_t, std::size_t> unit_stride_span(std::ptrdiff_t d,
+                                                     std::size_t w,
+                                                     std::size_t ow) {
+  const auto lo = static_cast<std::size_t>(std::max<std::ptrdiff_t>(0, -d));
+  const auto hi = static_cast<std::size_t>(std::clamp<std::ptrdiff_t>(
+      static_cast<std::ptrdiff_t>(w) - d, 0,
+      static_cast<std::ptrdiff_t>(ow)));
+  return {lo, hi};
+}
+
+// dst[j] += src[j]; the buffers never overlap, so the loop vectorizes.
+void add_span(float* __restrict dst, const float* __restrict src,
+              std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) dst[j] += src[j];
+}
+
+}  // namespace
+
+void im2col_rows(const float* img, std::size_t /*c*/, std::size_t h,
                  std::size_t w, std::size_t kh, std::size_t kw,
                  std::size_t stride, std::size_t pad, std::size_t row0,
                  std::size_t row1, float* col) {
@@ -47,10 +71,7 @@ void im2col_rows(const float* img, std::size_t c, std::size_t h,
         // [lo, hi) is one contiguous copy framed by zero fill.
         const std::ptrdiff_t d = static_cast<std::ptrdiff_t>(kx) -
                                  static_cast<std::ptrdiff_t>(pad);
-        const std::size_t lo = static_cast<std::size_t>(std::max<std::ptrdiff_t>(0, -d));
-        const std::size_t hi = static_cast<std::size_t>(std::clamp<std::ptrdiff_t>(
-            static_cast<std::ptrdiff_t>(w) - d, 0,
-            static_cast<std::ptrdiff_t>(ow)));
+        const auto [lo, hi] = unit_stride_span(d, w, ow);
         float* dst = out_row + oy * ow;
         if (lo > 0) std::memset(dst, 0, lo * sizeof(float));
         if (hi > lo) {
@@ -99,6 +120,19 @@ void col2im(const float* col, std::size_t c, std::size_t h, std::size_t w,
               static_cast<std::ptrdiff_t>(pad);
           if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
           float* dst_row = plane + static_cast<std::size_t>(iy) * w;
+          if (stride == 1) {
+            // Unit stride: the in-bounds ox span [lo, hi) maps onto
+            // contiguous ix = ox + d, one add per pixel as below, in the
+            // same (row, oy) order — so each pixel's sum is unchanged.
+            const std::ptrdiff_t d = static_cast<std::ptrdiff_t>(kx) -
+                                     static_cast<std::ptrdiff_t>(pad);
+            const auto [lo, hi] = unit_stride_span(d, w, ow);
+            if (hi > lo) {
+              add_span(dst_row + (static_cast<std::ptrdiff_t>(lo) + d),
+                       in_row + oy * ow + lo, hi - lo);
+            }
+            continue;
+          }
           for (std::size_t ox = 0; ox < ow; ++ox) {
             const std::ptrdiff_t ix =
                 static_cast<std::ptrdiff_t>(ox * stride + kx) -

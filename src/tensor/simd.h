@@ -46,6 +46,13 @@ struct KernelTable {
   // c[i] = fl(c[i] * beta) for i in [0, n) — gemm's beta prologue.
   void (*scale)(float* c, std::size_t n, float beta);
 
+  // out[r * cols + c] = x[c * ldx + r] for r < rows, c < cols: the
+  // contiguous row-major (rows, cols) transpose of a (cols, rows) matrix
+  // with leading dimension ldx — gemm's transposed-operand copy. Pure data
+  // movement, so every table matches scalar by construction.
+  void (*transpose)(const float* x, std::size_t rows, std::size_t cols,
+                    std::size_t ldx, float* out);
+
   // IEEE binary16 conversions, elementwise util::f32_to_f16 / f16_to_f32
   // (round-to-nearest-even; NaN payload bits preserved — SIMD tables patch
   // NaN lanes through the scalar functions because hardware converts

@@ -13,8 +13,10 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "tensor/simd_tables.h"
@@ -27,70 +29,108 @@ namespace {
 
 // ------------------------------------------------------------------ gemm
 //
-// Register-blocked microkernel: MR x NR C tile held in ymm registers, A
+// Register-blocked microkernel: an MR x NR C tile held in ymm registers, A
 // packed (alpha pre-applied — same fl(alpha*a) the scalar kernel computes
 // per use) into an MR-interleaved KC panel, B read in place. For a fixed C
 // element the k terms still accumulate in ascending p with mul and add
 // rounded separately, so the result is bit-identical to the scalar loop.
+//
+// The same microkernel serves partial tiles: its live rows (1..kMr) and its
+// 8-lane column vectors (1 or 2) are template parameters. Rows past the
+// live count are never loaded, computed or stored. A tile whose width is
+// not a multiple of 8 masks its last vector on every B load and on the C
+// load and store (vmaskmov never touches a masked-off lane's memory); full
+// tiles run a mask-free instantiation.
 
 constexpr std::size_t kMr = 6;
-constexpr std::size_t kNr = 16;  // two __m256 per row
+constexpr std::size_t kLanes = 8;
+constexpr std::size_t kNr = 2 * kLanes;  // two __m256 per row
 constexpr std::size_t kKc = 256;
 
+// Rows [0, mr) of the panel; the microkernel never reads rows past mr.
 void pack_a(const float* a, std::size_t lda, std::size_t i0, std::size_t mr,
             std::size_t kb, std::size_t kc, float alpha, float* apack) {
   for (std::size_t p = 0; p < kc; ++p) {
-    for (std::size_t r = 0; r < kMr; ++r) {
-      apack[p * kMr + r] =
-          r < mr ? alpha * a[(i0 + r) * lda + kb + p] : 0.0f;
+    for (std::size_t r = 0; r < mr; ++r) {
+      apack[p * kMr + r] = alpha * a[(i0 + r) * lda + kb + p];
     }
   }
 }
 
-template <bool kFma>
+// Vector v of a kVecs-wide tile row; only the last vector may be masked.
+template <std::size_t kVecs, bool kMasked>
+__m256 load_vec(const float* row, std::size_t v, __m256i tail) {
+  if (kMasked && v + 1 == kVecs) {
+    return _mm256_maskload_ps(row + v * kLanes, tail);
+  }
+  return _mm256_loadu_ps(row + v * kLanes);
+}
+
+template <std::size_t kVecs, bool kMasked>
+void store_vec(float* row, std::size_t v, __m256i tail, __m256 x) {
+  if (kMasked && v + 1 == kVecs) {
+    _mm256_maskstore_ps(row + v * kLanes, tail, x);
+  } else {
+    _mm256_storeu_ps(row + v * kLanes, x);
+  }
+}
+
+// C tile (kRows x nr) += packed A panel x B panel over kc steps.
+template <bool kFma, std::size_t kRows, std::size_t kVecs, bool kMasked>
 void microkernel(const float* apack, std::size_t kc, const float* b,
-                 std::size_t ldb, float* c, std::size_t ldc) {
-  __m256 acc0[kMr];
-  __m256 acc1[kMr];
-  for (std::size_t r = 0; r < kMr; ++r) {
-    acc0[r] = _mm256_loadu_ps(c + r * ldc);
-    acc1[r] = _mm256_loadu_ps(c + r * ldc + 8);
+                 std::size_t ldb, float* c, std::size_t ldc, std::size_t nr) {
+  const __m256i mask = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(static_cast<int>(nr - (kVecs - 1) * kLanes)),
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  __m256 acc[kRows][kVecs];
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      acc[r][v] = load_vec<kVecs, kMasked>(c + r * ldc, v, mask);
+    }
   }
   for (std::size_t p = 0; p < kc; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(b + p * ldb);
-    const __m256 b1 = _mm256_loadu_ps(b + p * ldb + 8);
+    __m256 bv[kVecs];
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      bv[v] = load_vec<kVecs, kMasked>(b + p * ldb, v, mask);
+    }
     const float* ap = apack + p * kMr;
-    for (std::size_t r = 0; r < kMr; ++r) {
+    for (std::size_t r = 0; r < kRows; ++r) {
       const __m256 av = _mm256_broadcast_ss(ap + r);
-      if constexpr (kFma) {
-        acc0[r] = _mm256_fmadd_ps(av, b0, acc0[r]);
-        acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
-      } else {
-        acc0[r] = _mm256_add_ps(acc0[r], _mm256_mul_ps(av, b0));
-        acc1[r] = _mm256_add_ps(acc1[r], _mm256_mul_ps(av, b1));
+      for (std::size_t v = 0; v < kVecs; ++v) {
+        if constexpr (kFma) {
+          acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
+        } else {
+          acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(av, bv[v]));
+        }
       }
     }
   }
-  for (std::size_t r = 0; r < kMr; ++r) {
-    _mm256_storeu_ps(c + r * ldc, acc0[r]);
-    _mm256_storeu_ps(c + r * ldc + 8, acc1[r]);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      store_vec<kVecs, kMasked>(c + r * ldc, v, mask, acc[r][v]);
+    }
   }
 }
 
-// Partial tiles (row remainder or column tail): plain scalar loops with the
-// golden per-element order — any (i, j) may be computed scalar without
-// breaking bit-identity as long as p ascends.
-void edge_tile(const float* apack, std::size_t kc, std::size_t mr,
-               const float* b, std::size_t ldb, float* c, std::size_t ldc,
-               std::size_t nr) {
-  for (std::size_t p = 0; p < kc; ++p) {
-    const float* __restrict brow = b + p * ldb;
-    for (std::size_t r = 0; r < mr; ++r) {
-      const float av = apack[p * kMr + r];
-      float* __restrict crow = c + r * ldc;
-      for (std::size_t j = 0; j < nr; ++j) crow[j] += av * brow[j];
-    }
-  }
+using Tile = void (*)(const float*, std::size_t, const float*, std::size_t,
+                      float*, std::size_t, std::size_t);
+
+template <bool kFma, std::size_t kVecs, bool kMasked, std::size_t... kR>
+constexpr std::array<Tile, kMr> tiles_by_rows(std::index_sequence<kR...>) {
+  return {&microkernel<kFma, kR + 1, kVecs, kMasked>...};
+}
+
+// The instantiation for an mr x nr tile (1 <= mr <= kMr, 1 <= nr <= kNr).
+template <bool kFma>
+Tile tile_for(std::size_t mr, std::size_t nr) {
+  constexpr auto rows = std::make_index_sequence<kMr>{};
+  static constexpr std::array<Tile, kMr> kTiles[2][2] = {
+      {tiles_by_rows<kFma, 1, false>(rows),
+       tiles_by_rows<kFma, 1, true>(rows)},
+      {tiles_by_rows<kFma, 2, false>(rows),
+       tiles_by_rows<kFma, 2, true>(rows)},
+  };
+  return kTiles[(nr - 1) / kLanes][nr % kLanes != 0][mr - 1];
 }
 
 template <bool kFma>
@@ -108,18 +148,63 @@ void gemm_nn_range_avx2(std::size_t m0, std::size_t m1, std::size_t n,
     for (std::size_t kb = 0; kb < k; kb += kKc) {
       const std::size_t kc = std::min(kKc, k - kb);
       pack_a(a, lda, i0, mr, kb, kc, alpha, apack);
-      std::size_t j0 = 0;
-      if (mr == kMr) {
-        for (; j0 + kNr <= n; j0 += kNr) {
-          microkernel<kFma>(apack, kc, b + kb * ldb + j0, ldb,
-                            c + i0 * ldc + j0, ldc);
-        }
-      }
-      if (j0 < n) {
-        edge_tile(apack, kc, mr, b + kb * ldb + j0, ldb, c + i0 * ldc + j0,
-                  ldc, n - j0);
+      for (std::size_t j0 = 0; j0 < n; j0 += kNr) {
+        const std::size_t nr = std::min(kNr, n - j0);
+        tile_for<kFma>(mr, nr)(apack, kc, b + kb * ldb + j0, ldb,
+                               c + i0 * ldc + j0, ldc, nr);
       }
     }
+  }
+}
+
+// ------------------------------------------------------------- transpose
+//
+// 8 x 8 blocks transposed in registers (unpack, shuffle, permute2f128),
+// scalar copies for the ragged edges. Pure data movement: every output
+// float is a copy of one input float, so the bits cannot change.
+
+void transpose8x8(const float* src, std::size_t lds, float* dst,
+                  std::size_t ldd) {
+  __m256 r[8];
+  for (std::size_t i = 0; i < 8; ++i) r[i] = _mm256_loadu_ps(src + i * lds);
+  __m256 t[8];
+  for (std::size_t i = 0; i < 8; i += 2) {
+    t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+    t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+  }
+  // s[h + i] holds column i (low half) and column i + 4 (high half) of
+  // rows h..h+3.
+  __m256 s[8];
+  for (std::size_t h = 0; h < 8; h += 4) {
+    s[h + 0] = _mm256_shuffle_ps(t[h + 0], t[h + 2], _MM_SHUFFLE(1, 0, 1, 0));
+    s[h + 1] = _mm256_shuffle_ps(t[h + 0], t[h + 2], _MM_SHUFFLE(3, 2, 3, 2));
+    s[h + 2] = _mm256_shuffle_ps(t[h + 1], t[h + 3], _MM_SHUFFLE(1, 0, 1, 0));
+    s[h + 3] = _mm256_shuffle_ps(t[h + 1], t[h + 3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+  for (std::size_t i = 0; i < 4; ++i) {
+    _mm256_storeu_ps(dst + i * ldd,
+                     _mm256_permute2f128_ps(s[i], s[i + 4], 0x20));
+    _mm256_storeu_ps(dst + (i + 4) * ldd,
+                     _mm256_permute2f128_ps(s[i], s[i + 4], 0x31));
+  }
+}
+
+void transpose_avx2(const float* x, std::size_t rows, std::size_t cols,
+                    std::size_t ldx, float* out) {
+  const std::size_t rows8 = rows - rows % 8;
+  const std::size_t cols8 = cols - cols % 8;
+  for (std::size_t r0 = 0; r0 < rows8; r0 += 8) {
+    for (std::size_t c0 = 0; c0 < cols8; c0 += 8) {
+      transpose8x8(x + c0 * ldx + r0, ldx, out + r0 * cols + c0, cols);
+    }
+    for (std::size_t r = r0; r < r0 + 8; ++r) {
+      for (std::size_t c = cols8; c < cols; ++c) {
+        out[r * cols + c] = x[c * ldx + r];
+      }
+    }
+  }
+  for (std::size_t r = rows8; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) out[r * cols + c] = x[c * ldx + r];
   }
 }
 
@@ -297,6 +382,7 @@ const KernelTable* avx2_table() {
       &gemm_nn_range_avx2<false>,
       &gemm_nn_range_avx2<true>,
       &scale_avx2,
+      &transpose_avx2,
       &f16_encode_avx2,
       &f16_decode_avx2,
       &minmax_finite_avx2,

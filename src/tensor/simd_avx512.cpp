@@ -9,8 +9,10 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "tensor/simd_tables.h"
@@ -22,62 +24,106 @@ namespace detail {
 namespace {
 
 // ------------------------------------------------------------------ gemm
+//
+// One register-blocked microkernel serves every tile: its live rows
+// (1..kMr) and its 16-lane column vectors (1 or 2) are template
+// parameters, so a partial tile holds its C block in zmm registers for the
+// whole kc panel just as a full one does. Rows past the live count are
+// never loaded, computed or stored. A tile whose width is not a multiple
+// of 16 masks its last vector on every B load and on the C load and store,
+// so a masked-off lane is never read from or written to memory; full tiles
+// run a mask-free instantiation. For each C element the k terms still
+// accumulate in ascending p with mul and add rounded separately — the
+// scalar kernel's order (see simd_avx2.cpp).
 
 constexpr std::size_t kMr = 8;
-constexpr std::size_t kNr = 32;  // two __m512 per row
+constexpr std::size_t kLanes = 16;
+constexpr std::size_t kNr = 2 * kLanes;  // two __m512 per row
 constexpr std::size_t kKc = 256;
 
+// Rows [0, mr) of the panel; the microkernel never reads rows past mr.
 void pack_a(const float* a, std::size_t lda, std::size_t i0, std::size_t mr,
             std::size_t kb, std::size_t kc, float alpha, float* apack) {
   for (std::size_t p = 0; p < kc; ++p) {
-    for (std::size_t r = 0; r < kMr; ++r) {
-      apack[p * kMr + r] =
-          r < mr ? alpha * a[(i0 + r) * lda + kb + p] : 0.0f;
+    for (std::size_t r = 0; r < mr; ++r) {
+      apack[p * kMr + r] = alpha * a[(i0 + r) * lda + kb + p];
     }
   }
 }
 
-template <bool kFma>
+// Vector v of a kVecs-wide tile row; only the last vector may be masked.
+template <std::size_t kVecs, bool kMasked>
+__m512 load_vec(const float* row, std::size_t v, __mmask16 tail) {
+  if (kMasked && v + 1 == kVecs) {
+    return _mm512_maskz_loadu_ps(tail, row + v * kLanes);
+  }
+  return _mm512_loadu_ps(row + v * kLanes);
+}
+
+template <std::size_t kVecs, bool kMasked>
+void store_vec(float* row, std::size_t v, __mmask16 tail, __m512 x) {
+  if (kMasked && v + 1 == kVecs) {
+    _mm512_mask_storeu_ps(row + v * kLanes, tail, x);
+  } else {
+    _mm512_storeu_ps(row + v * kLanes, x);
+  }
+}
+
+// C tile (kRows x nr) += packed A panel x B panel over kc steps.
+template <bool kFma, std::size_t kRows, std::size_t kVecs, bool kMasked>
 void microkernel(const float* apack, std::size_t kc, const float* b,
-                 std::size_t ldb, float* c, std::size_t ldc) {
-  __m512 acc0[kMr];
-  __m512 acc1[kMr];
-  for (std::size_t r = 0; r < kMr; ++r) {
-    acc0[r] = _mm512_loadu_ps(c + r * ldc);
-    acc1[r] = _mm512_loadu_ps(c + r * ldc + 16);
+                 std::size_t ldb, float* c, std::size_t ldc, std::size_t nr) {
+  const auto mask =
+      static_cast<__mmask16>((1u << (nr - (kVecs - 1) * kLanes)) - 1u);
+  __m512 acc[kRows][kVecs];
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      acc[r][v] = load_vec<kVecs, kMasked>(c + r * ldc, v, mask);
+    }
   }
   for (std::size_t p = 0; p < kc; ++p) {
-    const __m512 b0 = _mm512_loadu_ps(b + p * ldb);
-    const __m512 b1 = _mm512_loadu_ps(b + p * ldb + 16);
+    __m512 bv[kVecs];
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      bv[v] = load_vec<kVecs, kMasked>(b + p * ldb, v, mask);
+    }
     const float* ap = apack + p * kMr;
-    for (std::size_t r = 0; r < kMr; ++r) {
+    for (std::size_t r = 0; r < kRows; ++r) {
       const __m512 av = _mm512_set1_ps(ap[r]);
-      if constexpr (kFma) {
-        acc0[r] = _mm512_fmadd_ps(av, b0, acc0[r]);
-        acc1[r] = _mm512_fmadd_ps(av, b1, acc1[r]);
-      } else {
-        acc0[r] = _mm512_add_ps(acc0[r], _mm512_mul_ps(av, b0));
-        acc1[r] = _mm512_add_ps(acc1[r], _mm512_mul_ps(av, b1));
+      for (std::size_t v = 0; v < kVecs; ++v) {
+        if constexpr (kFma) {
+          acc[r][v] = _mm512_fmadd_ps(av, bv[v], acc[r][v]);
+        } else {
+          acc[r][v] = _mm512_add_ps(acc[r][v], _mm512_mul_ps(av, bv[v]));
+        }
       }
     }
   }
-  for (std::size_t r = 0; r < kMr; ++r) {
-    _mm512_storeu_ps(c + r * ldc, acc0[r]);
-    _mm512_storeu_ps(c + r * ldc + 16, acc1[r]);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      store_vec<kVecs, kMasked>(c + r * ldc, v, mask, acc[r][v]);
+    }
   }
 }
 
-void edge_tile(const float* apack, std::size_t kc, std::size_t mr,
-               const float* b, std::size_t ldb, float* c, std::size_t ldc,
-               std::size_t nr) {
-  for (std::size_t p = 0; p < kc; ++p) {
-    const float* __restrict brow = b + p * ldb;
-    for (std::size_t r = 0; r < mr; ++r) {
-      const float av = apack[p * kMr + r];
-      float* __restrict crow = c + r * ldc;
-      for (std::size_t j = 0; j < nr; ++j) crow[j] += av * brow[j];
-    }
-  }
+using Tile = void (*)(const float*, std::size_t, const float*, std::size_t,
+                      float*, std::size_t, std::size_t);
+
+template <bool kFma, std::size_t kVecs, bool kMasked, std::size_t... kR>
+constexpr std::array<Tile, kMr> tiles_by_rows(std::index_sequence<kR...>) {
+  return {&microkernel<kFma, kR + 1, kVecs, kMasked>...};
+}
+
+// The instantiation for an mr x nr tile (1 <= mr <= kMr, 1 <= nr <= kNr).
+template <bool kFma>
+Tile tile_for(std::size_t mr, std::size_t nr) {
+  constexpr auto rows = std::make_index_sequence<kMr>{};
+  static constexpr std::array<Tile, kMr> kTiles[2][2] = {
+      {tiles_by_rows<kFma, 1, false>(rows),
+       tiles_by_rows<kFma, 1, true>(rows)},
+      {tiles_by_rows<kFma, 2, false>(rows),
+       tiles_by_rows<kFma, 2, true>(rows)},
+  };
+  return kTiles[(nr - 1) / kLanes][nr % kLanes != 0][mr - 1];
 }
 
 template <bool kFma>
@@ -94,16 +140,10 @@ void gemm_nn_range_avx512(std::size_t m0, std::size_t m1, std::size_t n,
     for (std::size_t kb = 0; kb < k; kb += kKc) {
       const std::size_t kc = std::min(kKc, k - kb);
       pack_a(a, lda, i0, mr, kb, kc, alpha, apack);
-      std::size_t j0 = 0;
-      if (mr == kMr) {
-        for (; j0 + kNr <= n; j0 += kNr) {
-          microkernel<kFma>(apack, kc, b + kb * ldb + j0, ldb,
-                            c + i0 * ldc + j0, ldc);
-        }
-      }
-      if (j0 < n) {
-        edge_tile(apack, kc, mr, b + kb * ldb + j0, ldb, c + i0 * ldc + j0,
-                  ldc, n - j0);
+      for (std::size_t j0 = 0; j0 < n; j0 += kNr) {
+        const std::size_t nr = std::min(kNr, n - j0);
+        tile_for<kFma>(mr, nr)(apack, kc, b + kb * ldb + j0, ldb,
+                               c + i0 * ldc + j0, ldc, nr);
       }
     }
   }
@@ -267,6 +307,7 @@ const KernelTable* avx512_table() {
       &gemm_nn_range_avx512<false>,
       &gemm_nn_range_avx512<true>,
       &scale_avx512,
+      avx2_table()->transpose,  // a copy gains nothing from 16 lanes
       &f16_encode_avx512,
       &f16_decode_avx512,
       &minmax_finite_avx512,

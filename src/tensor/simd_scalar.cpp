@@ -57,6 +57,13 @@ void scale_scalar(float* c, std::size_t n, float beta) {
   for (std::size_t i = 0; i < n; ++i) c[i] *= beta;
 }
 
+void transpose_scalar(const float* x, std::size_t rows, std::size_t cols,
+                      std::size_t ldx, float* out) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) out[r * cols + c] = x[c * ldx + r];
+  }
+}
+
 void f16_encode_scalar(const float* src, std::size_t n, std::uint16_t* dst) {
   for (std::size_t i = 0; i < n; ++i) dst[i] = util::f32_to_f16(src[i]);
 }
@@ -115,6 +122,7 @@ const KernelTable& scalar_table() {
       &gemm_nn_range_scalar,
       &gemm_nn_range_scalar,  // no reassociation to exploit without vectors
       &scale_scalar,
+      &transpose_scalar,
       &f16_encode_scalar,
       &f16_decode_scalar,
       &minmax_finite_scalar,

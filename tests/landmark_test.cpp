@@ -82,7 +82,9 @@ TEST(LandmarkSampling, DeterministicSortedDistinctInRange) {
   ASSERT_EQ(ids.size(), 64u);
   for (std::size_t i = 0; i < ids.size(); ++i) {
     EXPECT_LT(ids[i], 1000u);
-    if (i > 0) EXPECT_LT(ids[i - 1], ids[i]) << "sorted + distinct";
+    if (i > 0) {
+      EXPECT_LT(ids[i - 1], ids[i]) << "sorted + distinct";
+    }
   }
   EXPECT_EQ(ids, sample_landmarks(7, 1000, 64)) << "pure in (seed, n, L)";
   EXPECT_NE(ids, sample_landmarks(8, 1000, 64)) << "seed-salted";

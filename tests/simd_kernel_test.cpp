@@ -70,6 +70,13 @@ const GemmCase kGemmCases[] = {
     {64, 64, 64, 0, 0, 0, 1.0f},  {65, 63, 130, 0, 5, 0, 1.0f},
     {128, 17, 200, 2, 0, 3, 1.0f}, {6, 16, 256, 0, 0, 0, -0.75f},
     {12, 48, 300, 1, 1, 1, 1.0f}, {9, 100, 31, 0, 0, 0, 2.0f},
+    // The per-image GEMMs of LeNet-5 and ResNet-9 (bench/micro_kernels.cpp,
+    // BM_GemmModelShapes), as the NN kernel sees them after the transpose.
+    {6, 256, 75, 0, 0, 0, 1.0f},  {6, 75, 256, 0, 0, 0, 1.0f},
+    {16, 16, 150, 0, 0, 0, 1.0f}, {150, 16, 16, 0, 0, 0, 1.0f},
+    {10, 84, 120, 0, 0, 0, 1.0f}, {32, 16, 288, 0, 0, 0, 1.0f},
+    {288, 16, 32, 0, 0, 0, 1.0f}, {16, 144, 64, 0, 0, 0, 1.0f},
+    {16, 256, 72, 0, 0, 0, 1.0f},
 };
 
 TEST(SimdKernel, GemmBitExactAcrossIsas) {
@@ -94,6 +101,60 @@ TEST(SimdKernel, GemmBitExactAcrossIsas) {
       EXPECT_TRUE(bit_equal(want, got))
           << "isa=" << util::isa_name(isa) << " m=" << gc.m << " n=" << gc.n
           << " k=" << gc.k;
+    }
+  }
+}
+
+TEST(SimdKernel, GemmEveryTileShapeBitExactAndInBounds) {
+  // Every live-row count and every column tail of both SIMD tiles (8 x 32
+  // and 6 x 16), with k = 257 crossing the 256-deep panel. A and B are
+  // exact-size buffers, so an over-read past a masked lane is caught by the
+  // asan preset; C has three NaN canary columns per row and a canary row
+  // after the last, which a store past a masked lane would overwrite.
+  util::Rng rng(48);
+  const float canary = std::numeric_limits<float>::quiet_NaN();
+  std::uint32_t canary_bits;
+  std::memcpy(&canary_bits, &canary, sizeof canary_bits);
+  const auto canaries_intact = [&](const std::vector<float>& c,
+                                   std::size_t m, std::size_t n,
+                                   std::size_t ldc) {
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      if (i < m * ldc && i % ldc < n) continue;
+      std::uint32_t bits;
+      std::memcpy(&bits, &c[i], sizeof bits);
+      if (bits != canary_bits) return false;
+    }
+    return true;
+  };
+  for (const std::size_t k : {std::size_t{1}, std::size_t{31},
+                              std::size_t{257}}) {
+    for (std::size_t m = 1; m <= 17; ++m) {
+      for (std::size_t n = 1; n <= 65; ++n) {
+        const auto a = random_floats(m * k, rng);
+        const auto b = random_floats(k * n, rng);
+        const std::size_t ldc = n + 3;
+        std::vector<float> c0((m + 1) * ldc, canary);
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            c0[i * ldc + j] = rng.normalf(0, 1);
+          }
+        }
+        for (const float alpha : {1.0f, -0.75f}) {
+          std::vector<float> want = c0;
+          simd::kernels_for(util::SimdIsa::kScalar)
+              .gemm_nn_range(0, m, n, k, alpha, a.data(), k, b.data(), n,
+                             want.data(), ldc);
+          for (const auto isa : reachable_isas()) {
+            std::vector<float> got = c0;
+            simd::kernels_for(isa).gemm_nn_range(0, m, n, k, alpha, a.data(),
+                                                 k, b.data(), n, got.data(),
+                                                 ldc);
+            ASSERT_TRUE(bit_equal(want, got) && canaries_intact(got, m, n, ldc))
+                << "isa=" << util::isa_name(isa) << " m=" << m << " n=" << n
+                << " k=" << k << " alpha=" << alpha;
+          }
+        }
+      }
     }
   }
 }
@@ -141,48 +202,81 @@ TEST(SimdKernel, GemmFmaVariantWithinTolerance) {
 
 TEST(SimdKernel, TensorGemmTransposesMatchScalarDispatch) {
   // tensor::gemm end to end (transpose scratch + beta prologue + dispatch):
-  // forced-SIMD results must equal forced-scalar results bit for bit.
+  // every (trans_a, trans_b) combination under every ISA must equal the
+  // forced-scalar NN result bit for bit. The shapes hit full 8 x 8
+  // transpose blocks and both ragged edges (LeNet-5's conv1 dW and conv2
+  // dcol among them).
   IsaGuard guard;
   util::Rng rng(45);
-  const std::size_t m = 21, n = 34, k = 55;
-  const auto a = random_floats(m * k, rng);
-  const auto at = [&] {  // a transposed, (k, m)
-    std::vector<float> t(k * m);
-    for (std::size_t i = 0; i < m; ++i)
-      for (std::size_t p = 0; p < k; ++p) t[p * m + i] = a[i * k + p];
-    return t;
-  }();
-  const auto b = random_floats(k * n, rng);
-  const auto bt = [&] {  // b transposed, (n, k)
-    std::vector<float> t(n * k);
-    for (std::size_t p = 0; p < k; ++p)
-      for (std::size_t j = 0; j < n; ++j) t[j * k + p] = b[p * n + j];
-    return t;
-  }();
-  const auto c0 = random_floats(m * n, rng);
-  const float betas[] = {0.0f, 1.0f, 0.5f};
-  for (const float beta : betas) {
-    ASSERT_TRUE(util::force_isa_for_testing(util::SimdIsa::kScalar));
-    std::vector<float> nn = c0, nt = c0, tn = c0, tt = c0;
-    using tensor::Trans;
-    tensor::gemm(Trans::kNo, Trans::kNo, m, n, k, 1.0f, a.data(), k, b.data(),
-                 n, beta, nn.data(), n);
-    tensor::gemm(Trans::kNo, Trans::kYes, m, n, k, 1.0f, a.data(), k,
-                 bt.data(), k, beta, nt.data(), n);
-    tensor::gemm(Trans::kYes, Trans::kNo, m, n, k, 1.0f, at.data(), m,
-                 b.data(), n, beta, tn.data(), n);
-    tensor::gemm(Trans::kYes, Trans::kYes, m, n, k, 1.0f, at.data(), m,
-                 bt.data(), k, beta, tt.data(), n);
-    EXPECT_TRUE(bit_equal(nn, nt));
-    EXPECT_TRUE(bit_equal(nn, tn));
-    EXPECT_TRUE(bit_equal(nn, tt));
-    for (const auto isa : reachable_isas()) {
-      ASSERT_TRUE(util::force_isa_for_testing(isa));
-      std::vector<float> got = c0;
+  struct Shape { std::size_t m, n, k; };
+  for (const Shape sh : {Shape{21, 34, 55}, Shape{6, 75, 256},
+                         Shape{150, 16, 16}}) {
+    const std::size_t m = sh.m, n = sh.n, k = sh.k;
+    const auto a = random_floats(m * k, rng);
+    const auto at = [&] {  // a transposed, (k, m)
+      std::vector<float> t(k * m);
+      for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t p = 0; p < k; ++p) t[p * m + i] = a[i * k + p];
+      return t;
+    }();
+    const auto b = random_floats(k * n, rng);
+    const auto bt = [&] {  // b transposed, (n, k)
+      std::vector<float> t(n * k);
+      for (std::size_t p = 0; p < k; ++p)
+        for (std::size_t j = 0; j < n; ++j) t[j * k + p] = b[p * n + j];
+      return t;
+    }();
+    const auto c0 = random_floats(m * n, rng);
+    for (const float beta : {0.0f, 1.0f, 0.5f}) {
+      using tensor::Trans;
+      ASSERT_TRUE(util::force_isa_for_testing(util::SimdIsa::kScalar));
+      std::vector<float> want = c0;
       tensor::gemm(Trans::kNo, Trans::kNo, m, n, k, 1.0f, a.data(), k,
-                   b.data(), n, beta, got.data(), n);
-      EXPECT_TRUE(bit_equal(nn, got))
-          << "isa=" << util::isa_name(isa) << " beta=" << beta;
+                   b.data(), n, beta, want.data(), n);
+      for (const auto isa : reachable_isas()) {
+        ASSERT_TRUE(util::force_isa_for_testing(isa));
+        for (const Trans ta : {Trans::kNo, Trans::kYes}) {
+          for (const Trans tb : {Trans::kNo, Trans::kYes}) {
+            const bool ya = ta == Trans::kYes, yb = tb == Trans::kYes;
+            std::vector<float> got = c0;
+            tensor::gemm(ta, tb, m, n, k, 1.0f, ya ? at.data() : a.data(),
+                         ya ? m : k, yb ? bt.data() : b.data(), yb ? k : n,
+                         beta, got.data(), n);
+            EXPECT_TRUE(bit_equal(want, got))
+                << "isa=" << util::isa_name(isa) << " m=" << m << " n=" << n
+                << " k=" << k << " ta=" << ya << " tb=" << yb
+                << " beta=" << beta;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernel, TransposeMatchesScalarWithPaddedStride) {
+  util::Rng rng(49);
+  for (const std::size_t rows : {1, 7, 8, 9, 17, 75, 256}) {
+    for (const std::size_t cols : {1, 5, 8, 16, 33}) {
+      for (const std::size_t pad : {0, 3}) {
+        const std::size_t ldx = rows + pad;
+        const auto x = random_floats(cols * ldx, rng);
+        std::vector<float> want(rows * cols);
+        simd::kernels_for(util::SimdIsa::kScalar)
+            .transpose(x.data(), rows, cols, ldx, want.data());
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t c = 0; c < cols; ++c) {
+            ASSERT_EQ(want[r * cols + c], x[c * ldx + r]);
+          }
+        }
+        for (const auto isa : reachable_isas()) {
+          std::vector<float> got(rows * cols, -1.0f);
+          simd::kernels_for(isa).transpose(x.data(), rows, cols, ldx,
+                                           got.data());
+          EXPECT_TRUE(bit_equal(want, got))
+              << "isa=" << util::isa_name(isa) << " rows=" << rows
+              << " cols=" << cols << " ldx=" << ldx;
+        }
+      }
     }
   }
 }
@@ -217,6 +311,56 @@ TEST(SimdKernel, Im2colRowsMatchesFullExpansion) {
       EXPECT_TRUE(bit_equal(full, piecewise))
           << "c=" << p.c << " stride=" << p.stride << " panel=" << panel;
     }
+  }
+}
+
+TEST(SimdKernel, Col2imMatchesPerElementReference) {
+  // The unit-stride span path must add into each pixel exactly what the
+  // per-element loop adds, in the same order. Random non-integer values in
+  // both the column matrix and the image make any reordering visible.
+  util::Rng rng(50);
+  struct P { std::size_t c, h, w, k, stride, pad; };
+  const P cases[] = {
+      {3, 16, 16, 5, 1, 2}, {6, 8, 8, 5, 1, 0},    // LeNet-5 conv1, conv2
+      {8, 16, 16, 3, 1, 1}, {16, 8, 8, 3, 1, 1},   // ResNet-9 conv2, res1
+      {32, 4, 4, 3, 1, 1},                         // ResNet-9 res2
+      {2, 9, 9, 3, 2, 1},   {4, 16, 16, 3, 2, 0},  // stride 2
+      {1, 3, 3, 3, 1, 2},                          // pad wider than a row
+  };
+  for (const P& p : cases) {
+    const std::size_t oh = tensor::conv_out_dim(p.h, p.k, p.stride, p.pad);
+    const std::size_t ow = tensor::conv_out_dim(p.w, p.k, p.stride, p.pad);
+    const auto col = random_floats(p.c * p.k * p.k * oh * ow, rng);
+    const auto img0 = random_floats(p.c * p.h * p.w, rng);
+    std::vector<float> want = img0;
+    std::size_t row = 0;
+    for (std::size_t ch = 0; ch < p.c; ++ch) {
+      for (std::size_t ky = 0; ky < p.k; ++ky) {
+        for (std::size_t kx = 0; kx < p.k; ++kx, ++row) {
+          for (std::size_t oy = 0; oy < oh; ++oy) {
+            for (std::size_t ox = 0; ox < ow; ++ox) {
+              const auto iy = static_cast<std::ptrdiff_t>(oy * p.stride + ky) -
+                              static_cast<std::ptrdiff_t>(p.pad);
+              const auto ix = static_cast<std::ptrdiff_t>(ox * p.stride + kx) -
+                              static_cast<std::ptrdiff_t>(p.pad);
+              if (iy < 0 || ix < 0 || iy >= static_cast<std::ptrdiff_t>(p.h) ||
+                  ix >= static_cast<std::ptrdiff_t>(p.w)) {
+                continue;
+              }
+              want[(ch * p.h + static_cast<std::size_t>(iy)) * p.w +
+                   static_cast<std::size_t>(ix)] +=
+                  col[(row * oh + oy) * ow + ox];
+            }
+          }
+        }
+      }
+    }
+    std::vector<float> got = img0;
+    tensor::col2im(col.data(), p.c, p.h, p.w, p.k, p.k, p.stride, p.pad,
+                   got.data());
+    EXPECT_TRUE(bit_equal(want, got))
+        << "c=" << p.c << " h=" << p.h << " k=" << p.k
+        << " stride=" << p.stride << " pad=" << p.pad;
   }
 }
 

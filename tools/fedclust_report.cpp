@@ -4,7 +4,7 @@
 // run report: per-round phase breakdown and critical path, top-K straggler
 // clients, per-cluster comm/accuracy tables, and a fault summary.
 //
-//   $ fedclust_report --journal=run.journal.jsonl --metrics=run.metrics.jsonl \
+//   $ fedclust_report --journal=run.journal.jsonl --metrics=run.metrics.jsonl
 //       --trace=run.trace.json --json-out=report.json --md-out=report.md
 //
 // With --compare=<baseline-report.json> the current run is diffed against

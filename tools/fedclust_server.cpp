@@ -14,7 +14,7 @@
 // exponential backoff, and calls whose retry budget runs out degrade to
 // honestly-billed lost updates.
 //
-//   $ fedclust_server --listen=unix:/tmp/fed.sock --workers=2 \
+//   $ fedclust_server --listen=unix:/tmp/fed.sock --workers=2
 //       --method=FedClust --rounds=10 --out=trace.csv
 
 #include <iostream>

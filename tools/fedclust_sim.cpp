@@ -2,7 +2,7 @@
 // (including the extension baselines) on any dataset/partition and write
 // the per-round trace to CSV.
 //
-//   $ fedclust_sim --method=FedClust --dataset=cifar10 --rounds=40 \
+//   $ fedclust_sim --method=FedClust --dataset=cifar10 --rounds=40
 //       --partition=skew --skew=0.2 --clients=40 --out=trace.csv
 //
 // SIGINT/SIGTERM are handled gracefully: the run stops at the next round

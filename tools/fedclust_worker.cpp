@@ -14,7 +14,7 @@
 // after kill -9 resumes from it, reconnects mid-campaign, and picks up
 // requeued calls.
 //
-//   $ fedclust_worker --connect=unix:/tmp/fed.sock --method=FedClust \
+//   $ fedclust_worker --connect=unix:/tmp/fed.sock --method=FedClust
 //       --rounds=10 --checkpoint-state=/tmp/worker0.state
 
 #include <iostream>

@@ -1,16 +1,15 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the full release test suite (including the
 # check_docs, one-worker socket_single_worker, kill -9 worker restart
-# socket_restart, kill-and-resume cli_resume and landmark-contract
-# cli_landmark ctests), then the concurrency tests
+# socket_restart, kill-and-resume cli_resume, landmark-contract
+# cli_landmark and every-ISA cli_isa ctests), then the concurrency tests
 # (thread pool + parallel round executor + obs stress) rebuilt and re-run
 # under ThreadSanitizer, then the fault/wire/snapshot tests rebuilt and
 # re-run under Address+UBSanitizer, then simulator CLI smokes:
 # observability, fault injection, wire codecs, the event journal +
 # fedclust_report regression gate, the client store and landmark
-# clustering at 100k clients, SIMD dispatch (scalar vs native ISA
-# bit-identity), and the multi-process transport (server + two workers on
-# a Unix socket, bit-identical to in-process).
+# clustering at 100k clients, and the multi-process transport (server +
+# two workers on a Unix socket, bit-identical to in-process).
 # Run from the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -149,44 +148,6 @@ rc=0
 grep -q 'REGRESSION wire_bytes' "$report_dir/compare.err" ||
   { echo "report smoke: wire-byte regression not flagged" >&2; exit 1; }
 echo "journal+report smoke ok"
-
-# SIMD dispatch smoke: the same run under FEDCLUST_ISA=scalar and under the
-# best native ISA must produce bit-identical trace CSVs and state digests
-# (docs/INVARIANTS.md "Kernels"), at 1 and 4 worker threads, for a lossy
-# codec (qint8 exercises every kernel family). The run must also report the
-# resolved ISA in its stdout summary and in the metrics summary table.
-simd_dir=build/simd_smoke
-rm -rf "$simd_dir" && mkdir -p "$simd_dir"
-simd_flags=(--method=FedClust --clients=8 --rounds=3 --train=6 --test=4
-            --sample=0.5 --seed=7 --codec=qint8)
-./build/tools/fedclust_sim "${simd_flags[@]}" \
-    --metrics-out="$simd_dir/metrics.jsonl" \
-    --out="$simd_dir/native.csv" > "$simd_dir/native.out"
-native_isa=$(grep -oP 'simd kernels: isa=\K[a-z0-9]+' "$simd_dir/native.out")
-[ -n "$native_isa" ] ||
-  { echo "simd smoke: no 'simd kernels: isa=' line in output" >&2; exit 1; }
-grep -q "kernels\.isa\.$native_isa" "$simd_dir/native.out" ||
-  { echo "simd smoke: metrics summary lacks kernels.isa.$native_isa" >&2
-    exit 1; }
-for threads in 1 4; do
-  for isa in scalar "$native_isa"; do
-    FEDCLUST_THREADS=$threads FEDCLUST_ISA=$isa ./build/tools/fedclust_sim \
-        "${simd_flags[@]}" --out="$simd_dir/$isa.t$threads.csv" \
-        > "$simd_dir/$isa.t$threads.out"
-    cmp "$simd_dir/native.csv" "$simd_dir/$isa.t$threads.csv" ||
-      { echo "simd smoke: trace differs (isa=$isa threads=$threads)" >&2
-        exit 1; }
-    [ "$(state_line "$simd_dir/native.out")" = \
-      "$(state_line "$simd_dir/$isa.t$threads.out")" ] ||
-      { echo "simd smoke: state digest differs (isa=$isa threads=$threads)" >&2
-        exit 1; }
-  done
-done
-if FEDCLUST_ISA=bogus ./build/tools/fedclust_sim "${simd_flags[@]}" \
-    >/dev/null 2>&1; then
-  echo "simd smoke: unknown FEDCLUST_ISA was accepted" >&2; exit 1
-fi
-echo "simd dispatch smoke ok (native isa: $native_isa)"
 
 # Multi-process transport smoke — bit-identity: the same campaign
 # run in-process (fedclust_sim) and over a Unix socket (fedclust_server +
