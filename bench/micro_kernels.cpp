@@ -20,7 +20,6 @@
 #include "obs/trace.h"
 #include "fl/codec.h"
 #include "fl/stream_agg.h"
-#include "tensor/conv_fused.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
 #include "util/rng.h"
@@ -129,22 +128,9 @@ void BM_Im2Col(benchmark::State& state) {
 }
 BENCHMARK(BM_Im2Col);
 
-// Fused im2col+GEMM inference conv against its unfused equivalent
-// (BM_ConvUnfused): same math, no materialized column matrix.
-void BM_ConvFused(benchmark::State& state) {
-  const std::size_t c = 6, hw = 16, oc = 16, k = 5;
-  const auto img = random_tensor({c, hw, hw}, 3);
-  const auto wts = random_tensor({oc, c * k * k}, 4);
-  std::vector<float> out(oc * hw * hw);
-  for (auto _ : state) {
-    tensor::conv2d_forward_fused(img.data(), c, hw, hw, wts.data(), oc, k, k,
-                                 1, 2, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_ConvFused);
-
-void BM_ConvUnfused(benchmark::State& state) {
+// One image of a conv forward as Conv2d runs it in both modes: im2col into
+// a reused column buffer, then one GEMM (bias excluded).
+void BM_ConvForward(benchmark::State& state) {
   const std::size_t c = 6, hw = 16, oc = 16, k = 5;
   const auto img = random_tensor({c, hw, hw}, 3);
   const auto wts = random_tensor({oc, c * k * k}, 4);
@@ -158,7 +144,7 @@ void BM_ConvUnfused(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_ConvUnfused);
+BENCHMARK(BM_ConvForward);
 
 // Wire codec encode+decode round trip per payload float.
 void BM_CodecRoundTrip(benchmark::State& state, fl::wire::CodecId codec) {

@@ -60,7 +60,10 @@ std::size_t store_capacity(const ExperimentConfig& cfg) {
 // Rejects configurations that used to fail silently (a zero sample
 // fraction sampled one client forever; eval_every == 0 was patched to 1 in
 // the round loop; rounds == 0 produced an empty trace downstream consumers
-// choke on). Runs before any member is built.
+// choke on; zero local epochs or a zero learning rate divide FedNova's and
+// SCAFFOLD's normalizers by zero and turn the global model NaN; a zero
+// batch size never advances the batch loop). Runs before any member is
+// built.
 ExperimentConfig validated(ExperimentConfig cfg) {
   if (!(cfg.sample_fraction > 0.0) || cfg.sample_fraction > 1.0) {
     throw std::invalid_argument(
@@ -72,6 +75,18 @@ ExperimentConfig validated(ExperimentConfig cfg) {
   }
   if (cfg.eval_every == 0) {
     throw std::invalid_argument("ExperimentConfig.eval_every must be >= 1");
+  }
+  if (cfg.local.epochs == 0) {
+    throw std::invalid_argument("ExperimentConfig.local.epochs must be >= 1");
+  }
+  if (cfg.local.batch_size == 0) {
+    throw std::invalid_argument(
+        "ExperimentConfig.local.batch_size must be >= 1");
+  }
+  if (!(std::isfinite(cfg.local.lr) && cfg.local.lr > 0.0f)) {
+    throw std::invalid_argument(
+        "ExperimentConfig.local.lr must be finite and > 0, got " +
+        std::to_string(cfg.local.lr));
   }
   cfg.fault.validate();
   return cfg;
@@ -172,8 +187,8 @@ std::vector<std::size_t> Federation::sample_round(std::size_t round) const {
 
 std::vector<float> Federation::wire_round_trip(
     wire::MessageKind kind, const float* data, std::size_t n,
-    std::uint64_t sender, std::size_t round, std::uint64_t* encoded_bytes,
-    std::vector<std::uint8_t>* payload_out) const {
+    std::uint64_t sender, std::size_t round,
+    std::uint64_t* encoded_bytes) const {
   std::vector<std::uint8_t> bytes;
   {
     // v = payload floats, v2 = sender (client id, or kServerSender for
@@ -194,9 +209,6 @@ std::vector<float> Federation::wire_round_trip(
                                wire::message_kind_name(kind) + " failed: " +
                                wire::decode_status_name(status));
     }
-  }
-  if (payload_out != nullptr) {
-    payload_out->assign(bytes.begin() + wire::kHeaderSize, bytes.end());
   }
   return std::move(env.payload);
 }
@@ -252,34 +264,10 @@ bool Federation::deliver_update(std::size_t client, std::size_t round,
   const auto quarantine_code = [](const char* why) -> std::uint64_t {
     return std::string_view(why) == "norm_bound" ? 1 : 0;
   };
-  const char* reject = nullptr;
-  if (!faults_.active()) {
-    // Fault-free fast path: serialize through the wire once (raw_f32
-    // round-trips bit-exactly, so results match the pre-wire behavior bit
-    // for bit), bill the encoded bytes, then the always-on server screen.
-    if (upload_floats > 0) {
-      comm_.upload_envelope(upload_floats,
-                            wire::encoded_size(codec, upload_floats));
-      OBS_JOURNAL(round, client, kUpload, upload_floats * 4,
-                  wire::encoded_size(codec, upload_floats) +
-                      wire::kHeaderSize);
-    }
-    params = wire_round_trip(wire::MessageKind::kUpdatePush, params.data(),
-                             params.size(), client, round, nullptr,
-                             encoded_out);
-    reject = validator_.check(params);
-    if (reject == nullptr) {
-      OBS_JOURNAL(round, client, kDelivered);
-      return true;
-    }
-    if (encoded_out != nullptr) encoded_out->clear();
-    OBS_COUNTER_ADD("fault.rejected_updates", 1);
-    OBS_JOURNAL(round, client, kQuarantine, quarantine_code(reject));
-    FC_LOG_WARN << "client " << client << " round " << round
-                << ": update quarantined (" << reject << ")";
-    return false;
-  }
-
+  // Without a fault plan every decision is the all-zero FaultDecision (one
+  // transmission, nothing lost or corrupted), so the path below reduces to
+  // bill, encode, CRC-check, decode and screen.
+  const bool faulted = faults_.active();
   const FaultPlan& plan = faults_.plan();
   const FaultDecision d = faults_.decide(client, round);
   if (d.crash_post_train) {
@@ -332,7 +320,7 @@ bool Federation::deliver_update(std::size_t client, std::size_t round,
       backoff *= plan.backoff_mult;
     }
   }
-  OBS_HISTOGRAM_OBSERVE("fault.sim_round_time", sim_time);
+  if (faulted) OBS_HISTOGRAM_OBSERVE("fault.sim_round_time", sim_time);
   if (!comm_ok) {
     OBS_COUNTER_ADD("fault.comm_failed", 1);
     OBS_COUNTER_ADD("fault.lost_updates", 1);
@@ -341,8 +329,10 @@ bool Federation::deliver_update(std::size_t client, std::size_t round,
   }
 
   // The server closes the round at the deadline; a late update was still
-  // transmitted (comm spent) but is discarded.
-  if (plan.round_deadline > 0.0 && sim_time > plan.round_deadline) {
+  // transmitted (comm spent) but is discarded. Simulated time, and with it
+  // the deadline, exists only under a fault plan.
+  if (faulted && plan.round_deadline > 0.0 &&
+      sim_time > plan.round_deadline) {
     OBS_COUNTER_ADD("fault.deadline_missed", 1);
     OBS_COUNTER_ADD("fault.lost_updates", 1);
     OBS_JOURNAL(round, client, kDeadlineMissed,
@@ -392,13 +382,15 @@ bool Federation::deliver_update(std::size_t client, std::size_t round,
   }
   params = std::move(env.payload);
 
-  // Quarantine before the update can touch any FP reduction.
-  reject = validator_.check(params);
-  if (reject != nullptr) {
+  // Quarantine before the update can touch any FP reduction. Under a fault
+  // plan quarantines are expected, so they log at DEBUG; without one a
+  // quarantine means the training itself diverged.
+  if (const char* reject = validator_.check(params); reject != nullptr) {
     OBS_COUNTER_ADD("fault.rejected_updates", 1);
     OBS_JOURNAL(round, client, kQuarantine, quarantine_code(reject));
-    FC_LOG_DEBUG << "client " << client << " round " << round
-                 << ": update quarantined (" << reject << ")";
+    FC_LOG(faulted ? util::LogLevel::kDebug : util::LogLevel::kWarn)
+        << "client " << client << " round " << round
+        << ": update quarantined (" << reject << ")";
     return false;
   }
   if (encoded_out != nullptr) {

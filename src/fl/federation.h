@@ -333,9 +333,7 @@ class Federation {
   std::vector<float> wire_round_trip(wire::MessageKind kind, const float* data,
                                      std::size_t n, std::uint64_t sender,
                                      std::size_t round,
-                                     std::uint64_t* encoded_bytes,
-                                     std::vector<std::uint8_t>* payload_out =
-                                         nullptr) const;
+                                     std::uint64_t* encoded_bytes) const;
 
   ExperimentConfig cfg_;
   Transport* transport_ = nullptr;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <poll.h>
+#include <utility>
 
 #include "fl/wire.h"
 #include "net/message.h"
@@ -18,16 +19,6 @@ namespace {
 
 using fedclust::fl::wire::CodecId;
 using fedclust::fl::wire::MessageKind;
-
-// Calls one worker may hold at once. Requests go out with a blocking
-// write_frame, and a worker reads nothing while it trains. A queued request
-// that does not fit the socket buffer blocks the server, which then stops
-// reading; once the worker's response does not fit either, both sides
-// block until the I/O timeout declares the worker lost. One call per
-// worker never queues a request, whatever the model size. A worker serves
-// calls one at a time, so a deeper queue would only hide the gap between
-// two calls.
-constexpr std::size_t kMaxInflightPerWorker = 1;
 
 std::vector<std::uint8_t> envelope_of(const std::vector<float>& v,
                                       std::uint64_t round) {
@@ -159,16 +150,15 @@ void ServerTransport::worker_lost(std::size_t w,
   Worker& worker = workers_[w];
   if (!worker.alive) return;
   FC_LOG_WARN << "server: lost worker " << worker.id << " with "
-              << worker.inflight.size() << " call(s) in flight";
+              << (worker.inflight ? 1 : 0) << " call(s) in flight";
   close_fd(worker.fd);
   worker.alive = false;
   OBS_COUNTER_ADD("fault.worker_crash", 1);
-  const std::vector<std::size_t> orphans = std::move(worker.inflight);
-  worker.inflight.clear();
-  for (const std::size_t i : orphans) {
-    if (st[i].done) continue;
-    st[i].worker = -1;
-    requeue(i, calls, st, outcomes, remaining);
+  const std::optional<std::size_t> orphan =
+      std::exchange(worker.inflight, std::nullopt);
+  if (orphan && !st[*orphan].done) {
+    st[*orphan].worker = -1;
+    requeue(*orphan, calls, st, outcomes, remaining);
   }
 }
 
@@ -212,11 +202,11 @@ bool ServerTransport::dispatch(std::size_t i, std::size_t w,
   st[i].attempts += 1;
   FdStream s(workers_[w].fd);
   if (write_frame(s, encode_train_req(req)) != IoStatus::kOk) {
-    worker_lost(w, calls, st, outcomes, remaining);  // requeues i too
+    worker_lost(w, calls, st, outcomes, remaining);  // i stays unassigned
     return false;
   }
   st[i].worker = static_cast<int>(w);
-  workers_[w].inflight.push_back(i);
+  workers_[w].inflight = i;
   return true;
 }
 
@@ -291,12 +281,8 @@ bool ServerTransport::drain_frames(std::size_t w,
             break;
           }
         }
-        auto& inflight = worker.inflight;
-        if (i < calls.size()) {
-          inflight.erase(std::remove(inflight.begin(), inflight.end(), i),
-                         inflight.end());
-        }
         if (i == calls.size()) break;  // stale or unknown: ignore
+        if (worker.inflight == i) worker.inflight.reset();
         fl::TrainOutcome& out = outcomes[i];
         out.attempts = st[i].attempts;
         out.loss = resp.loss;
@@ -347,28 +333,20 @@ void ServerTransport::execute(const std::vector<fl::TrainCall>& calls,
   const double hb_deadline = opts_.io_timeout_ms / 1000.0;
 
   while (remaining > 0) {
-    // Dispatch every ready, unassigned call to the least-loaded live worker
-    // with a free slot.
+    // Dispatch every ready, unassigned call to the first idle live worker.
     const double dispatched_at = util::process_elapsed_seconds();
     for (std::size_t i = 0; i < calls.size(); ++i) {
       while (!st[i].done && st[i].worker < 0 &&
              st[i].ready_at <= dispatched_at) {
-        std::size_t best = workers_.size();
-        for (std::size_t w = 0; w < workers_.size(); ++w) {
-          if (!workers_[w].alive ||
-              workers_[w].inflight.size() >= kMaxInflightPerWorker) {
-            continue;
-          }
-          if (best == workers_.size() ||
-              workers_[w].inflight.size() < workers_[best].inflight.size()) {
-            best = w;
-          }
+        std::size_t idle = 0;
+        while (idle < workers_.size() &&
+               (!workers_[idle].alive || workers_[idle].inflight)) {
+          ++idle;
         }
-        if (best == workers_.size()) break;  // no live worker has a slot
-        if (dispatch(i, best, calls, st, outcomes, remaining)) break;
-        // dispatch failed -> that worker died and i was requeued; if i is
-        // still ready (attempt budget left, zero backoff) try the next one.
-        if (st[i].done || st[i].ready_at > dispatched_at) break;
+        if (idle == workers_.size()) break;  // every live worker is busy
+        // A failed dispatch lost that worker before i went in flight, so i
+        // is still ready: the loop offers it to the next idle worker.
+        if (dispatch(i, idle, calls, st, outcomes, remaining)) break;
       }
     }
     if (remaining == 0) break;
@@ -405,7 +383,7 @@ void ServerTransport::execute(const std::vector<fl::TrainCall>& calls,
       }
     }
     for (const Worker& w : workers_) {
-      if (w.alive && !w.inflight.empty()) {
+      if (w.alive && w.inflight) {
         next_event = std::min(next_event, w.last_heard + hb_deadline);
       }
     }
@@ -460,11 +438,10 @@ void ServerTransport::execute(const std::vector<fl::TrainCall>& calls,
     now = util::process_elapsed_seconds();
     for (std::size_t w = 0; w < workers_.size(); ++w) {
       Worker& worker = workers_[w];
-      if (!worker.alive || worker.inflight.empty()) continue;
+      if (!worker.alive || !worker.inflight) continue;
       if (now - worker.last_heard > hb_deadline) {
         OBS_COUNTER_ADD("net.heartbeat_missed", 1);
-        OBS_JOURNAL(current_round_, worker.id, kHeartbeatMissed,
-                    worker.inflight.size());
+        OBS_JOURNAL(current_round_, worker.id, kHeartbeatMissed, 1);
         FC_LOG_WARN << "server: worker " << worker.id
                     << " missed its heartbeat deadline";
         worker_lost(w, calls, st, outcomes, remaining);

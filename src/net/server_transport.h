@@ -19,6 +19,7 @@
 // kFrameReject journal rows (worker id in the client slot).
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,7 +76,11 @@ class ServerTransport final : public fl::Transport {
     FrameReader reader;
     double last_heard = 0.0;          // process_elapsed_seconds()
     std::uint64_t calls_served = 0;
-    std::vector<std::size_t> inflight;  // call indices awaiting a response
+    // The call awaiting a response, if any. A worker holds at most one:
+    // requests go out with a blocking write and a worker reads nothing
+    // while it trains, so a queued request could stall the server
+    // (docs/TRANSPORT.md §Flow control).
+    std::optional<std::size_t> inflight;
   };
 
   struct CallState {

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "obs/trace.h"
-#include "tensor/conv_fused.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
 
@@ -38,34 +37,42 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   const std::size_t col_rows = in_c_ * kernel_ * kernel_;
   const std::size_t out_area = oh * ow;
 
+  // One lowering in both modes: per image, im2col into a column buffer, then
+  // out(out_c, out_area) = W(out_c, col_rows) x col(col_rows, out_area).
+  // Training keeps every image's columns in cached_cols_ for backward's dW
+  // and dcol GEMMs. Inference reuses one per-thread buffer, so an eval
+  // forward leaves the training cache as the last training forward set it.
+  //
+  // y is allocated before a column buffer can grow: a long-lived buffer
+  // placed above the first forward's output keeps glibc from trimming the
+  // heap top after every forward (the other order doubled the minor page
+  // faults of a FedClust campaign).
   Tensor y({n, out_c_, oh, ow});
+  float* cols = nullptr;
+  std::size_t col_stride = 0;
   if (train) {
     // im2col writes every element, padding zeros included, so a column
     // buffer of the right shape is reused as is.
     const tensor::Shape cols_shape = {n, col_rows, out_area};
     if (cached_cols_.shape() != cols_shape) cached_cols_ = Tensor(cols_shape);
+    cols = cached_cols_.data();
+    col_stride = col_rows * out_area;
+  } else {
+    // An image's columns are dead once its GEMM is done, and the eval sweep
+    // runs a forward per client batch, so one buffer per thread serves all.
+    thread_local std::vector<float> eval_cols;
+    eval_cols.resize(col_rows * out_area);
+    cols = eval_cols.data();
   }
 
   for (std::size_t i = 0; i < n; ++i) {
+    float* col = cols + i * col_stride;
     float* out = y.data() + i * out_c_ * out_area;
-    if (train) {
-      // Training keeps the full column matrix — backward reuses it for the
-      // dW and dcol GEMMs — so forward runs the unfused path over it.
-      float* col = cached_cols_.data() + i * col_rows * out_area;
-      tensor::im2col(x.data() + i * in_c_ * h * w, in_c_, h, w, kernel_,
-                     kernel_, stride_, pad_, col);
-      // out(out_c, out_area) = W(out_c, col_rows) x col(col_rows, out_area)
-      tensor::gemm(tensor::Trans::kNo, tensor::Trans::kNo, out_c_, out_area,
-                   col_rows, 1.0f, weight_.value.data(), col_rows, col,
-                   out_area, 0.0f, out, out_area);
-    } else {
-      // Inference never needs the column matrix again: fuse im2col with the
-      // GEMM so only a small panel is ever materialized (bit-identical to
-      // the unfused path — see conv_fused.h).
-      tensor::conv2d_forward_fused(x.data() + i * in_c_ * h * w, in_c_, h,
-                                   w, weight_.value.data(), out_c_, kernel_,
-                                   kernel_, stride_, pad_, out);
-    }
+    tensor::im2col(x.data() + i * in_c_ * h * w, in_c_, h, w, kernel_,
+                   kernel_, stride_, pad_, col);
+    tensor::gemm(tensor::Trans::kNo, tensor::Trans::kNo, out_c_, out_area,
+                 col_rows, 1.0f, weight_.value.data(), col_rows, col,
+                 out_area, 0.0f, out, out_area);
     for (std::size_t oc = 0; oc < out_c_; ++oc) {
       const float b = bias_.value[oc];
       float* plane = out + oc * out_area;

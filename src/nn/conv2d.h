@@ -34,7 +34,7 @@ class Conv2d : public Module {
   Parameter bias_;    // (out_c)
 
   // Forward caches for backward: the per-sample column matrices and the
-  // input geometry.
+  // input geometry. Only a training forward writes them.
   Tensor cached_cols_;  // (N, in_c*k*k, OH*OW) flattened
   std::size_t cached_n_ = 0;
   std::size_t cached_h_ = 0;

@@ -41,64 +41,57 @@ void add_span(float* __restrict dst, const float* __restrict src,
 
 }  // namespace
 
-void im2col_rows(const float* img, std::size_t /*c*/, std::size_t h,
-                 std::size_t w, std::size_t kh, std::size_t kw,
-                 std::size_t stride, std::size_t pad, std::size_t row0,
-                 std::size_t row1, float* col) {
-  const std::size_t oh = conv_out_dim(h, kh, stride, pad);
-  const std::size_t ow = conv_out_dim(w, kw, stride, pad);
-  const std::size_t out_area = oh * ow;
-  // Row r of the full column matrix corresponds to (channel, ky, kx);
-  // column to (oy, ox). `col` receives rows [row0, row1) contiguously.
-  for (std::size_t row = row0; row < row1; ++row) {
-    const std::size_t ch = row / (kh * kw);
-    const std::size_t rem = row % (kh * kw);
-    const std::size_t ky = rem / kw;
-    const std::size_t kx = rem % kw;
-    const float* plane = img + ch * h * w;
-    float* out_row = col + (row - row0) * out_area;
-    for (std::size_t oy = 0; oy < oh; ++oy) {
-      const std::ptrdiff_t iy =
-          static_cast<std::ptrdiff_t>(oy * stride + ky) -
-          static_cast<std::ptrdiff_t>(pad);
-      if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) {
-        std::memset(out_row + oy * ow, 0, ow * sizeof(float));
-        continue;
-      }
-      const float* in_row = plane + static_cast<std::size_t>(iy) * w;
-      if (stride == 1) {
-        // Unit stride: ix = ox + (kx - pad), so the in-bounds ox span
-        // [lo, hi) is one contiguous copy framed by zero fill.
-        const std::ptrdiff_t d = static_cast<std::ptrdiff_t>(kx) -
-                                 static_cast<std::ptrdiff_t>(pad);
-        const auto [lo, hi] = unit_stride_span(d, w, ow);
-        float* dst = out_row + oy * ow;
-        if (lo > 0) std::memset(dst, 0, lo * sizeof(float));
-        if (hi > lo) {
-          std::memcpy(dst + lo, in_row + static_cast<std::ptrdiff_t>(lo) + d,
-                      (hi - lo) * sizeof(float));
-        }
-        if (hi < ow) std::memset(dst + hi, 0, (ow - hi) * sizeof(float));
-        continue;
-      }
-      for (std::size_t ox = 0; ox < ow; ++ox) {
-        const std::ptrdiff_t ix =
-            static_cast<std::ptrdiff_t>(ox * stride + kx) -
-            static_cast<std::ptrdiff_t>(pad);
-        out_row[oy * ow + ox] =
-            (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w))
-                ? 0.0f
-                : in_row[static_cast<std::size_t>(ix)];
-      }
-    }
-  }
-}
-
 void im2col(const float* img, std::size_t c, std::size_t h, std::size_t w,
             std::size_t kh, std::size_t kw, std::size_t stride,
             std::size_t pad, float* col) {
   OBS_SPAN("im2col");
-  im2col_rows(img, c, h, w, kh, kw, stride, pad, 0, c * kh * kw, col);
+  const std::size_t oh = conv_out_dim(h, kh, stride, pad);
+  const std::size_t ow = conv_out_dim(w, kw, stride, pad);
+  const std::size_t out_area = oh * ow;
+  // Row (channel, ky, kx) of the column matrix, column (oy, ox).
+  std::size_t row = 0;
+  for (std::size_t ch = 0; ch < c; ++ch) {
+    const float* plane = img + ch * h * w;
+    for (std::size_t ky = 0; ky < kh; ++ky) {
+      for (std::size_t kx = 0; kx < kw; ++kx, ++row) {
+        float* out_row = col + row * out_area;
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+          const std::ptrdiff_t iy =
+              static_cast<std::ptrdiff_t>(oy * stride + ky) -
+              static_cast<std::ptrdiff_t>(pad);
+          float* dst = out_row + oy * ow;
+          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) {
+            std::memset(dst, 0, ow * sizeof(float));
+            continue;
+          }
+          const float* in_row = plane + static_cast<std::size_t>(iy) * w;
+          if (stride == 1) {
+            // Unit stride: ix = ox + (kx - pad), so the in-bounds ox span
+            // [lo, hi) is one contiguous copy framed by zero fill.
+            const std::ptrdiff_t d = static_cast<std::ptrdiff_t>(kx) -
+                                     static_cast<std::ptrdiff_t>(pad);
+            const auto [lo, hi] = unit_stride_span(d, w, ow);
+            if (lo > 0) std::memset(dst, 0, lo * sizeof(float));
+            if (hi > lo) {
+              std::memcpy(dst + lo,
+                          in_row + static_cast<std::ptrdiff_t>(lo) + d,
+                          (hi - lo) * sizeof(float));
+            }
+            if (hi < ow) std::memset(dst + hi, 0, (ow - hi) * sizeof(float));
+            continue;
+          }
+          for (std::size_t ox = 0; ox < ow; ++ox) {
+            const std::ptrdiff_t ix =
+                static_cast<std::ptrdiff_t>(ox * stride + kx) -
+                static_cast<std::ptrdiff_t>(pad);
+            dst[ox] = (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w))
+                          ? 0.0f
+                          : in_row[static_cast<std::size_t>(ix)];
+          }
+        }
+      }
+    }
+  }
 }
 
 void col2im(const float* col, std::size_t c, std::size_t h, std::size_t w,

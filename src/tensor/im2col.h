@@ -17,16 +17,6 @@ void im2col(const float* img, std::size_t c, std::size_t h, std::size_t w,
             std::size_t kh, std::size_t kw, std::size_t stride,
             std::size_t pad, float* col);
 
-// Expands only rows [row0, row1) of the column matrix into `col` (which
-// holds row1 - row0 contiguous rows of OH*OW floats). Row r corresponds to
-// (channel, ky, kx) = (r / (kh*kw), (r % (kh*kw)) / kw, r % kw). This is
-// the panel primitive behind the fused im2col+GEMM convolution: the full
-// (C*kh*kw, OH*OW) matrix never has to be materialized at once.
-void im2col_rows(const float* img, std::size_t c, std::size_t h,
-                 std::size_t w, std::size_t kh, std::size_t kw,
-                 std::size_t stride, std::size_t pad, std::size_t row0,
-                 std::size_t row1, float* col);
-
 // Adjoint of im2col: scatters-and-accumulates the column matrix back into a
 // CHW image buffer. The caller must zero `img` first; overlapping patches
 // accumulate, which is exactly the gradient of im2col.

@@ -335,6 +335,31 @@ TEST(ConfigValidation, RejectsZeroRoundsAndEvalEvery) {
       std::string::npos);
 }
 
+TEST(ConfigValidation, RejectsZeroLocalEpochsAndBatchSize) {
+  auto cfg = cfg_for(1);
+  cfg.local.epochs = 0;
+  EXPECT_NE(thrown_message([&] { fl::Federation fed(cfg); })
+                .find("local.epochs"),
+            std::string::npos);
+  cfg = cfg_for(1);
+  cfg.local.batch_size = 0;
+  EXPECT_NE(thrown_message([&] { fl::Federation fed(cfg); })
+                .find("local.batch_size"),
+            std::string::npos);
+}
+
+TEST(ConfigValidation, RejectsNonPositiveOrNonFiniteLearningRate) {
+  for (const float lr : {0.0f, -0.01f, std::numeric_limits<float>::infinity(),
+                         std::numeric_limits<float>::quiet_NaN()}) {
+    auto cfg = cfg_for(1);
+    cfg.local.lr = lr;
+    EXPECT_NE(
+        thrown_message([&] { fl::Federation fed(cfg); }).find("local.lr"),
+        std::string::npos)
+        << "lr=" << lr;
+  }
+}
+
 TEST(ConfigValidation, RejectsBadFaultPlan) {
   auto cfg = cfg_for(1);
   cfg.fault.post_train_crash = 1.5;

@@ -7,6 +7,7 @@
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -19,6 +20,9 @@
 #include "nn/norm.h"
 #include "nn/pooling.h"
 #include "nn/residual.h"
+#include "tensor/gemm.h"
+#include "tensor/im2col.h"
+#include "util/cpu.h"
 #include "util/rng.h"
 
 namespace fedclust::nn {
@@ -212,6 +216,108 @@ TEST(Conv2d, GradCheckStride2NoPad) {
   GradCheck gc(*conv, random_input({1, 1, 7, 7}, rng), rng);
   gc.check_input_grad();
   gc.check_param_grads();
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Restores the dispatched ISA after a test that forces it.
+struct IsaGuard {
+  util::SimdIsa prev = util::active_isa();
+  ~IsaGuard() { util::force_isa_for_testing(prev); }
+};
+
+std::unique_ptr<Conv2d> random_conv(std::size_t in_c, std::size_t out_c,
+                                    std::size_t k, std::size_t stride,
+                                    std::size_t pad, util::Rng& rng) {
+  auto conv = std::make_unique<Conv2d>(in_c, out_c, k, stride, pad, "c");
+  for (Parameter* p : conv->parameters()) {
+    for (auto& v : p->value.vec()) v = rng.normalf(0.0f, 1.0f);
+  }
+  return conv;
+}
+
+// Eval and train forwards run one lowering (im2col, then tensor::gemm, then
+// the bias), so at every ISA the host runs a batch's eval forward must
+// equal, bit for bit, the scalar train forward and an im2col + gemm
+// reference.
+TEST(Conv2d, EvalForwardMatchesTrainForwardAcrossIsas) {
+  IsaGuard guard;
+  util::Rng rng(47);
+  struct P { std::size_t c, h, w, oc, k, stride, pad; };
+  const P cases[] = {
+      {1, 8, 8, 4, 3, 1, 1},     {3, 12, 12, 8, 5, 1, 2},
+      {2, 9, 9, 5, 3, 2, 1},     {4, 16, 16, 70, 3, 1, 0},
+      {3, 16, 16, 6, 5, 1, 2},   // LeNet-5 conv1
+      {8, 16, 16, 16, 3, 1, 1},  // ResNet-9 conv2
+  };
+  constexpr std::size_t kBatch = 3;
+  for (const P& p : cases) {
+    auto conv = random_conv(p.c, p.oc, p.k, p.stride, p.pad, rng);
+    const Tensor x = random_input({kBatch, p.c, p.h, p.w}, rng);
+    const std::size_t oh = tensor::conv_out_dim(p.h, p.k, p.stride, p.pad);
+    const std::size_t ow = tensor::conv_out_dim(p.w, p.k, p.stride, p.pad);
+    const std::size_t rows = p.c * p.k * p.k;
+    const std::size_t area = oh * ow;
+
+    ASSERT_TRUE(util::force_isa_for_testing(util::SimdIsa::kScalar));
+    Tensor want({kBatch, p.oc, oh, ow});
+    std::vector<float> col(rows * area);
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      float* out = want.data() + i * p.oc * area;
+      tensor::im2col(x.data() + i * p.c * p.h * p.w, p.c, p.h, p.w, p.k, p.k,
+                     p.stride, p.pad, col.data());
+      tensor::gemm(tensor::Trans::kNo, tensor::Trans::kNo, p.oc, area, rows,
+                   1.0f, conv->weight().value.data(), rows, col.data(), area,
+                   0.0f, out, area);
+      for (std::size_t oc = 0; oc < p.oc; ++oc) {
+        for (std::size_t q = 0; q < area; ++q) {
+          out[oc * area + q] += conv->parameters()[1]->value[oc];
+        }
+      }
+    }
+    const Tensor train_y = conv->forward(x, /*train=*/true);
+    EXPECT_TRUE(same_bits(want, train_y)) << "oc=" << p.oc;
+
+    for (std::size_t i = 0; i < util::kNumIsas; ++i) {
+      const auto isa = static_cast<util::SimdIsa>(i);
+      if (!util::isa_supported(isa)) continue;
+      ASSERT_TRUE(util::force_isa_for_testing(isa));
+      EXPECT_TRUE(same_bits(train_y, conv->forward(x, /*train=*/false)))
+          << "isa=" << util::isa_name(isa) << " oc=" << p.oc;
+    }
+  }
+}
+
+// An eval forward between a training forward and its backward must leave
+// the training cache alone: backward still sees its own forward's columns.
+// The eval inputs share the training batch's shape (or have more images),
+// so an eval that wrote the cache would change the gradients, not throw.
+TEST(Conv2d, EvalForwardLeavesTrainingCacheAlone) {
+  util::Rng rng(48);
+  const auto ref = random_conv(3, 4, 3, 1, 1, rng);
+  const Tensor x = random_input({2, 3, 8, 8}, rng);
+  const Tensor g = random_input({2, 4, 8, 8}, rng);
+  ref->forward(x, /*train=*/true);
+  const Tensor ref_gx = ref->backward(g);
+
+  for (const std::size_t eval_batch : {std::size_t{2}, std::size_t{3}}) {
+    Conv2d conv(3, 4, 3, 1, 1, "c");
+    for (std::size_t k = 0; k < 2; ++k) {
+      conv.parameters()[k]->value = ref->parameters()[k]->value;
+    }
+    conv.forward(x, /*train=*/true);
+    conv.forward(random_input({eval_batch, 3, 8, 8}, rng), /*train=*/false);
+    EXPECT_TRUE(same_bits(ref_gx, conv.backward(g)))
+        << "eval batch " << eval_batch;
+    for (std::size_t k = 0; k < 2; ++k) {
+      EXPECT_TRUE(same_bits(ref->parameters()[k]->grad,
+                            conv.parameters()[k]->grad))
+          << ref->parameters()[k]->name << ", eval batch " << eval_batch;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- pooling

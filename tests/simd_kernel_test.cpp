@@ -1,9 +1,9 @@
 // Kernel-parity property tests: every SIMD kernel table must be bit-exact
 // against the scalar golden table on every ISA reachable on the host —
-// GEMM (all shapes, leading dims, transposes, odd tails), im2col panels,
-// fused conv, f16 and qint8 codec kernels, and CRC32C. The FMA variants
-// and the int8-domain aggregation are approximate by contract and are
-// checked against documented tolerances instead.
+// GEMM (all shapes, leading dims, transposes, odd tails), col2im, f16 and
+// qint8 codec kernels, and CRC32C. The FMA variants and the int8-domain
+// aggregation are approximate by contract and are checked against
+// documented tolerances instead.
 
 #include "tensor/simd.h"
 
@@ -17,7 +17,6 @@
 
 #include "fl/codec.h"
 #include "fl/federation.h"
-#include "tensor/conv_fused.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
 #include "util/cpu.h"
@@ -281,38 +280,7 @@ TEST(SimdKernel, TransposeMatchesScalarWithPaddedStride) {
   }
 }
 
-// ------------------------------------------------------------- im2col
-
-TEST(SimdKernel, Im2colRowsMatchesFullExpansion) {
-  util::Rng rng(46);
-  struct P { std::size_t c, h, w, kh, kw, stride, pad; };
-  const P cases[] = {
-      {1, 8, 8, 3, 3, 1, 1},  {3, 12, 10, 5, 5, 1, 2},
-      {2, 9, 9, 3, 3, 2, 1},  {4, 7, 11, 3, 5, 1, 0},
-      {1, 5, 5, 5, 5, 1, 2},  {2, 16, 16, 3, 3, 2, 0},
-  };
-  for (const P& p : cases) {
-    const auto img = random_floats(p.c * p.h * p.w, rng);
-    const std::size_t oh = tensor::conv_out_dim(p.h, p.kh, p.stride, p.pad);
-    const std::size_t ow = tensor::conv_out_dim(p.w, p.kw, p.stride, p.pad);
-    const std::size_t rows = p.c * p.kh * p.kw;
-    std::vector<float> full(rows * oh * ow);
-    tensor::im2col(img.data(), p.c, p.h, p.w, p.kh, p.kw, p.stride, p.pad,
-                   full.data());
-    // Reassemble from panels of several sizes, including ragged ones.
-    for (const std::size_t panel : {std::size_t{1}, std::size_t{7},
-                                    std::size_t{64}, rows}) {
-      std::vector<float> piecewise(rows * oh * ow);
-      for (std::size_t r0 = 0; r0 < rows; r0 += panel) {
-        const std::size_t r1 = std::min(rows, r0 + panel);
-        tensor::im2col_rows(img.data(), p.c, p.h, p.w, p.kh, p.kw, p.stride,
-                            p.pad, r0, r1, piecewise.data() + r0 * oh * ow);
-      }
-      EXPECT_TRUE(bit_equal(full, piecewise))
-          << "c=" << p.c << " stride=" << p.stride << " panel=" << panel;
-    }
-  }
-}
+// ------------------------------------------------------------- col2im
 
 TEST(SimdKernel, Col2imMatchesPerElementReference) {
   // The unit-stride span path must add into each pixel exactly what the
@@ -361,43 +329,6 @@ TEST(SimdKernel, Col2imMatchesPerElementReference) {
     EXPECT_TRUE(bit_equal(want, got))
         << "c=" << p.c << " h=" << p.h << " k=" << p.k
         << " stride=" << p.stride << " pad=" << p.pad;
-  }
-}
-
-TEST(SimdKernel, FusedConvMatchesUnfusedAcrossIsas) {
-  IsaGuard guard;
-  util::Rng rng(47);
-  struct P { std::size_t c, h, w, oc, k, stride, pad; };
-  const P cases[] = {
-      {1, 8, 8, 4, 3, 1, 1},   {3, 12, 12, 8, 5, 1, 2},
-      {2, 9, 9, 5, 3, 2, 1},   {4, 16, 16, 70, 3, 1, 0},
-  };
-  for (const P& p : cases) {
-    const auto img = random_floats(p.c * p.h * p.w, rng);
-    const std::size_t rows = p.c * p.k * p.k;
-    const auto weights = random_floats(p.oc * rows, rng);
-    const std::size_t oh = tensor::conv_out_dim(p.h, p.k, p.stride, p.pad);
-    const std::size_t ow = tensor::conv_out_dim(p.w, p.k, p.stride, p.pad);
-
-    // Unfused reference under forced scalar dispatch.
-    ASSERT_TRUE(util::force_isa_for_testing(util::SimdIsa::kScalar));
-    std::vector<float> col(rows * oh * ow);
-    tensor::im2col(img.data(), p.c, p.h, p.w, p.k, p.k, p.stride, p.pad,
-                   col.data());
-    std::vector<float> want(p.oc * oh * ow);
-    tensor::gemm(tensor::Trans::kNo, tensor::Trans::kNo, p.oc, oh * ow, rows,
-                 1.0f, weights.data(), rows, col.data(), oh * ow, 0.0f,
-                 want.data(), oh * ow);
-
-    for (const auto isa : reachable_isas()) {
-      ASSERT_TRUE(util::force_isa_for_testing(isa));
-      std::vector<float> got(p.oc * oh * ow, -1.0f);
-      tensor::conv2d_forward_fused(img.data(), p.c, p.h, p.w, weights.data(),
-                                   p.oc, p.k, p.k, p.stride, p.pad,
-                                   got.data());
-      EXPECT_TRUE(bit_equal(want, got))
-          << "isa=" << util::isa_name(isa) << " oc=" << p.oc;
-    }
   }
 }
 

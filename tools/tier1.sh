@@ -2,14 +2,14 @@
 # Tier-1 verification: the full release test suite (including the
 # check_docs, one-worker socket_single_worker, kill -9 worker restart
 # socket_restart, kill-and-resume cli_resume, landmark-contract
-# cli_landmark and every-ISA cli_isa ctests), then the concurrency tests
-# (thread pool + parallel round executor + obs stress) rebuilt and re-run
-# under ThreadSanitizer, then the fault/wire/snapshot tests rebuilt and
-# re-run under Address+UBSanitizer, then simulator CLI smokes:
-# observability, fault injection, wire codecs, the event journal +
-# fedclust_report regression gate, the client store and landmark
-# clustering at 100k clients, and the multi-process transport (server +
-# two workers on a Unix socket, bit-identical to in-process).
+# cli_landmark, every-ISA cli_isa and journal + fedclust_report gate
+# cli_report ctests), then the concurrency tests (thread pool + parallel
+# round executor + obs stress) rebuilt and re-run under ThreadSanitizer,
+# then the fault/wire/snapshot tests rebuilt and re-run under
+# Address+UBSanitizer, then simulator CLI smokes: observability, fault
+# injection, wire codecs, the client store and landmark clustering at
+# 100k clients, and the multi-process transport (server + two workers on
+# a Unix socket, bit-identical to in-process).
 # Run from the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -95,59 +95,6 @@ assert last["comm.wire_bytes"] < last["comm.payload_bytes"], \
 EOF
 fi
 echo "codec smoke ok"
-
-# Journal + report smoke: a journaled run must leave a JSONL that
-# fedclust_report can ingest into JSON + markdown reports; self-compare
-# must be clean (exit 0) and a deliberately fatter run (raw_f32 against a
-# qint8 baseline, ~4x the wire bytes) must trip the --compare regression
-# gate with exit status 2.
-report_dir=build/report_smoke
-rm -rf "$report_dir" && mkdir -p "$report_dir"
-report_flags=(--method=FedClust --clients=8 --rounds=3 --train=6 --test=4
-              --sample=0.5 --seed=5)
-./build/tools/fedclust_sim "${report_flags[@]}" --codec=qint8 \
-    --journal-out="$report_dir/base.journal.jsonl" \
-    --metrics-out="$report_dir/base.metrics.jsonl" \
-    --trace-out="$report_dir/base.trace.json" >/dev/null
-[ -s "$report_dir/base.journal.jsonl" ] ||
-  { echo "report smoke: journal missing or empty" >&2; exit 1; }
-grep -q '"journal":1' "$report_dir/base.journal.jsonl"
-grep -q '"ev":"sampled"' "$report_dir/base.journal.jsonl"
-grep -q '"ev":"upload"' "$report_dir/base.journal.jsonl"
-./build/tools/fedclust_report \
-    --journal="$report_dir/base.journal.jsonl" \
-    --metrics="$report_dir/base.metrics.jsonl" \
-    --trace="$report_dir/base.trace.json" \
-    --json-out="$report_dir/base.report.json" \
-    --md-out="$report_dir/base.report.md" >/dev/null
-grep -q '"report_version":1' "$report_dir/base.report.json"
-grep -q '# fedclust run report' "$report_dir/base.report.md"
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$report_dir" <<'EOF'
-import json, sys
-rep = json.load(open(f"{sys.argv[1]}/base.report.json"))
-assert rep["rounds"] == 3, "report smoke: wrong round count"
-assert rep["totals"]["upload_wire_bytes"] > 0, "report smoke: no wire bytes"
-assert rep["per_round"], "report smoke: per_round empty"
-EOF
-fi
-./build/tools/fedclust_report \
-    --journal="$report_dir/base.journal.jsonl" \
-    --metrics="$report_dir/base.metrics.jsonl" \
-    --compare="$report_dir/base.report.json" >/dev/null ||
-  { echo "report smoke: self-compare flagged a regression" >&2; exit 1; }
-./build/tools/fedclust_sim "${report_flags[@]}" --codec=raw_f32 \
-    --journal-out="$report_dir/fat.journal.jsonl" >/dev/null
-rc=0
-./build/tools/fedclust_report \
-    --journal="$report_dir/fat.journal.jsonl" \
-    --compare="$report_dir/base.report.json" \
-    >/dev/null 2>"$report_dir/compare.err" || rc=$?
-[ "$rc" -eq 2 ] ||
-  { echo "report smoke: regression compare exited $rc, want 2" >&2; exit 1; }
-grep -q 'REGRESSION wire_bytes' "$report_dir/compare.err" ||
-  { echo "report smoke: wire-byte regression not flagged" >&2; exit 1; }
-echo "journal+report smoke ok"
 
 # Multi-process transport smoke — bit-identity: the same campaign
 # run in-process (fedclust_sim) and over a Unix socket (fedclust_server +
