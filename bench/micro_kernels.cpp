@@ -116,17 +116,64 @@ void BM_GemmModelShapes(benchmark::State& state) {
 BENCHMARK(BM_GemmModelShapes)
     ->DenseRange(0, std::size(kModelGemms) - 1);
 
-void BM_Im2Col(benchmark::State& state) {
-  const std::size_t c = 6;
-  const std::size_t hw = 16;
-  const auto img = random_tensor({c, hw, hw}, 3);
-  std::vector<float> col(c * 25 * hw * hw);
-  for (auto _ : state) {
-    tensor::im2col(img.data(), c, hw, hw, 5, 5, 1, 2, col.data());
-    benchmark::DoNotOptimize(col.data());
-  }
+// The per-image im2col and col2im calls of the convs LeNet-5 and ResNet-9
+// (width 8) run on 16 x 16 x 3 inputs. One row per input shape: ResNet-9's
+// res1 body convs and conv3 all read 16 x 8 x 8, and its res2 body convs
+// both read 32 x 4 x 4. A model's first conv computes no input gradient,
+// so it runs no col2im.
+struct ModelConv {
+  const char* name;
+  std::size_t c, hw, k, pad;
+  bool col2im;
+};
+const ModelConv kModelConvs[] = {
+    {"lenet.conv1", 3, 16, 5, 2, false},
+    {"lenet.conv2", 6, 8, 5, 0, true},
+    {"resnet9.conv1", 3, 16, 3, 1, false},
+    {"resnet9.conv2", 8, 16, 3, 1, true},
+    {"resnet9.res1+conv3", 16, 8, 3, 1, true},
+    {"resnet9.res2", 32, 4, 3, 1, true},
+};
+
+std::size_t conv_col_size(const ModelConv& cv) {
+  const std::size_t o = tensor::conv_out_dim(cv.hw, cv.k, 1, cv.pad);
+  return cv.c * cv.k * cv.k * o * o;
 }
-BENCHMARK(BM_Im2Col);
+
+void BM_Im2ColModelShapes(benchmark::State& state) {
+  const ModelConv& cv = kModelConvs[state.range(0)];
+  const auto img = random_tensor({cv.c, cv.hw, cv.hw}, 3);
+  std::vector<float> col(conv_col_size(cv));
+  for (auto _ : state) {
+    tensor::im2col(img.data(), cv.c, cv.hw, cv.hw, cv.k, cv.k, 1, cv.pad,
+                   col.data());
+    benchmark::DoNotOptimize(col.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(cv.name);
+}
+BENCHMARK(BM_Im2ColModelShapes)
+    ->DenseRange(0, std::size(kModelConvs) - 1);
+
+void BM_Col2ImModelShapes(benchmark::State& state) {
+  const ModelConv& cv = kModelConvs[state.range(0)];
+  const auto col = random_tensor({conv_col_size(cv)}, 3);
+  std::vector<float> img(cv.c * cv.hw * cv.hw);
+  for (auto _ : state) {
+    // Conv2d::backward hands col2im a zeroed image; a running sum here
+    // adds the same work.
+    tensor::col2im(col.data(), cv.c, cv.hw, cv.hw, cv.k, cv.k, 1, cv.pad,
+                   img.data());
+    benchmark::DoNotOptimize(img.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(cv.name);
+}
+BENCHMARK(BM_Col2ImModelShapes)->Apply([](benchmark::internal::Benchmark* b) {
+  for (std::size_t i = 0; i < std::size(kModelConvs); ++i) {
+    if (kModelConvs[i].col2im) b->Arg(static_cast<std::int64_t>(i));
+  }
+});
 
 // One image of a conv forward as Conv2d runs it in both modes: im2col into
 // a reused column buffer, then one GEMM (bias excluded).

@@ -157,10 +157,12 @@ Trace FlAlgorithm::run() {
       FC_LOG_DEBUG << name() << "/" << trace.dataset << " round " << r
                    << " acc=" << rec.avg_local_test_acc
                    << " clusters=" << rec.n_clusters;
-      // Refresh the RSS high-water mark so it rides into this round's JSONL
-      // line (and the end-of-run summary) alongside the store.cache_*
-      // counters — the scale smoke asserts against both.
+      // Refresh the RSS high-water mark and the minor page fault count so
+      // they ride into this round's JSONL line (and the end-of-run summary)
+      // alongside the store.cache_* counters — the scale smoke asserts
+      // against the mark; a jump in faults shows heap trimmed and refaulted.
       OBS_GAUGE_SET("mem.peak_rss_kb", util::peak_rss_kb());
+      OBS_GAUGE_SET("mem.minor_faults", util::minor_faults());
       auto& registry = obs::MetricsRegistry::instance();
       if (obs::MetricsRegistry::enabled() && registry.round_log_open()) {
         registry.log_round(

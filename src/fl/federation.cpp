@@ -62,8 +62,10 @@ std::size_t store_capacity(const ExperimentConfig& cfg) {
 // the round loop; rounds == 0 produced an empty trace downstream consumers
 // choke on; zero local epochs or a zero learning rate divide FedNova's and
 // SCAFFOLD's normalizers by zero and turn the global model NaN; a zero
-// batch size never advances the batch loop). Runs before any member is
-// built.
+// batch size never advances the batch loop; zero test samples per client
+// reported 0% accuracy every round, and zero train samples failed only at
+// the first client build without naming the field). Runs before any member
+// is built.
 ExperimentConfig validated(ExperimentConfig cfg) {
   if (!(cfg.sample_fraction > 0.0) || cfg.sample_fraction > 1.0) {
     throw std::invalid_argument(
@@ -75,6 +77,14 @@ ExperimentConfig validated(ExperimentConfig cfg) {
   }
   if (cfg.eval_every == 0) {
     throw std::invalid_argument("ExperimentConfig.eval_every must be >= 1");
+  }
+  if (cfg.fed.train_per_client == 0) {
+    throw std::invalid_argument(
+        "ExperimentConfig.fed.train_per_client must be >= 1");
+  }
+  if (cfg.fed.test_per_client == 0) {
+    throw std::invalid_argument(
+        "ExperimentConfig.fed.test_per_client must be >= 1");
   }
   if (cfg.local.epochs == 0) {
     throw std::invalid_argument("ExperimentConfig.local.epochs must be >= 1");

@@ -1,9 +1,8 @@
 #include "tensor/im2col.h"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
-#include <utility>
+#include <vector>
 
 #include "obs/trace.h"
 
@@ -20,23 +19,85 @@ std::size_t conv_out_dim(std::size_t in, std::size_t kernel,
 
 namespace {
 
-// At stride 1 a kernel column offset d = kx - pad maps output column ox to
-// input column ox + d; returns the span [lo, hi) of ox that lands inside
-// [0, w), clamped to [0, ow] (empty when lo >= hi).
-std::pair<std::size_t, std::size_t> unit_stride_span(std::ptrdiff_t d,
-                                                     std::size_t w,
-                                                     std::size_t ow) {
-  const auto lo = static_cast<std::size_t>(std::max<std::ptrdiff_t>(0, -d));
-  const auto hi = static_cast<std::size_t>(std::clamp<std::ptrdiff_t>(
-      static_cast<std::ptrdiff_t>(w) - d, 0,
-      static_cast<std::ptrdiff_t>(ow)));
-  return {lo, hi};
+// Both functions lower through one zero-padded copy of each channel plane,
+// (h + 2 pad) x (w + 2 pad) floats, so row (ch, ky, kx) of the column matrix
+// is the plain oh x ow window at (ky, kx) of that plane, sampled every
+// `stride`: no bounds arithmetic is left. Without padding the image plane
+// itself serves as the padded plane.
+
+// The per-thread padded plane for one call, zeroed, so neither function
+// allocates per call (the idiom of gemm.cpp's transpose scratch). Channels
+// refill only its interior, so its frame stays zero in im2col; col2im's
+// out-of-image adds land in the frame, which is never read back. im2col and
+// col2im never nest, so they share it.
+float* padded_plane(std::size_t h, std::size_t w, std::size_t pad) {
+  thread_local std::vector<float> buf;
+  buf.assign((h + 2 * pad) * (w + 2 * pad), 0.0f);
+  return buf.data();
 }
 
-// dst[j] += src[j]; the buffers never overlap, so the loop vectorizes.
-void add_span(float* __restrict dst, const float* __restrict src,
-              std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) dst[j] += src[j];
+// Moves `rows` runs of `width` floats between a plane and a packed buffer:
+// run r reads src + r * src_pitch and writes dst + r * dst_pitch.
+//   kCopy: dst[j] = src[j * step]   (plane -> packed, or plane -> plane)
+//   kAdd:  dst[j * step] += src[j]  (packed -> plane)
+// The buffers never overlap, and no cell is written twice by one call.
+enum class Move { kCopy, kAdd };
+using RunsFn = void (*)(const float* __restrict src, std::size_t src_pitch,
+                        float* __restrict dst, std::size_t dst_pitch,
+                        std::size_t rows, std::size_t width,
+                        std::size_t step);
+
+// Unit step at a width fixed at compile time: each run is a few vector
+// moves rather than a libc call.
+template <Move M, std::size_t W>
+void runs_fixed(const float* __restrict src, std::size_t src_pitch,
+                float* __restrict dst, std::size_t dst_pitch,
+                std::size_t rows, std::size_t /*width*/,
+                std::size_t /*step*/) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* s = src + r * src_pitch;
+    float* d = dst + r * dst_pitch;
+    for (std::size_t j = 0; j < W; ++j) {
+      if constexpr (M == Move::kCopy) {
+        d[j] = s[j];
+      } else {
+        d[j] += s[j];
+      }
+    }
+  }
+}
+
+// Any width, any step.
+template <Move M>
+void runs_any(const float* __restrict src, std::size_t src_pitch,
+              float* __restrict dst, std::size_t dst_pitch, std::size_t rows,
+              std::size_t width, std::size_t step) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* s = src + r * src_pitch;
+    float* d = dst + r * dst_pitch;
+    for (std::size_t j = 0; j < width; ++j) {
+      if constexpr (M == Move::kCopy) {
+        d[j] = s[j * step];
+      } else {
+        d[j * step] += s[j];
+      }
+    }
+  }
+}
+
+// Every dataset is 16 x 16 and the models keep or halve that, so their
+// convs issue runs 16, 8 and 4 floats wide; other widths take the loop.
+template <Move M>
+RunsFn runs_for(std::size_t width, std::size_t step) {
+  if (step == 1) {
+    switch (width) {
+      case 16: return runs_fixed<M, 16>;
+      case 8: return runs_fixed<M, 8>;
+      case 4: return runs_fixed<M, 4>;
+      default: break;
+    }
+  }
+  return runs_any<M>;
 }
 
 }  // namespace
@@ -48,47 +109,22 @@ void im2col(const float* img, std::size_t c, std::size_t h, std::size_t w,
   const std::size_t oh = conv_out_dim(h, kh, stride, pad);
   const std::size_t ow = conv_out_dim(w, kw, stride, pad);
   const std::size_t out_area = oh * ow;
+  const std::size_t pitch = w + 2 * pad;
+  const RunsFn window = runs_for<Move::kCopy>(ow, stride);
+  const RunsFn fill = runs_for<Move::kCopy>(w, 1);
+  float* padded = pad > 0 ? padded_plane(h, w, pad) : nullptr;
   // Row (channel, ky, kx) of the column matrix, column (oy, ox).
-  std::size_t row = 0;
+  float* out_row = col;
   for (std::size_t ch = 0; ch < c; ++ch) {
     const float* plane = img + ch * h * w;
+    if (pad > 0) {
+      fill(plane, w, padded + pad * pitch + pad, pitch, h, w, 1);
+      plane = padded;
+    }
     for (std::size_t ky = 0; ky < kh; ++ky) {
-      for (std::size_t kx = 0; kx < kw; ++kx, ++row) {
-        float* out_row = col + row * out_area;
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(oy * stride + ky) -
-              static_cast<std::ptrdiff_t>(pad);
-          float* dst = out_row + oy * ow;
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) {
-            std::memset(dst, 0, ow * sizeof(float));
-            continue;
-          }
-          const float* in_row = plane + static_cast<std::size_t>(iy) * w;
-          if (stride == 1) {
-            // Unit stride: ix = ox + (kx - pad), so the in-bounds ox span
-            // [lo, hi) is one contiguous copy framed by zero fill.
-            const std::ptrdiff_t d = static_cast<std::ptrdiff_t>(kx) -
-                                     static_cast<std::ptrdiff_t>(pad);
-            const auto [lo, hi] = unit_stride_span(d, w, ow);
-            if (lo > 0) std::memset(dst, 0, lo * sizeof(float));
-            if (hi > lo) {
-              std::memcpy(dst + lo,
-                          in_row + static_cast<std::ptrdiff_t>(lo) + d,
-                          (hi - lo) * sizeof(float));
-            }
-            if (hi < ow) std::memset(dst + hi, 0, (ow - hi) * sizeof(float));
-            continue;
-          }
-          for (std::size_t ox = 0; ox < ow; ++ox) {
-            const std::ptrdiff_t ix =
-                static_cast<std::ptrdiff_t>(ox * stride + kx) -
-                static_cast<std::ptrdiff_t>(pad);
-            dst[ox] = (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w))
-                          ? 0.0f
-                          : in_row[static_cast<std::size_t>(ix)];
-          }
-        }
+      for (std::size_t kx = 0; kx < kw; ++kx, out_row += out_area) {
+        window(plane + ky * pitch + kx, stride * pitch, out_row, ow, oh, ow,
+               stride);
       }
     }
   }
@@ -101,41 +137,27 @@ void col2im(const float* col, std::size_t c, std::size_t h, std::size_t w,
   const std::size_t oh = conv_out_dim(h, kh, stride, pad);
   const std::size_t ow = conv_out_dim(w, kw, stride, pad);
   const std::size_t out_area = oh * ow;
-  std::size_t row = 0;
+  const std::size_t pitch = w + 2 * pad;
+  const RunsFn window = runs_for<Move::kAdd>(ow, stride);
+  const RunsFn copy = runs_for<Move::kCopy>(w, 1);
+  float* padded = pad > 0 ? padded_plane(h, w, pad) : nullptr;
+  // Each pixel starts from its incoming value and receives its adds in
+  // (row, oy, ox) order, as a per-element loop adds them.
+  const float* in_row = col;
   for (std::size_t ch = 0; ch < c; ++ch) {
-    float* plane = img + ch * h * w;
+    float* image = img + ch * h * w;
+    float* plane = image;
+    if (pad > 0) {
+      plane = padded;
+      copy(image, w, plane + pad * pitch + pad, pitch, h, w, 1);
+    }
     for (std::size_t ky = 0; ky < kh; ++ky) {
-      for (std::size_t kx = 0; kx < kw; ++kx, ++row) {
-        const float* in_row = col + row * out_area;
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(oy * stride + ky) -
-              static_cast<std::ptrdiff_t>(pad);
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-          float* dst_row = plane + static_cast<std::size_t>(iy) * w;
-          if (stride == 1) {
-            // Unit stride: the in-bounds ox span [lo, hi) maps onto
-            // contiguous ix = ox + d, one add per pixel as below, in the
-            // same (row, oy) order — so each pixel's sum is unchanged.
-            const std::ptrdiff_t d = static_cast<std::ptrdiff_t>(kx) -
-                                     static_cast<std::ptrdiff_t>(pad);
-            const auto [lo, hi] = unit_stride_span(d, w, ow);
-            if (hi > lo) {
-              add_span(dst_row + (static_cast<std::ptrdiff_t>(lo) + d),
-                       in_row + oy * ow + lo, hi - lo);
-            }
-            continue;
-          }
-          for (std::size_t ox = 0; ox < ow; ++ox) {
-            const std::ptrdiff_t ix =
-                static_cast<std::ptrdiff_t>(ox * stride + kx) -
-                static_cast<std::ptrdiff_t>(pad);
-            if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-            dst_row[static_cast<std::size_t>(ix)] += in_row[oy * ow + ox];
-          }
-        }
+      for (std::size_t kx = 0; kx < kw; ++kx, in_row += out_area) {
+        window(in_row, ow, plane + ky * pitch + kx, stride * pitch, oh, ow,
+               stride);
       }
     }
+    if (pad > 0) copy(plane + pad * pitch + pad, pitch, image, w, h, w, 1);
   }
 }
 

@@ -22,4 +22,14 @@ std::uint64_t peak_rss_kb() {
 #endif
 }
 
+std::uint64_t minor_faults() {
+#if defined(__unix__) || defined(__APPLE__)
+  struct rusage ru;
+  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
+  return static_cast<std::uint64_t>(ru.ru_minflt);
+#else
+  return 0;
+#endif
+}
+
 }  // namespace fedclust::util

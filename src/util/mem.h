@@ -12,4 +12,10 @@ namespace fedclust::util {
 // the mark — so scale tests assert against the final value.
 std::uint64_t peak_rss_kb();
 
+// Minor page faults this process has taken so far (getrusage ru_minflt):
+// pages it touched that needed no disk read, such as fresh heap pages and
+// heap the allocator trimmed and faulted back in. Returns 0 where the
+// query is unavailable.
+std::uint64_t minor_faults();
+
 }  // namespace fedclust::util

@@ -335,6 +335,19 @@ TEST(ConfigValidation, RejectsZeroRoundsAndEvalEvery) {
       std::string::npos);
 }
 
+TEST(ConfigValidation, RejectsZeroTrainAndTestSamplesPerClient) {
+  auto cfg = cfg_for(1);
+  cfg.fed.train_per_client = 0;
+  EXPECT_NE(thrown_message([&] { fl::Federation fed(cfg); })
+                .find("fed.train_per_client"),
+            std::string::npos);
+  cfg = cfg_for(1);
+  cfg.fed.test_per_client = 0;
+  EXPECT_NE(thrown_message([&] { fl::Federation fed(cfg); })
+                .find("fed.test_per_client"),
+            std::string::npos);
+}
+
 TEST(ConfigValidation, RejectsZeroLocalEpochsAndBatchSize) {
   auto cfg = cfg_for(1);
   cfg.local.epochs = 0;

@@ -1,7 +1,8 @@
 // Kernel-parity property tests: every SIMD kernel table must be bit-exact
 // against the scalar golden table on every ISA reachable on the host —
-// GEMM (all shapes, leading dims, transposes, odd tails), col2im, f16 and
-// qint8 codec kernels, and CRC32C. The FMA variants and the int8-domain
+// GEMM (all shapes, leading dims, transposes, odd tails), f16 and qint8
+// codec kernels, and CRC32C — and the conv lowering (im2col, col2im) bit
+// for bit against per-element references. The FMA variants and the int8-domain
 // aggregation are approximate by contract and are checked against
 // documented tolerances instead.
 
@@ -13,6 +14,8 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "fl/codec.h"
@@ -280,55 +283,127 @@ TEST(SimdKernel, TransposeMatchesScalarWithPaddedStride) {
   }
 }
 
-// ------------------------------------------------------------- col2im
+// ------------------------------------------------------- im2col / col2im
 
-TEST(SimdKernel, Col2imMatchesPerElementReference) {
-  // The unit-stride span path must add into each pixel exactly what the
-  // per-element loop adds, in the same order. Random non-integer values in
-  // both the column matrix and the image make any reordering visible.
-  util::Rng rng(50);
-  struct P { std::size_t c, h, w, k, stride, pad; };
-  const P cases[] = {
-      {3, 16, 16, 5, 1, 2}, {6, 8, 8, 5, 1, 0},    // LeNet-5 conv1, conv2
-      {8, 16, 16, 3, 1, 1}, {16, 8, 8, 3, 1, 1},   // ResNet-9 conv2, res1
-      {32, 4, 4, 3, 1, 1},                         // ResNet-9 res2
-      {2, 9, 9, 3, 2, 1},   {4, 16, 16, 3, 2, 0},  // stride 2
-      {1, 3, 3, 3, 1, 2},                          // pad wider than a row
-  };
-  for (const P& p : cases) {
+// Convolution geometries for the lowering tests: every input shape
+// LeNet-5 and ResNet-9 lower, stride 2, h != w, and padding as wide as a
+// row or wider than the kernel, at run widths with and without a
+// fixed-width instantiation.
+struct ConvCase {
+  std::size_t c, h, w, k, stride, pad;
+};
+const ConvCase kConvCases[] = {
+    {3, 16, 16, 5, 1, 2}, {6, 8, 8, 5, 1, 0},    // LeNet-5 conv1, conv2
+    {8, 16, 16, 3, 1, 1}, {16, 8, 8, 3, 1, 1},   // ResNet-9 conv2, res1
+    {32, 4, 4, 3, 1, 1},                         // ResNet-9 res2
+    {2, 9, 9, 3, 2, 1},   {4, 16, 16, 3, 2, 0},  // stride 2
+    {1, 3, 3, 3, 1, 2},                          // pad wider than a row
+    {3, 12, 16, 5, 1, 2}, {2, 7, 10, 3, 2, 1},   // h != w
+    {2, 4, 4, 3, 1, 3},   {1, 6, 11, 2, 1, 3},   // pad >= kernel
+    {1, 5, 3, 3, 2, 3},
+};
+
+// A quiet NaN with a payload no kernel produces: a prefill that shows any
+// element a kernel leaves unwritten, and the canary value around buffers.
+float nan_payload() {
+  const std::uint32_t bits = 0x7fc0beefu;
+  float f;
+  std::memcpy(&f, &bits, sizeof f);
+  return f;
+}
+constexpr std::size_t kCanaries = 17;
+
+// Pixel (ch, iy, ix) that column (row, oy, ox) of the column matrix reads,
+// or nothing when it falls in the padding.
+std::optional<std::size_t> conv_source(const ConvCase& p, std::size_t ch,
+                                       std::size_t ky, std::size_t kx,
+                                       std::size_t oy, std::size_t ox) {
+  const auto iy = static_cast<std::ptrdiff_t>(oy * p.stride + ky) -
+                  static_cast<std::ptrdiff_t>(p.pad);
+  const auto ix = static_cast<std::ptrdiff_t>(ox * p.stride + kx) -
+                  static_cast<std::ptrdiff_t>(p.pad);
+  if (iy < 0 || ix < 0 || iy >= static_cast<std::ptrdiff_t>(p.h) ||
+      ix >= static_cast<std::ptrdiff_t>(p.w)) {
+    return std::nullopt;
+  }
+  return (ch * p.h + static_cast<std::size_t>(iy)) * p.w +
+         static_cast<std::size_t>(ix);
+}
+
+std::string conv_case_str(const ConvCase& p) {
+  return "c=" + std::to_string(p.c) + " h=" + std::to_string(p.h) +
+         " w=" + std::to_string(p.w) + " k=" + std::to_string(p.k) +
+         " stride=" + std::to_string(p.stride) +
+         " pad=" + std::to_string(p.pad);
+}
+
+TEST(SimdKernel, Im2colMatchesPerElementReference) {
+  // im2col is pure data movement: each element of the column matrix must
+  // be, bit for bit, the pixel a per-element loop reads, or +0.0f where
+  // that pixel is padding. The column buffer starts as a NaN payload, so an
+  // element left unwritten shows, and canaries past its end catch a write
+  // beyond it.
+  util::Rng rng(51);
+  const float payload = nan_payload();
+  for (const ConvCase& p : kConvCases) {
     const std::size_t oh = tensor::conv_out_dim(p.h, p.k, p.stride, p.pad);
     const std::size_t ow = tensor::conv_out_dim(p.w, p.k, p.stride, p.pad);
-    const auto col = random_floats(p.c * p.k * p.k * oh * ow, rng);
-    const auto img0 = random_floats(p.c * p.h * p.w, rng);
-    std::vector<float> want = img0;
+    const std::size_t n = p.c * p.k * p.k * oh * ow;
+    const auto img = random_floats(p.c * p.h * p.w, rng);
+    std::vector<float> want(n + kCanaries, payload);
     std::size_t row = 0;
     for (std::size_t ch = 0; ch < p.c; ++ch) {
       for (std::size_t ky = 0; ky < p.k; ++ky) {
         for (std::size_t kx = 0; kx < p.k; ++kx, ++row) {
           for (std::size_t oy = 0; oy < oh; ++oy) {
             for (std::size_t ox = 0; ox < ow; ++ox) {
-              const auto iy = static_cast<std::ptrdiff_t>(oy * p.stride + ky) -
-                              static_cast<std::ptrdiff_t>(p.pad);
-              const auto ix = static_cast<std::ptrdiff_t>(ox * p.stride + kx) -
-                              static_cast<std::ptrdiff_t>(p.pad);
-              if (iy < 0 || ix < 0 || iy >= static_cast<std::ptrdiff_t>(p.h) ||
-                  ix >= static_cast<std::ptrdiff_t>(p.w)) {
-                continue;
-              }
-              want[(ch * p.h + static_cast<std::size_t>(iy)) * p.w +
-                   static_cast<std::size_t>(ix)] +=
-                  col[(row * oh + oy) * ow + ox];
+              const auto src = conv_source(p, ch, ky, kx, oy, ox);
+              want[(row * oh + oy) * ow + ox] = src ? img[*src] : 0.0f;
             }
           }
         }
       }
     }
-    std::vector<float> got = img0;
-    tensor::col2im(col.data(), p.c, p.h, p.w, p.k, p.k, p.stride, p.pad,
+    std::vector<float> got(n + kCanaries, payload);
+    tensor::im2col(img.data(), p.c, p.h, p.w, p.k, p.k, p.stride, p.pad,
                    got.data());
-    EXPECT_TRUE(bit_equal(want, got))
-        << "c=" << p.c << " h=" << p.h << " k=" << p.k
-        << " stride=" << p.stride << " pad=" << p.pad;
+    EXPECT_TRUE(bit_equal(want, got)) << conv_case_str(p);
+  }
+}
+
+TEST(SimdKernel, Col2imMatchesPerElementReference) {
+  // col2im must add into each pixel exactly what the per-element loop adds,
+  // in the same order. Random non-integer values in both the column matrix
+  // and the image make any reordering visible; canaries on both sides of
+  // the image catch a write outside it.
+  util::Rng rng(50);
+  const float payload = nan_payload();
+  for (const ConvCase& p : kConvCases) {
+    const std::size_t oh = tensor::conv_out_dim(p.h, p.k, p.stride, p.pad);
+    const std::size_t ow = tensor::conv_out_dim(p.w, p.k, p.stride, p.pad);
+    const auto col = random_floats(p.c * p.k * p.k * oh * ow, rng);
+    const auto img = random_floats(p.c * p.h * p.w, rng);
+    std::vector<float> want(kCanaries, payload);
+    want.insert(want.end(), img.begin(), img.end());
+    want.insert(want.end(), kCanaries, payload);
+    std::vector<float> got = want;
+    std::size_t row = 0;
+    for (std::size_t ch = 0; ch < p.c; ++ch) {
+      for (std::size_t ky = 0; ky < p.k; ++ky) {
+        for (std::size_t kx = 0; kx < p.k; ++kx, ++row) {
+          for (std::size_t oy = 0; oy < oh; ++oy) {
+            for (std::size_t ox = 0; ox < ow; ++ox) {
+              if (const auto dst = conv_source(p, ch, ky, kx, oy, ox)) {
+                want[kCanaries + *dst] += col[(row * oh + oy) * ow + ox];
+              }
+            }
+          }
+        }
+      }
+    }
+    tensor::col2im(col.data(), p.c, p.h, p.w, p.k, p.k, p.stride, p.pad,
+                   got.data() + kCanaries);
+    EXPECT_TRUE(bit_equal(want, got)) << conv_case_str(p);
   }
 }
 

@@ -108,7 +108,8 @@ inline void run_campaign(const util::ArgParser& args, fl::Federation& fed,
             << " fast_math=" << (util::fast_math_kernels() ? "on" : "off")
             << "\n";
   const fl::ClientStore::CacheStats stats = fed.store_stats();
-  std::cout << "peak rss " << util::peak_rss_kb() << " KiB (client store: "
+  std::cout << "peak rss " << util::peak_rss_kb() << " KiB, "
+            << util::minor_faults() << " minor faults (client store: "
             << stats.hits << " hits, " << stats.misses << " misses, "
             << stats.evictions << " evictions)\n";
   // Digest of the algorithm's full serialized state (all model parameters
