@@ -11,6 +11,7 @@
 #include "fl/client.h"
 #include "fl/fedavg.h"
 #include "fl/federation.h"
+#include "fl/landmark.h"
 #include "linalg/principal_angles.h"
 #include "linalg/svd.h"
 #include "nn/loss.h"
@@ -22,6 +23,8 @@
 #include "fl/stream_agg.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
+#include "tensor/packed_rows.h"
+#include "tensor/tensor_ops.h"
 #include "util/rng.h"
 #include "util/serialization.h"
 #include "util/thread_pool.h"
@@ -372,6 +375,45 @@ void BM_ProximityMatrix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProximityMatrix)->Arg(100)->Arg(400);
+
+// Nearest-landmark search in the landmark_setup workload's shape: 256
+// landmarks of 850 floats, 200 queries per iteration. BM_NearestLandmark
+// is the sketch's search over a packed landmark set (the kernel table's
+// l2_distances); BM_NearestLandmarkPerPair is the generic search with one
+// tensor::l2_distance call per pair, the path non-L2 metrics still take.
+std::vector<std::vector<float>> random_rows(std::size_t n, std::size_t dim,
+                                            std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::vector<float>> rows(n, std::vector<float>(dim));
+  for (auto& r : rows) {
+    for (auto& x : r) x = rng.normalf(0, 1);
+  }
+  return rows;
+}
+
+void BM_NearestLandmark(benchmark::State& state) {
+  const auto landmarks = random_rows(256, 850, 12);
+  const auto queries = random_rows(200, 850, 13);
+  const tensor::PackedRows packed(landmarks);
+  for (auto _ : state) {
+    for (const auto& q : queries) {
+      benchmark::DoNotOptimize(fl::nearest_landmark(q, packed));
+    }
+  }
+}
+BENCHMARK(BM_NearestLandmark);
+
+void BM_NearestLandmarkPerPair(benchmark::State& state) {
+  const auto landmarks = random_rows(256, 850, 12);
+  const auto queries = random_rows(200, 850, 13);
+  for (auto _ : state) {
+    for (const auto& q : queries) {
+      benchmark::DoNotOptimize(
+          fl::nearest_landmark(q, landmarks, tensor::l2_distance));
+    }
+  }
+}
+BENCHMARK(BM_NearestLandmarkPerPair);
 
 // One-shot HC on an n x n proximity matrix — the paper's O(N^2) server
 // overhead (Algorithm 1, line 6). Compare against BM_LeNetTrainStep x

@@ -23,9 +23,27 @@ tensor::Tensor distance_matrix(
 
 tensor::Tensor l2_distance_matrix(
     const std::vector<std::vector<float>>& vectors) {
-  return distance_matrix(vectors.size(), [&](std::size_t i, std::size_t j) {
-    return tensor::l2_distance(vectors[i], vectors[j]);
-  });
+  return l2_distance_matrix(tensor::PackedRows(vectors));
+}
+
+tensor::Tensor l2_distance_matrix(const tensor::PackedRows& rows) {
+  const std::size_t n = rows.size();
+  tensor::Tensor d({n, n});
+  std::vector<float> q(rows.dim());
+  std::vector<float> dist(n);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    // Row i as the query, scored from the block that holds row i + 1 on:
+    // entry (i, j) is l2_distance(v_i, v_j), as distance_matrix computes it.
+    rows.copy_row(i, q.data());
+    const std::size_t first =
+        (i + 1) / tensor::PackedRows::kBlock * tensor::PackedRows::kBlock;
+    rows.l2_distances(q.data(), first, dist.data());
+    for (std::size_t j = i + 1; j < n; ++j) {
+      d[i * n + j] = dist[j - first];
+      d[j * n + i] = dist[j - first];
+    }
+  }
+  return d;
 }
 
 tensor::Tensor cosine_distance_matrix(

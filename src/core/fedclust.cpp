@@ -1,5 +1,6 @@
 #include "core/fedclust.h"
 
+#include <memory>
 #include <stdexcept>
 
 #include "clustering/hierarchical.h"
@@ -55,19 +56,24 @@ void FedClust::setup() {
       out[i] = fed_.upload_payload(fl::wire::MessageKind::kWarmupWeights,
                                    out[i], c, 0xFEDC0000);
     });
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      fl::require_finite_warmup("FedClust", ids[i], out[i]);
+    }
     return out;
   };
 
-  // Pairwise proximity (Eq. 3; cosine available for the metric ablation).
+  // Proximity (Eq. 3; cosine available for the metric ablation). L2 runs
+  // through the packed kernel; any other metric through its pairwise
+  // callback.
   const std::string& metric = fed_.cfg().algo.fedclust_distance;
-  std::function<float(const std::vector<float>&, const std::vector<float>&)>
-      pair_dist;
+  std::unique_ptr<fl::LandmarkProximity<std::vector<float>>> proximity;
   if (metric == "l2") {
-    pair_dist = tensor::l2_distance;
+    proximity = std::make_unique<fl::L2Proximity>();
   } else if (metric == "cosine") {
-    pair_dist = [](const std::vector<float>& a, const std::vector<float>& b) {
-      return 1.0f - tensor::cosine_similarity(a, b);
-    };
+    proximity = std::make_unique<fl::PairwiseProximity<std::vector<float>>>(
+        [](const std::vector<float>& a, const std::vector<float>& b) {
+          return 1.0f - tensor::cosine_similarity(a, b);
+        });
   } else {
     throw std::invalid_argument("FedClust: unknown distance " + metric);
   }
@@ -91,7 +97,7 @@ void FedClust::setup() {
   cut.k = fed_.cfg().algo.fedclust_k;
   cut.threshold = fed_.cfg().algo.fedclust_lambda;
   fl::LandmarkCluster<std::vector<float>> sketch(n, ids, batch, warmup_batch,
-                                                 pair_dist);
+                                                 std::move(proximity));
   fl::LandmarkResult res = sketch.run(cut);
   report_.proximity = std::move(res.proximity);
   report_.assignment = std::move(res.assignment);
@@ -117,6 +123,7 @@ void FedClust::setup() {
       tensor::scale_(cluster_partials_[k],
                      1.0f / static_cast<float>(counts[k]));
     }
+    packed_partials_ = tensor::PackedRows(cluster_partials_);
   }
 
   // Every cluster model starts from θ0 (Algorithm 1, line 7).
@@ -158,10 +165,10 @@ std::size_t FedClust::assign_newcomer(const fl::SimClient& newcomer,
       fl::wire::MessageKind::kWarmupWeights,
       partial_weights_after_warmup(fed_.workspace(), rx_init, newcomer, rng),
       fed_.n_clients(), 0xFEDC0001);
+  fl::require_finite_warmup("FedClust", fed_.n_clients(), partial);
 
   // Eq. 4: nearest stored cluster centroid in L2.
-  const std::size_t best_k =
-      fl::nearest_landmark(partial, cluster_partials_, tensor::l2_distance);
+  const std::size_t best_k = fl::nearest_landmark(partial, packed_partials_);
   // The verdict travels back as a cluster-assignment envelope. Assignment
   // messages were modeled byte-free before the wire layer, so the exchange
   // is serialized and CRC-verified but not billed.
@@ -189,6 +196,7 @@ void FedClust::load_state(util::BinaryReader& r) {
   report_.effective_lambda = r.read_f32();
   cluster_models_ = fl::read_nested_f32(r);
   cluster_partials_ = fl::read_nested_f32(r);
+  packed_partials_ = tensor::PackedRows(cluster_partials_);
   landmark_ids_ = fl::read_index_vec(r);
   fl::validate_landmark_ids(landmark_ids_, report_.assignment.size(),
                             "FedClust snapshot");

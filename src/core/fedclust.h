@@ -18,6 +18,7 @@
 // whose stored partial-weight centroid is nearest (Eq. 4).
 
 #include "fl/algorithm.h"
+#include "tensor/packed_rows.h"
 #include "tensor/tensor.h"
 
 namespace fedclust::core {
@@ -84,6 +85,9 @@ class FedClust : public fl::FlAlgorithm {
   // Per-cluster centroid of the round-0 partial uploads — the "copy of each
   // cluster's partial model weights" Algorithm 2 matches newcomers against.
   std::vector<std::vector<float>> cluster_partials_;
+  // cluster_partials_ packed for the L2 kernel; rebuilt wherever
+  // cluster_partials_ is assigned.
+  tensor::PackedRows packed_partials_;
 };
 
 }  // namespace fedclust::core

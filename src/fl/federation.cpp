@@ -463,6 +463,18 @@ std::vector<double> Federation::local_accuracy_distribution(
   return accs;
 }
 
+void require_finite_warmup(const char* method, std::size_t client,
+                           const std::vector<float>& payload) {
+  const bool finite = std::all_of(payload.begin(), payload.end(),
+                                  [](float x) { return std::isfinite(x); });
+  if (!finite) {
+    throw std::runtime_error(std::string(method) +
+                             ": the warmup upload of client " +
+                             std::to_string(client) +
+                             " is not finite (its local training diverged)");
+  }
+}
+
 std::vector<float> weighted_average(
     const std::vector<std::pair<const std::vector<float>*, double>>&
         entries) {

@@ -376,4 +376,13 @@ class WorkspaceLease {
 std::vector<float> weighted_average(
     const std::vector<std::pair<const std::vector<float>*, double>>& entries);
 
+// Setup uploads (Federation::upload_payload) never pass deliver_update's
+// screen, so a warmup that diverged would first surface as a NaN distance.
+// FedClust and FLIS check each warmup upload here once its batch has
+// arrived, in client-id order, so the client named does not depend on the
+// thread count: throws std::runtime_error naming `method` and `client` if
+// the payload holds a NaN or an infinity.
+void require_finite_warmup(const char* method, std::size_t client,
+                           const std::vector<float>& payload);
+
 }  // namespace fedclust::fl

@@ -56,6 +56,9 @@ void Flis::setup() {
     profiles[c] = fed_.upload_payload(wire::MessageKind::kWarmupWeights,
                                       logits.vec(), c, 0xF1150000);
   });
+  for (std::size_t c = 0; c < n; ++c) {
+    require_finite_warmup("FLIS", c, profiles[c]);
+  }
 
   const auto dendro = clustering::agglomerative(
       clustering::cosine_distance_matrix(profiles),

@@ -57,6 +57,18 @@ std::vector<std::vector<std::size_t>> landmark_assign_batches(
   return batches;
 }
 
+std::size_t nearest_landmark(const std::vector<float>& f,
+                             const tensor::PackedRows& landmarks) {
+  if (f.size() != landmarks.dim()) {
+    throw std::invalid_argument("nearest_landmark: size mismatch");
+  }
+  // One distance per landmark, reused across this thread's queries.
+  thread_local std::vector<float> dist;
+  dist.resize(landmarks.size());
+  landmarks.l2_distances(f.data(), 0, dist.data());
+  return first_nearest(dist.size(), [&](std::size_t j) { return dist[j]; });
+}
+
 void validate_landmark_ids(const std::vector<std::size_t>& ids,
                            std::size_t n_clients, const char* what) {
   if (ids.empty()) return;  // exact mode

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -35,6 +36,7 @@
 #include "clustering/hierarchical.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "tensor/packed_rows.h"
 #include "tensor/tensor.h"
 #include "util/thread_pool.h"
 
@@ -84,17 +86,15 @@ struct LandmarkResult {
   float effective_lambda = 0.0f;
 };
 
-// Index of the nearest landmark feature under `dist`, ties broken to the
-// lowest index (strict < keeps the first minimum). Newcomer matching uses
-// it too.
-template <typename Feature, typename Dist>
-std::size_t nearest_landmark(const Feature& f,
-                             const std::vector<Feature>& landmark_features,
-                             const Dist& dist) {
+// The first index whose distance is strictly below every earlier one:
+// ascending index with strict <, so the lowest index wins a tie and a NaN
+// distance never wins (index 0 when none is below +inf).
+template <typename DistAt>
+std::size_t first_nearest(std::size_t n, const DistAt& dist_at) {
   float best = std::numeric_limits<float>::infinity();
   std::size_t best_j = 0;
-  for (std::size_t j = 0; j < landmark_features.size(); ++j) {
-    const float d = dist(f, landmark_features[j]);
+  for (std::size_t j = 0; j < n; ++j) {
+    const float d = dist_at(j);
     if (d < best) {
       best = d;
       best_j = j;
@@ -102,6 +102,87 @@ std::size_t nearest_landmark(const Feature& f,
   }
   return best_j;
 }
+
+// Index of the nearest landmark feature under `dist`, ties broken to the
+// lowest index (strict < keeps the first minimum).
+template <typename Feature, typename Dist>
+std::size_t nearest_landmark(const Feature& f,
+                             const std::vector<Feature>& landmark_features,
+                             const Dist& dist) {
+  return first_nearest(landmark_features.size(), [&](std::size_t j) {
+    return dist(f, landmark_features[j]);
+  });
+}
+
+// The same search in L2 over packed landmarks: every distance comes from
+// the kernel table's l2_distances, so the result is bit-identical to
+// nearest_landmark(f, features, tensor::l2_distance). FedClust's newcomer
+// match (Eq. 4) uses it. Throws std::invalid_argument if f.size() differs
+// from the landmarks' dim().
+std::size_t nearest_landmark(const std::vector<float>& f,
+                             const tensor::PackedRows& landmarks);
+
+// How the sketch measures proximity. index() receives the landmark
+// features once per sketch (they outlive every later call); matrix() is
+// then the L×L proximity (symmetric, zero diagonal, entry (i, j) the
+// distance from landmark i to landmark j for i < j) and nearest(f) the
+// landmark index nearest_landmark's search picks.
+template <typename Feature>
+class LandmarkProximity {
+ public:
+  virtual ~LandmarkProximity() = default;
+  virtual void index(const std::vector<Feature>& landmarks) = 0;
+  virtual tensor::Tensor matrix() const = 0;
+  virtual std::size_t nearest(const Feature& f) const = 0;
+};
+
+// Any distance through a pairwise callback, one call per pair: PACFL's
+// principal angles, FedClust's cosine metric, tests' custom distances.
+template <typename Feature>
+class PairwiseProximity final : public LandmarkProximity<Feature> {
+ public:
+  using DistanceFn = std::function<float(const Feature&, const Feature&)>;
+
+  explicit PairwiseProximity(DistanceFn distance)
+      : distance_(std::move(distance)) {}
+
+  void index(const std::vector<Feature>& landmarks) override {
+    landmarks_ = &landmarks;
+  }
+  tensor::Tensor matrix() const override {
+    return clustering::distance_matrix(
+        landmarks_->size(), [&](std::size_t i, std::size_t j) {
+          return distance_((*landmarks_)[i], (*landmarks_)[j]);
+        });
+  }
+  std::size_t nearest(const Feature& f) const override {
+    return nearest_landmark(f, *landmarks_, distance_);
+  }
+
+ private:
+  DistanceFn distance_;
+  const std::vector<Feature>* landmarks_ = nullptr;
+};
+
+// L2 between flat features (FedClust's Eq. 3): the landmarks are packed
+// once, and the matrix and every search run through the kernel table's
+// l2_distances — bit-identical to PairwiseProximity over
+// tensor::l2_distance.
+class L2Proximity final : public LandmarkProximity<std::vector<float>> {
+ public:
+  void index(const std::vector<std::vector<float>>& landmarks) override {
+    packed_ = tensor::PackedRows(landmarks);
+  }
+  tensor::Tensor matrix() const override {
+    return clustering::l2_distance_matrix(packed_);
+  }
+  std::size_t nearest(const std::vector<float>& f) const override {
+    return nearest_landmark(f, packed_);
+  }
+
+ private:
+  tensor::PackedRows packed_;
+};
 
 // The sketch itself, generic over the per-client feature (FedClust:
 // flat classifier weights; PACFL: a subspace basis tensor). landmark_ids
@@ -111,28 +192,38 @@ std::size_t nearest_landmark(const Feature& f,
 //   features(ids) -> one feature per id, in id order. Must be pure per id
 //     (the same id yields the same feature under any batching), which is
 //     what makes the result independent of batch_size and thread count.
-//   distance(a, b) -> the pairwise proximity behind the L×L matrix and the
-//     nearest-landmark search.
+//   proximity -> the L×L matrix and the nearest-landmark search; a plain
+//     distance(a, b) callback makes a PairwiseProximity.
 template <typename Feature>
 class LandmarkCluster {
  public:
   using FeatureBatchFn =
       std::function<std::vector<Feature>(const std::vector<std::size_t>&)>;
-  using DistanceFn = std::function<float(const Feature&, const Feature&)>;
+  using DistanceFn = typename PairwiseProximity<Feature>::DistanceFn;
+
+  LandmarkCluster(std::size_t n_clients,
+                  std::vector<std::size_t> landmark_ids,
+                  std::size_t batch_size, FeatureBatchFn features,
+                  std::unique_ptr<LandmarkProximity<Feature>> proximity)
+      : n_clients_(n_clients),
+        landmark_ids_(std::move(landmark_ids)),
+        batch_size_(batch_size),
+        features_(std::move(features)),
+        proximity_(std::move(proximity)) {
+    if (landmark_ids_.empty() || landmark_ids_.size() > n_clients_) {
+      throw std::invalid_argument(
+          "LandmarkCluster: need 0 < L <= n_clients landmarks");
+    }
+  }
 
   LandmarkCluster(std::size_t n_clients,
                   std::vector<std::size_t> landmark_ids,
                   std::size_t batch_size, FeatureBatchFn features,
                   DistanceFn distance)
-      : n_clients_(n_clients),
-        landmark_ids_(std::move(landmark_ids)),
-        batch_size_(batch_size),
-        features_(std::move(features)),
-        distance_(std::move(distance)) {
-    if (landmark_ids_.empty() || landmark_ids_.size() > n_clients_) {
-      throw std::invalid_argument(
-          "LandmarkCluster: need 0 < L <= n_clients landmarks");
-    }
+      : LandmarkCluster(
+            n_clients, std::move(landmark_ids), batch_size,
+            std::move(features),
+            std::make_unique<PairwiseProximity<Feature>>(std::move(distance))) {
   }
 
   // The landmark features, in landmark_ids order, moved out to the caller
@@ -152,10 +243,11 @@ class LandmarkCluster {
       landmark_features_ = features_(landmark_ids_);
     }
     OBS_SPAN("landmark.cluster");
-    out.proximity = clustering::distance_matrix(
-        L, [&](std::size_t i, std::size_t j) {
-          return distance_(landmark_features_[i], landmark_features_[j]);
-        });
+    {
+      OBS_SPAN("landmark.proximity");
+      proximity_->index(landmark_features_);
+      out.proximity = proximity_->matrix();
+    }
     const clustering::Cut landmark_cut = clustering::cut(
         clustering::agglomerative(out.proximity, cut.linkage), cut.k,
         cut.threshold);
@@ -169,17 +261,18 @@ class LandmarkCluster {
 
     // 2. Stream the rest: per batch, compute features, assign each client
     // to its nearest landmark's cluster, free the batch. Assignment slots
-    // are indexed, so the parallel fan-out is order-independent.
+    // are indexed and the indexed landmarks are read-only, so the parallel
+    // fan-out is order-independent.
     const auto batches =
         landmark_assign_batches(n_clients_, landmark_ids_, batch_size_);
     std::size_t assigned = 0;
     for (const auto& batch : batches) {
       OBS_SPAN("landmark.assign_batch");
       const std::vector<Feature> feats = features_(batch);
+      OBS_SPAN_ARG("landmark.nearest", batch.size());
       util::parallel_for(0, batch.size(), [&](std::size_t i) {
-        const std::size_t j =
-            nearest_landmark(feats[i], landmark_features_, distance_);
-        out.assignment[batch[i]] = landmark_cut.labels[j];
+        out.assignment[batch[i]] =
+            landmark_cut.labels[proximity_->nearest(feats[i])];
       });
       assigned += batch.size();
     }
@@ -199,7 +292,7 @@ class LandmarkCluster {
   std::vector<std::size_t> landmark_ids_;
   std::size_t batch_size_;
   FeatureBatchFn features_;
-  DistanceFn distance_;
+  std::unique_ptr<LandmarkProximity<Feature>> proximity_;
   std::vector<Feature> landmark_features_;
 };
 

@@ -27,6 +27,9 @@
 
 namespace fedclust::tensor::simd {
 
+// Rows per block of the l2_distances layout (tensor::PackedRows).
+inline constexpr std::size_t kL2Block = 8;
+
 struct KernelTable {
   util::SimdIsa isa;
 
@@ -80,6 +83,17 @@ struct KernelTable {
   // product fits int32 before widening.
   void (*qint8_accumulate)(std::int64_t* acc, const std::uint8_t* q,
                            std::size_t n, std::int32_t m);
+
+  // out[t] = ||q - row t||_2 for t in [0, rows), each exactly what
+  // tensor::l2_distance(q, row t) returns: s starts at +0.0, then for i in
+  // ascending order x = double(q[i]) - double(row t[i]) and s = s + x*x
+  // (multiply and add rounded separately), and out[t] = float(sqrt(s)).
+  // `packed` holds ceil(rows / kL2Block) blocks of kL2Block rows,
+  // feature-major: element i of row b*kL2Block + r sits at
+  // packed[(b*dim + i)*kL2Block + r]. Padding rows of the last block are
+  // read but never reported. SIMD tables run one row per double lane.
+  void (*l2_distances)(const float* q, std::size_t dim, const float* packed,
+                       std::size_t rows, float* out);
 };
 
 // Table for util::active_isa() — re-reads the (atomic) active ISA on every

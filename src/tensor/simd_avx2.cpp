@@ -374,6 +374,64 @@ void qint8_accumulate_avx2(std::int64_t* acc, const std::uint8_t* q,
   for (; i < n; ++i) acc[i] += m64 * static_cast<std::int64_t>(q[i]);
 }
 
+// ------------------------------------------------------------- l2 rows
+//
+// Two ymm of 4 doubles per packed block (rows 0-3 and 4-7): lane r runs
+// row r's scalar chain (widen, subtract, square, add in ascending i), so
+// every lane rounds exactly as tensor::l2_distance does. The blocks of a
+// pass share each q[i] broadcast and keep independent add chains in
+// flight.
+
+template <std::size_t kBlocks>
+void l2_pass(const float* q, std::size_t dim, const float* blocks,
+             std::size_t live, float* out) {
+  const std::size_t stride = dim * kL2Block;
+  __m256d acc[kBlocks][2];
+  for (std::size_t b = 0; b < kBlocks; ++b) {
+    acc[b][0] = _mm256_setzero_pd();
+    acc[b][1] = _mm256_setzero_pd();
+  }
+  for (std::size_t i = 0; i < dim; ++i) {
+    const __m256d qv = _mm256_set1_pd(static_cast<double>(q[i]));
+    for (std::size_t b = 0; b < kBlocks; ++b) {
+      const float* r = blocks + b * stride + i * kL2Block;
+      for (std::size_t h = 0; h < 2; ++h) {
+        const __m256d x =
+            _mm256_sub_pd(qv, _mm256_cvtps_pd(_mm_loadu_ps(r + 4 * h)));
+        acc[b][h] = _mm256_add_pd(acc[b][h], _mm256_mul_pd(x, x));
+      }
+    }
+  }
+  alignas(16) float d[kBlocks * kL2Block];
+  for (std::size_t b = 0; b < kBlocks; ++b) {
+    for (std::size_t h = 0; h < 2; ++h) {
+      _mm_store_ps(d + b * kL2Block + 4 * h,
+                   _mm256_cvtpd_ps(_mm256_sqrt_pd(acc[b][h])));
+    }
+  }
+  std::copy_n(d, std::min(live, kBlocks * kL2Block), out);
+}
+
+// Passes of kBlocks blocks from block b on while whole passes remain;
+// returns the first block left over.
+template <std::size_t kBlocks>
+std::size_t l2_passes(const float* q, std::size_t dim, const float* packed,
+                      std::size_t rows, std::size_t b, float* out) {
+  const std::size_t n_blocks = (rows + kL2Block - 1) / kL2Block;
+  for (; b + kBlocks <= n_blocks; b += kBlocks) {
+    l2_pass<kBlocks>(q, dim, packed + b * dim * kL2Block,
+                     rows - b * kL2Block, out + b * kL2Block);
+  }
+  return b;
+}
+
+// Two blocks (16 rows, four add chains) per pass, then one.
+void l2_distances_avx2(const float* q, std::size_t dim, const float* packed,
+                       std::size_t rows, float* out) {
+  const std::size_t b = l2_passes<2>(q, dim, packed, rows, 0, out);
+  l2_passes<1>(q, dim, packed, rows, b, out);
+}
+
 }  // namespace
 
 const KernelTable* avx2_table() {
@@ -389,6 +447,7 @@ const KernelTable* avx2_table() {
       &qint8_quantize_avx2,
       &qint8_dequantize_avx2,
       &qint8_accumulate_avx2,
+      &l2_distances_avx2,
   };
   return &table;
 }

@@ -299,6 +299,57 @@ void qint8_accumulate_avx512(std::int64_t* acc, const std::uint8_t* q,
   for (; i < n; ++i) acc[i] += m64 * static_cast<std::int64_t>(q[i]);
 }
 
+// ------------------------------------------------------------- l2 rows
+//
+// One zmm of 8 doubles per packed block: lane r runs row r's scalar chain
+// (widen, subtract, square, add in ascending i), so every lane rounds
+// exactly as tensor::l2_distance does. The blocks of a pass share each
+// q[i] broadcast and keep independent add chains in flight.
+
+template <std::size_t kBlocks>
+void l2_pass(const float* q, std::size_t dim, const float* blocks,
+             std::size_t live, float* out) {
+  const std::size_t stride = dim * kL2Block;
+  __m512d acc[kBlocks];
+  for (std::size_t b = 0; b < kBlocks; ++b) acc[b] = _mm512_setzero_pd();
+  for (std::size_t i = 0; i < dim; ++i) {
+    const __m512d qv = _mm512_set1_pd(static_cast<double>(q[i]));
+    for (std::size_t b = 0; b < kBlocks; ++b) {
+      const __m512d r = _mm512_cvtps_pd(
+          _mm256_loadu_ps(blocks + b * stride + i * kL2Block));
+      const __m512d x = _mm512_sub_pd(qv, r);
+      acc[b] = _mm512_add_pd(acc[b], _mm512_mul_pd(x, x));
+    }
+  }
+  alignas(32) float d[kBlocks * kL2Block];
+  for (std::size_t b = 0; b < kBlocks; ++b) {
+    _mm256_store_ps(d + b * kL2Block, _mm512_cvtpd_ps(_mm512_sqrt_pd(acc[b])));
+  }
+  std::copy_n(d, std::min(live, kBlocks * kL2Block), out);
+}
+
+// Passes of kBlocks blocks from block b on while whole passes remain;
+// returns the first block left over.
+template <std::size_t kBlocks>
+std::size_t l2_passes(const float* q, std::size_t dim, const float* packed,
+                      std::size_t rows, std::size_t b, float* out) {
+  const std::size_t n_blocks = (rows + kL2Block - 1) / kL2Block;
+  for (; b + kBlocks <= n_blocks; b += kBlocks) {
+    l2_pass<kBlocks>(q, dim, packed + b * dim * kL2Block,
+                     rows - b * kL2Block, out + b * kL2Block);
+  }
+  return b;
+}
+
+// Eight blocks (64 rows) per pass, then 4, 2 and 1 for what is left.
+void l2_distances_avx512(const float* q, std::size_t dim, const float* packed,
+                         std::size_t rows, float* out) {
+  std::size_t b = l2_passes<8>(q, dim, packed, rows, 0, out);
+  b = l2_passes<4>(q, dim, packed, rows, b, out);
+  b = l2_passes<2>(q, dim, packed, rows, b, out);
+  l2_passes<1>(q, dim, packed, rows, b, out);
+}
+
 }  // namespace
 
 const KernelTable* avx512_table() {
@@ -314,6 +365,7 @@ const KernelTable* avx512_table() {
       &qint8_quantize_avx512,
       &qint8_dequantize_avx512,
       &qint8_accumulate_avx512,
+      &l2_distances_avx512,
   };
   return &table;
 }

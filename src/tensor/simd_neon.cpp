@@ -1,10 +1,11 @@
 // NEON kernel table (AArch64). Conservative: the GEMM inner loop and beta
 // scale are vectorized with explicit mul-then-add (vmulq/vaddq — never
-// vfmaq outside the _fma variant), everything else reuses the scalar
-// kernels. Bit-identity with the scalar table holds by the same argument
-// as the x86 tables: lanes perform the identical fl(mul) -> fl(add) per
-// element in ascending-p order. Untested on this project's primary (x86)
-// CI host — kept deliberately simple.
+// vfmaq outside the _fma variant), everything else (the codec kernels and
+// l2_distances among them) reuses the scalar kernels. Bit-identity with
+// the scalar table holds by the same argument as the x86 tables: lanes
+// perform the identical fl(mul) -> fl(add) per element in ascending-p
+// order. Untested on this project's primary (x86) CI host, which cannot
+// run AArch64 code — kept deliberately simple.
 
 #if defined(__aarch64__)
 

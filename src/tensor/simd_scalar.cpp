@@ -114,6 +114,28 @@ void qint8_accumulate_scalar(std::int64_t* acc, const std::uint8_t* q,
   }
 }
 
+// Each row runs tensor::l2_distance's loop term for term. The rows of a
+// block advance together as independent chains, which changes no rounding
+// and reads the feature-major block in order (one row at a time through
+// the block's stride ran ~28% slower than the per-pair loop).
+void l2_distances_scalar(const float* q, std::size_t dim, const float* packed,
+                         std::size_t rows, float* out) {
+  for (std::size_t t0 = 0; t0 < rows; t0 += kL2Block) {
+    const float* block = packed + t0 * dim;
+    double s[kL2Block] = {};  // every chain starts at +0.0
+    for (std::size_t i = 0; i < dim; ++i) {
+      const double qi = static_cast<double>(q[i]);
+      for (std::size_t r = 0; r < kL2Block; ++r) {
+        const double x = qi - static_cast<double>(block[i * kL2Block + r]);
+        s[r] += x * x;
+      }
+    }
+    for (std::size_t r = 0; r < kL2Block && t0 + r < rows; ++r) {
+      out[t0 + r] = static_cast<float>(std::sqrt(s[r]));
+    }
+  }
+}
+
 }  // namespace
 
 const KernelTable& scalar_table() {
@@ -129,6 +151,7 @@ const KernelTable& scalar_table() {
       &qint8_quantize_scalar,
       &qint8_dequantize_scalar,
       &qint8_accumulate_scalar,
+      &l2_distances_scalar,
   };
   return table;
 }

@@ -18,6 +18,12 @@ inline std::chrono::steady_clock::time_point process_epoch() {
   return t0;
 }
 
+// Sets the epoch during static initialization, before main, in every
+// binary that can read it: otherwise whichever log line or span came first
+// would set it, and a campaign's set-up would vanish from the timestamps.
+inline const std::chrono::steady_clock::time_point kProcessEpochAtStart =
+    process_epoch();
+
 inline double process_elapsed_seconds() {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        process_epoch())

@@ -7,7 +7,10 @@
 #    counters in its metrics JSONL;
 #  * wire codecs: a qint8 run must put strictly fewer bytes on the wire
 #    than the raw payload it carries, both on its `wire codec` stdout line
-#    and in its last metrics line, and must log comm.wire_bytes.
+#    and in its last metrics line, and must log comm.wire_bytes;
+#  * log timestamps: they count from process start, so the round-0 line of
+#    an untraced FedClust run, logged after the whole set-up, carries a
+#    prefix of at least the round time it reports.
 # Usage: cli_smoke_test.sh <fedclust_sim>
 set -euo pipefail
 
@@ -77,4 +80,15 @@ assert last["comm.wire_bytes"] < last["comm.payload_bytes"], \
     "qint8 wire bytes not below payload bytes"
 EOF
 fi
-echo "cli_smoke: obs, fault and codec smokes ok"
+
+# Log timestamps.
+"$sim" --method=FedClust --rounds=1 --clients=20 --train=20 --test=10 \
+    --sample=0.5 2> "$dir/epoch.log" > /dev/null || fail "epoch run failed"
+round0=$(grep -m1 '\] round 0 ' "$dir/epoch.log") ||
+  fail "epoch: no round 0 line"
+prefix=$(sed -E 's/^\[ *([0-9.]+) .*/\1/' <<< "$round0")
+took=$(sed -E 's/.* ([0-9.]+)s$/\1/' <<< "$round0")
+awk -v p="$prefix" -v t="$took" 'BEGIN { exit !(t > 0 && p >= t) }' ||
+  fail "epoch: round 0 logged at ${prefix}s, before its own ${took}s: $round0"
+
+echo "cli_smoke: obs, fault, codec and log-epoch smokes ok"

@@ -5,11 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
+
 #include "clustering/hierarchical.h"
 #include "clustering/metrics.h"
 #include "core/fedclust.h"
 #include "fl/fedavg.h"
+#include "fl/flis.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace fedclust::core {
 namespace {
@@ -269,6 +275,48 @@ TEST(FedClustCore, AssignNewcomerBeforeSetupThrows) {
                          std::move(data[0].test));
   EXPECT_THROW(algo.assign_newcomer(newcomer, util::Rng(1)),
                std::logic_error);
+}
+
+// A warmup that diverges (lr = 1e9 drives the weights to Inf and NaN) stops
+// set-up with an error naming the method, the client and its warmup upload
+// before any distance is computed: in exact mode, under the landmark
+// sketch, and for FLIS, whose warmup profiles arrive the same way. The
+// client named is the first in id order at any thread count.
+TEST(FedClustCore, DivergedWarmupNamesMethodAndClient) {
+  ExperimentConfig cfg = grouped_config();
+  cfg.local.lr = 1e9f;
+  const auto setup_error = [&](const std::string& method,
+                               std::size_t landmarks, std::size_t threads) {
+    util::reset_global_pool(threads);
+    ExperimentConfig c = cfg;
+    c.landmarks = landmarks;
+    Federation fed(c);
+    std::unique_ptr<fl::FlAlgorithm> algo;
+    if (method == "FLIS") {
+      algo = std::make_unique<fl::Flis>(fed);
+    } else {
+      algo = std::make_unique<FedClust>(fed);
+    }
+    try {
+      algo->run();
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::size_t prev = util::global_pool().size() + 1;
+  for (const auto& [method, landmarks] :
+       {std::pair<std::string, std::size_t>{"FedClust", 0},
+        {"FedClust", 8},
+        {"FLIS", 0}}) {
+    const std::string what = setup_error(method, landmarks, 1);
+    EXPECT_EQ(what.rfind(method + ": the warmup upload of client ", 0), 0u)
+        << method << " landmarks=" << landmarks << ": " << what;
+    EXPECT_NE(what.find("is not finite"), std::string::npos) << what;
+    EXPECT_EQ(setup_error(method, landmarks, 4), what)
+        << method << " landmarks=" << landmarks;
+  }
+  util::reset_global_pool(prev);
 }
 
 }  // namespace

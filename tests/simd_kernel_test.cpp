@@ -1,10 +1,11 @@
 // Kernel-parity property tests: every SIMD kernel table must be bit-exact
 // against the scalar golden table on every ISA reachable on the host —
 // GEMM (all shapes, leading dims, transposes, odd tails), f16 and qint8
-// codec kernels, and CRC32C — and the conv lowering (im2col, col2im) bit
-// for bit against per-element references. The FMA variants and the int8-domain
-// aggregation are approximate by contract and are checked against
-// documented tolerances instead.
+// codec kernels, CRC32C, and the packed L2 distances behind FedClust's
+// proximity matrix and nearest-landmark search — and the conv lowering
+// (im2col, col2im) bit for bit against per-element references. The FMA
+// variants and the int8-domain aggregation are approximate by contract and
+// are checked against documented tolerances instead.
 
 #include "tensor/simd.h"
 
@@ -13,15 +14,20 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "clustering/distance.h"
 #include "fl/codec.h"
 #include "fl/federation.h"
+#include "fl/landmark.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
+#include "tensor/packed_rows.h"
+#include "tensor/tensor_ops.h"
 #include "util/cpu.h"
 #include "util/rng.h"
 #include "util/serialization.h"
@@ -563,6 +569,226 @@ TEST(SimdKernel, Qint8AccumulateParity) {
         }
       }
       EXPECT_EQ(ref, got) << "isa=" << util::isa_name(isa) << " n=" << n;
+    }
+  }
+}
+
+// ------------------------------------------------------------- l2 rows
+
+float from_bits(std::uint32_t b) {
+  float f;
+  std::memcpy(&f, &b, sizeof(f));
+  return f;
+}
+
+std::uint32_t bits_of(float f) {
+  std::uint32_t b;
+  std::memcpy(&b, &f, sizeof(b));
+  return b;
+}
+
+// Normal floats; with `specials`, about one in five replaced by a signed
+// zero, a float subnormal, a magnitude whose square overflows float (never
+// double), or a NaN. The NaNs share one payload: which of two NaN operands
+// an add returns follows the operand order the compiler picks, in
+// tensor::l2_distance and the scalar table alike, so two payloads would
+// make the bitwise comparison depend on the build rather than the kernel.
+std::vector<float> l2_values(std::size_t n, util::Rng& rng, bool specials) {
+  auto v = random_floats(n, rng);
+  if (!specials) return v;
+  const float special[] = {
+      0.0f, -0.0f, from_bits(0x00000001u), -1e-40f,
+      from_bits(0x007fffffu), 1e20f, -3e38f,
+      std::numeric_limits<float>::quiet_NaN(),
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng.next_u64() % 5 == 0) {
+      v[i] = special[rng.next_u64() % std::size(special)];
+    }
+  }
+  return v;
+}
+
+std::vector<std::vector<float>> l2_rows(std::size_t rows, std::size_t dim,
+                                        util::Rng& rng, bool specials) {
+  std::vector<std::vector<float>> out;
+  for (std::size_t t = 0; t < rows; ++t) {
+    // Every third row carries specials; the rest stay finite, so a block
+    // mixes NaN, overflowing and ordinary lanes.
+    out.push_back(l2_values(dim, rng, specials && t % 3 == 1));
+  }
+  return out;
+}
+
+// The scalar table equals tensor::l2_distance bit for bit, and every
+// reachable ISA equals scalar, from every block-aligned first row.
+TEST(SimdKernel, L2DistancesBitExactAcrossIsas) {
+  IsaGuard guard;
+  util::Rng rng(53);
+  for (const std::size_t rows : {1, 7, 8, 9, 31, 33, 256}) {
+    for (const std::size_t dim : {1, 3, 8, 17, 850}) {
+      const auto data = l2_rows(rows, dim, rng, /*specials=*/true);
+      const tensor::PackedRows packed(data);
+      ASSERT_EQ(packed.size(), rows);
+      ASSERT_EQ(packed.dim(), dim);
+      for (const bool specials : {false, true}) {
+        const auto q = l2_values(dim, rng, specials);
+        std::vector<float> want(rows);
+        for (std::size_t t = 0; t < rows; ++t) {
+          want[t] = tensor::l2_distance(q, data[t]);
+        }
+        constexpr std::size_t kBlock = tensor::PackedRows::kBlock;
+        for (const auto isa : reachable_isas()) {
+          ASSERT_TRUE(util::force_isa_for_testing(isa));
+          // Every block-aligned first row up to 16, then every 7th block.
+          for (std::size_t first = 0; first < rows;
+               first += first < 16 ? kBlock : 7 * kBlock) {
+            // NaN canary past the last reported row.
+            std::vector<float> got(rows - first + 1,
+                                   from_bits(0x7fc0beefu));
+            packed.l2_distances(q.data(), first, got.data());
+            EXPECT_EQ(0, std::memcmp(want.data() + first, got.data(),
+                                     (rows - first) * sizeof(float)))
+                << "isa=" << util::isa_name(isa) << " rows=" << rows
+                << " dim=" << dim << " first=" << first
+                << " specials=" << specials;
+            EXPECT_EQ(0x7fc0beefu, bits_of(got.back()))
+                << "wrote past the last row, isa=" << util::isa_name(isa);
+          }
+          std::vector<float> row(dim);
+          for (std::size_t t = 0; t < rows; ++t) {
+            packed.copy_row(t, row.data());
+            ASSERT_TRUE(bit_equal(row, data[t])) << "row " << t;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_THROW(tensor::PackedRows({{1.0f, 2.0f}, {3.0f}}),
+               std::invalid_argument);
+}
+
+// A crafted row whose float distance moves if the chain changes at all:
+// fusing x*x into the sum (one rounding), adding in reverse order or
+// splitting into two partial sums each round to a float one ulp lower.
+// Random rows almost never reach a float rounding boundary, so this row
+// is what holds every table to the exact two-rounding, ascending chain,
+// in every lane of three blocks and after 846 zero elements.
+TEST(SimdKernel, L2DistancesKeepTheExactChain) {
+  IsaGuard guard;
+  const std::vector<float> q = {from_bits(0x3f81f138u), from_bits(0x3f84839fu),
+                                0.0f, 0.0f};
+  const std::vector<float> r = {from_bits(0x349a8348u), from_bits(0x34af9468u),
+                                from_bits(0x38de6b26u), 0.0f};
+  const float want = tensor::l2_distance(q, r);
+  double fused = 0.0;
+  double reversed = 0.0;
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    const double x = double(q[i]) - double(r[i]);
+    fused = std::fma(x, x, fused);
+    const std::size_t j = q.size() - 1 - i;
+    const volatile double y = double(q[j]) - double(r[j]);
+    const volatile double yy = y * y;
+    reversed = reversed + yy;
+  }
+  ASSERT_NE(bits_of(want), bits_of(static_cast<float>(std::sqrt(fused))));
+  ASSERT_NE(bits_of(want), bits_of(static_cast<float>(std::sqrt(reversed))));
+  for (const std::size_t dim : {std::size_t{4}, std::size_t{850}}) {
+    std::vector<float> qd = q;
+    std::vector<float> rd = r;
+    qd.resize(dim, 0.0f);
+    rd.resize(dim, 0.0f);
+    const tensor::PackedRows packed(
+        std::vector<std::vector<float>>(3 * tensor::PackedRows::kBlock, rd));
+    for (const auto isa : reachable_isas()) {
+      ASSERT_TRUE(util::force_isa_for_testing(isa));
+      std::vector<float> got(packed.size());
+      packed.l2_distances(qd.data(), 0, got.data());
+      for (std::size_t t = 0; t < got.size(); ++t) {
+        EXPECT_EQ(bits_of(want), bits_of(got[t]))
+            << "isa=" << util::isa_name(isa) << " dim=" << dim
+            << " row=" << t;
+      }
+    }
+  }
+}
+
+// The search compares float distances with a strict <, in ascending
+// landmark index: two rows whose double sums differ (1 + 2^-40 against 1)
+// round to the same float distance 1.0f, and the lower index wins. A
+// double comparison would pick the higher one.
+TEST(SimdKernel, NearestLandmarkFloatTieKeepsLowerIndex) {
+  IsaGuard guard;
+  util::Rng rng(54);
+  auto landmarks = l2_rows(33, 17, rng, /*specials=*/false);
+  for (auto& row : landmarks) {
+    for (auto& x : row) x += 100.0f;  // far from the query
+  }
+  std::vector<float> q(17, 0.0f);
+  std::vector<float> farther(17, 0.0f);
+  farther[0] = 1.0f;
+  farther[5] = std::ldexp(1.0f, -20);  // sum 1 + 2^-40
+  std::vector<float> nearer(17, 0.0f);
+  nearer[0] = 1.0f;  // sum 1
+  ASSERT_EQ(tensor::l2_distance(q, farther), tensor::l2_distance(q, nearer));
+  landmarks[9] = farther;
+  landmarks[26] = nearer;
+  const tensor::PackedRows packed(landmarks);
+  for (const auto isa : reachable_isas()) {
+    ASSERT_TRUE(util::force_isa_for_testing(isa));
+    EXPECT_EQ(fl::nearest_landmark(q, packed), 9u) << util::isa_name(isa);
+    EXPECT_EQ(fl::nearest_landmark(q, landmarks, tensor::l2_distance), 9u);
+  }
+}
+
+// Duplicate rows: the first copy wins. A NaN distance never wins, even at
+// index 0, and a wrong-length query is refused.
+TEST(SimdKernel, NearestLandmarkDuplicatesAndNaN) {
+  IsaGuard guard;
+  util::Rng rng(55);
+  auto landmarks = l2_rows(20, 850, rng, /*specials=*/false);
+  const auto q = l2_values(850, rng, /*specials=*/false);
+  landmarks[11] = landmarks[17] = q;
+  landmarks[0][3] = std::numeric_limits<float>::quiet_NaN();
+  const tensor::PackedRows packed(landmarks);
+  for (const auto isa : reachable_isas()) {
+    ASSERT_TRUE(util::force_isa_for_testing(isa));
+    EXPECT_EQ(fl::nearest_landmark(q, packed), 11u) << util::isa_name(isa);
+    EXPECT_EQ(fl::nearest_landmark(q, landmarks, tensor::l2_distance), 11u);
+    landmarks[11][0] += 1.0f;
+    landmarks[17][0] += 1.0f;
+    const std::size_t want =
+        fl::nearest_landmark(q, landmarks, tensor::l2_distance);
+    EXPECT_NE(want, 0u);
+    EXPECT_EQ(fl::nearest_landmark(q, tensor::PackedRows(landmarks)), want)
+        << util::isa_name(isa);
+    landmarks[11][0] -= 1.0f;
+    landmarks[17][0] -= 1.0f;
+  }
+  EXPECT_THROW(fl::nearest_landmark(std::vector<float>(849), packed),
+               std::invalid_argument);
+}
+
+// The packed proximity matrix equals the pairwise one bit for bit:
+// symmetric, zero diagonal, entry (i, j) = l2_distance(v_i, v_j) for i < j.
+TEST(SimdKernel, L2ProximityMatrixMatchesPairwise) {
+  IsaGuard guard;
+  util::Rng rng(56);
+  for (const std::size_t n : {1, 2, 7, 8, 9, 100, 256}) {
+    const auto vectors = l2_rows(n, 850, rng, /*specials=*/false);
+    const tensor::Tensor want = clustering::distance_matrix(
+        n, [&](std::size_t i, std::size_t j) {
+          return tensor::l2_distance(vectors[i], vectors[j]);
+        });
+    for (const auto isa : reachable_isas()) {
+      ASSERT_TRUE(util::force_isa_for_testing(isa));
+      EXPECT_TRUE(bit_equal(want.vec(),
+                            clustering::l2_distance_matrix(vectors).vec()))
+          << "isa=" << util::isa_name(isa) << " n=" << n;
+      fl::L2Proximity proximity;
+      proximity.index(vectors);
+      EXPECT_TRUE(bit_equal(want.vec(), proximity.matrix().vec()))
+          << "isa=" << util::isa_name(isa) << " n=" << n;
     }
   }
 }

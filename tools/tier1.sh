@@ -1,15 +1,14 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the full release test suite (including the
-# check_docs, one-worker socket_single_worker, kill -9 worker restart
-# socket_restart, kill-and-resume cli_resume, landmark-contract
-# cli_landmark, every-ISA cli_isa, journal + fedclust_report gate
-# cli_report and obs/fault/codec output cli_smoke ctests), then the
-# concurrency tests (thread pool + parallel round executor + obs stress)
-# rebuilt and re-run under ThreadSanitizer, then the fault/wire/snapshot
-# tests rebuilt and re-run under Address+UBSanitizer, then simulator CLI
-# smokes: the multi-process transport (server + two workers on a Unix
-# socket, bit-identical to in-process), and the client store and landmark
-# clustering at 100k clients.
+# check_docs, one-worker socket_single_worker, two-worker
+# socket_two_workers, kill -9 worker restart socket_restart,
+# kill-and-resume cli_resume, landmark-contract cli_landmark, every-ISA
+# cli_isa, journal + fedclust_report gate cli_report and
+# obs/fault/codec/log-epoch output cli_smoke ctests), then the concurrency
+# tests (thread pool + parallel round executor + obs stress) rebuilt and
+# re-run under ThreadSanitizer, then the fault/wire/snapshot tests rebuilt
+# and re-run under Address+UBSanitizer, then simulator CLI smokes: the
+# client store and landmark clustering at 100k clients.
 # Run from the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -27,50 +26,6 @@ FEDCLUST_THREADS=4 ctest --preset tsan-smoke
 cmake --preset asan
 cmake --build --preset asan-smoke -j "$(nproc)"
 FEDCLUST_THREADS=4 ctest --preset asan-smoke
-
-# Multi-process transport smoke — bit-identity: the same campaign
-# run in-process (fedclust_sim) and over a Unix socket (fedclust_server +
-# two fedclust_worker processes) must produce byte-identical trace CSVs
-# and state digests, for FedAvg and FedClust, at 1 and 4 worker threads
-# (docs/TRANSPORT.md "Bit-identity contract").
-net_dir=build/net_smoke
-rm -rf "$net_dir" && mkdir -p "$net_dir"
-for method in FedAvg FedClust; do
-  net_flags=(--method="$method" --clients=8 --rounds=3 --train=8 --test=4
-             --sample=0.5 --seed=13 --codec=qint8 --deterministic=1)
-  FEDCLUST_THREADS=1 ./build/tools/fedclust_sim "${net_flags[@]}" \
-      --out="$net_dir/$method.inproc.csv" > "$net_dir/$method.inproc.out"
-  for threads in 1 4; do
-    sock="unix:$net_dir/$method.t$threads.sock"
-    FEDCLUST_THREADS=$threads ./build/tools/fedclust_server \
-        "${net_flags[@]}" --listen="$sock" --workers=2 \
-        --out="$net_dir/$method.t$threads.csv" \
-        > "$net_dir/$method.t$threads.out" 2>&1 &
-    server_pid=$!
-    worker_pids=()
-    for w in 0 1; do
-      FEDCLUST_THREADS=$threads ./build/tools/fedclust_worker \
-          "${net_flags[@]}" --connect="$sock" \
-          > "$net_dir/$method.t$threads.w$w.log" 2>&1 &
-      worker_pids+=($!)
-    done
-    wait "$server_pid" ||
-      { echo "transport smoke: $method server failed (threads=$threads)" >&2
-        cat "$net_dir/$method.t$threads.out" >&2; exit 1; }
-    wait "${worker_pids[@]}" ||
-      { echo "transport smoke: $method worker failed (threads=$threads)" >&2
-        exit 1; }
-    cmp "$net_dir/$method.inproc.csv" "$net_dir/$method.t$threads.csv" ||
-      { echo "transport smoke: $method trace differs (threads=$threads)" >&2
-        exit 1; }
-    [ "$(state_line "$net_dir/$method.inproc.out")" = \
-      "$(state_line "$net_dir/$method.t$threads.out")" ] ||
-      { echo "transport smoke: $method state digest differs" \
-             "(threads=$threads)" >&2; exit 1; }
-  done
-done
-echo "transport bit-identity smoke ok"
-
 
 # Scale smoke — the client store at population scale: 100k clients with a
 # 0.1% cohort must run in bounded memory (LRU cache of 64 that really
