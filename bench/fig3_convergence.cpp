@@ -34,7 +34,7 @@ int run(int argc, const char* const* argv) {
               << scale.name << "', seed 0 trace; accuracy %)\n";
     std::vector<fl::Trace> traces;
     for (const auto& m : methods) {
-      traces.push_back(run_method_cached(m, "skew20", dataset, scale, 1000));
+      traces.push_back(run_method(m, "skew20", dataset, scale, 1000));
     }
 
     util::TablePrinter table;

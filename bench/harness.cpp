@@ -1,25 +1,17 @@
 #include "harness.h"
 
-#include <filesystem>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/registry.h"
-#include "fl/snapshot.h"
 #include "obs/metrics.h"
 #include "util/config.h"
-#include "util/cpu.h"
 #include "util/logging.h"
-#include "util/serialization.h"
 #include "util/stats.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace fedclust::bench {
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -30,37 +22,6 @@ double phase_seconds(const obs::MetricsRegistry::Snapshot& before,
                      const std::string& name) {
   return after.histogram_snapshot(name).sum -
          before.histogram_snapshot(name).sum;
-}
-
-// Machine-readable sibling of the per-run log line: one
-// BENCH_<cell>.json per fresh (non-cached) run, so perf dashboards can
-// scrape bench_results/ without parsing logs. Cached reruns don't rewrite
-// it — the recorded wall time is always a real measurement.
-void write_bench_json(const fs::path& path, const std::string& name,
-                      const fl::Trace& trace, double wall_seconds,
-                      std::size_t rounds) {
-  const double throughput =
-      wall_seconds > 0.0 ? static_cast<double>(rounds) / wall_seconds : 0.0;
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"name\": \"" << name << "\",\n";
-  os << "  \"wall_seconds\": " << util::fmt_float(wall_seconds, 3) << ",\n";
-  os << "  \"rounds\": " << rounds << ",\n";
-  os << "  \"rounds_per_second\": " << util::fmt_float(throughput, 3)
-     << ",\n";
-  os << "  \"final_acc\": "
-     << util::fmt_float(trace.final_accuracy(), 6) << ",\n";
-  os << "  \"isa\": \"" << util::isa_name(util::active_isa()) << "\",\n";
-  os << "  \"fast_math\": "
-     << (util::fast_math_kernels() ? "true" : "false") << ",\n";
-  os << "  \"threads\": " << (util::global_pool().size() + 1) << ",\n";
-  os << "  \"git_describe\": \"" << fl::build_git_describe() << "\"\n";
-  os << "}\n";
-  try {
-    util::write_file(path.string(), os.str());
-  } catch (const std::runtime_error& e) {
-    FC_LOG_WARN << "bench json: " << e.what();
-  }
 }
 
 }  // namespace
@@ -151,51 +112,9 @@ fl::ExperimentConfig make_config(const std::string& dataset,
   return cfg;
 }
 
-std::optional<fl::Trace> load_trace_csv(const std::string& path) {
-  if (!fs::exists(path)) return std::nullopt;
-  std::istringstream is(util::read_file(path));
-  std::string line;
-  if (!std::getline(is, line)) return std::nullopt;  // header
-  fl::Trace t;
-  while (std::getline(is, line)) {
-    std::stringstream ss(line);
-    std::string cell;
-    std::vector<std::string> cells;
-    while (std::getline(ss, cell, ',')) cells.push_back(cell);
-    if (cells.size() != 7) return std::nullopt;
-    t.method = cells[0];
-    t.dataset = cells[1];
-    fl::RoundRecord r;
-    r.round = std::stoull(cells[2]);
-    r.avg_local_test_acc = std::stod(cells[3]);
-    r.bytes_up = static_cast<std::uint64_t>(std::stod(cells[4]) * 1e6 / 8.0 /
-                                                4.0) *
-                 4;
-    r.bytes_down = static_cast<std::uint64_t>(std::stod(cells[5]) * 1e6 /
-                                                  8.0 / 4.0) *
-                   4;
-    r.n_clusters = std::stoull(cells[6]);
-    t.records.push_back(r);
-  }
-  return t.records.empty() ? std::nullopt : std::optional<fl::Trace>(t);
-}
-
-fl::Trace run_method_cached(const std::string& method,
-                            const std::string& setting,
-                            const std::string& dataset, const Scale& scale,
-                            std::uint64_t seed) {
-  const fs::path dir = fs::path("bench_results") / scale.name;
-  fs::create_directories(dir);
-  const std::string cell =
-      setting + "_" + dataset + "_" + method + "_r" +
-      std::to_string(scale.rounds) + "_n" + std::to_string(scale.n_clients) +
-      "_s" + std::to_string(seed);
-  const fs::path file = dir / (cell + ".csv");
-  if (auto cached = load_trace_csv(file.string())) {
-    FC_LOG_INFO << "cache hit: " << file.string();
-    return *cached;
-  }
-
+fl::Trace run_method(const std::string& method, const std::string& setting,
+                     const std::string& dataset, const Scale& scale,
+                     std::uint64_t seed) {
   // Per-phase timings ride on the metrics registry (zero perturbation, so
   // enabling it for every bench run is free accuracy-wise).
   auto& registry = obs::MetricsRegistry::instance();
@@ -220,9 +139,6 @@ fl::Trace run_method_cached(const std::string& method,
               << util::fmt_float(phase_seconds(before, after,
                                                "fl.eval_seconds"), 1)
               << "s)";
-  trace.save_csv(file.string());
-  write_bench_json(dir / ("BENCH_" + cell + ".json"), cell, trace,
-                   sw.seconds(), scale.rounds);
   return trace;
 }
 
@@ -232,7 +148,7 @@ CellResult run_cell(const std::string& method, const std::string& setting,
   std::vector<double> accs;
   for (std::size_t s = 0; s < scale.seeds; ++s) {
     cell.traces.push_back(
-        run_method_cached(method, setting, dataset, scale, 1000 + s));
+        run_method(method, setting, dataset, scale, 1000 + s));
     accs.push_back(cell.traces.back().final_accuracy() * 100.0);
   }
   cell.mean_acc = util::mean(accs);

@@ -5,12 +5,10 @@
 // Scale control: FEDCLUST_BENCH_SCALE=quick (default) or full. Quick runs
 // a reduced federation sized for a single CPU core; full approaches the
 // paper's population/round counts (see DESIGN.md §1 for why reduced scale
-// preserves the comparison's shape). Traces are cached as CSV under
-// ./bench_results/<scale>/ so benches that share a campaign (Table 1,
-// Fig. 3, Table 4 all use the skew-20% runs) don't recompute each other's
-// work.
+// preserves the comparison's shape). Every campaign runs afresh: benches
+// that share one (Table 1, Fig. 3 and Table 4 all use the skew-20% runs)
+// each rerun it, so no bench can print a trace an older build produced.
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,12 +39,10 @@ fl::ExperimentConfig make_config(const std::string& dataset,
                                  const std::string& setting,
                                  const Scale& scale, std::uint64_t seed);
 
-// Runs one (method, config) experiment, or loads it from the cache when a
-// trace for the same (scale, setting, dataset, method, seed) exists.
-fl::Trace run_method_cached(const std::string& method,
-                            const std::string& setting,
-                            const std::string& dataset, const Scale& scale,
-                            std::uint64_t seed);
+// Runs one (method, config) experiment.
+fl::Trace run_method(const std::string& method, const std::string& setting,
+                     const std::string& dataset, const Scale& scale,
+                     std::uint64_t seed);
 
 struct CellResult {
   double mean_acc = 0.0;  // percent, matching the paper's tables
@@ -78,8 +74,5 @@ double paper_newcomer_accuracy(const std::string& method,
 // final accuracy in the campaign and print both (see EXPERIMENTS.md).
 double paper_target_table4(const std::string& dataset);
 double paper_target_table5(const std::string& dataset);
-
-// Trace cache (CSV round-trip of fl::Trace::save_csv).
-std::optional<fl::Trace> load_trace_csv(const std::string& path);
 
 }  // namespace fedclust::bench

@@ -40,7 +40,7 @@ int run(int argc, const char* const* argv) {
   for (std::size_t m = 0; m < methods.size(); ++m) {
     for (std::size_t d = 0; d < datasets.size(); ++d) {
       traces[m].push_back(
-          run_method_cached(methods[m], "skew20", datasets[d], scale, 1000));
+          run_method(methods[m], "skew20", datasets[d], scale, 1000));
       target[d] = std::max(target[d], frac * traces[m][d].final_accuracy());
     }
   }

@@ -14,11 +14,10 @@ namespace fedclust::fl {
 
 namespace {
 
-std::string algo_state_blob(const FlAlgorithm& algo) {
-  std::ostringstream os(std::ios::binary);
-  util::BinaryWriter w(os);
+std::vector<std::uint8_t> state_bytes(const FlAlgorithm& algo) {
+  util::BinaryWriter w;
   algo.save_state(w);
-  return os.str();
+  return w.take();
 }
 
 }  // namespace
@@ -69,15 +68,13 @@ RunSnapshot FlAlgorithm::capture_snapshot(
     snap.counters = obs::MetricsRegistry::instance().snapshot().counters;
   }
   snap.rng_probes = rng_probes_for(fed_.cfg());
-  const std::string blob = algo_state_blob(*this);
-  snap.algo_state.assign(blob.begin(), blob.end());
+  snap.algo_state = state_bytes(*this);
   return snap;
 }
 
 std::uint32_t FlAlgorithm::state_crc32c() const {
-  const std::string blob = algo_state_blob(*this);
-  return util::crc32c(reinterpret_cast<const std::uint8_t*>(blob.data()),
-                      blob.size());
+  const std::vector<std::uint8_t> blob = state_bytes(*this);
+  return util::crc32c(blob.data(), blob.size());
 }
 
 Trace FlAlgorithm::run() {
@@ -88,7 +85,20 @@ Trace FlAlgorithm::run() {
   std::size_t start_round = 0;
   if (resume_) {
     // Everything setup() produced (including the comm it billed) lives in
-    // the restored state, so setup() must not run again.
+    // the restored state, so setup() must not run again. The state loads
+    // first, so a refused one leaves the ledger and counters untouched.
+    util::BinaryReader rd(resume_->algo_state);
+    try {
+      load_state(rd);
+    } catch (const std::runtime_error& e) {
+      throw SnapshotError(std::string("snapshot algorithm state: ") +
+                          e.what());
+    }
+    if (!rd.done()) {
+      throw SnapshotError("snapshot algorithm state: " +
+                          std::to_string(rd.remaining()) +
+                          " bytes left after load_state");
+    }
     fed_.comm().restore(resume_->comm);
     trace.records = resume_->records;
     if (obs::MetricsRegistry::enabled()) {
@@ -98,13 +108,6 @@ Trace FlAlgorithm::run() {
         c.reset();
         c.add(value);
       }
-    }
-    {
-      std::istringstream is(
-          std::string(resume_->algo_state.begin(), resume_->algo_state.end()),
-          std::ios::binary);
-      util::BinaryReader rd(is);
-      load_state(rd);
     }
     start_round = resume_->next_round;
     resume_.reset();

@@ -170,7 +170,7 @@ std::vector<std::size_t> Federation::sample_round(std::size_t round) const {
     OBS_COUNTER_ADD("fault.over_selected", extra);
     k += extra;
   }
-  util::Rng rng = util::Rng(cfg_.seed).split(0xA11CE000ULL + round);
+  util::Rng rng = util::Rng(cfg_.seed).split(kSamplerStream + round);
   auto ids = rng.sample_without_replacement(n, k);
   if (faults_.active()) {
     // Pre-round dropouts "have no impact" (paper §4.2): no compute, no
@@ -417,8 +417,7 @@ bool Federation::int8_aggregation_active() const {
 }
 
 util::Rng Federation::train_rng(std::size_t client, std::size_t round) const {
-  return util::Rng(cfg_.seed).split(0xC11E47000000ULL + client * 100003 +
-                                    round);
+  return util::Rng(cfg_.seed).split(kTrainStream + client * 100003 + round);
 }
 
 std::vector<std::size_t> Federation::eval_ids() const {

@@ -173,6 +173,13 @@ constexpr void for_each_field(C& c, V&& v) {
 }
 static_assert(util::field_list_complete<ExperimentConfig>);
 
+// Stream salts of the round sampler (sample_round splits the root seed at
+// kSamplerStream + round) and of local training (train_rng at
+// kTrainStream + client * 100003 + round). snapshot.cpp's rng_probes_for
+// probes both at client 0, round 0.
+inline constexpr std::uint64_t kSamplerStream = 0xA11CE000ULL;
+inline constexpr std::uint64_t kTrainStream = 0xC11E47000000ULL;
+
 class Federation {
  public:
   // Plans the client population from cfg.fed / cfg.data_spec; clients are

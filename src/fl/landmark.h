@@ -42,9 +42,9 @@
 
 namespace fedclust::fl {
 
-// Stream salt for landmark-id sampling. Mirrored in snapshot.cpp's
-// rng_probes_for so a resumed binary whose split lands elsewhere is
-// rejected instead of silently re-clustering differently.
+// Stream salt for landmark-id sampling. snapshot.cpp's rng_probes_for
+// probes it, so a resumed binary whose split lands elsewhere is rejected
+// instead of silently re-clustering differently.
 inline constexpr std::uint64_t kLandmarkStream = 0x1A7DB4A2C5EEDULL;
 
 // The landmark count actually in effect: 0 when `landmarks` is 0 or covers

@@ -117,18 +117,14 @@ void ParallelRoundRunner::train_clients_into(
     // per round. The job is fetched first so the round is in hand; job_of
     // is a pure field copy, so the span still covers all real work.
     OBS_SPAN_ARG2("client.train", c, job.round);
-    if (job.download_floats > 0) {
-      // The model pull travels the wire: the client trains from what the
-      // codec round-trips (bit-exact for raw_f32), and the tracker bills
-      // the encoded bytes. download_floats beyond the model itself (e.g.
-      // SCAFFOLD's control variate) are billed as a second envelope.
-      ws.set_flat_params(
-          fed_.pull_model(*job.start, job.round, job.download_floats));
-      if (obs::EventJournal::enabled()) {
-        journal_download(job, c, fed_.cfg().codec);
-      }
-    } else {
-      ws.set_flat_params(*job.start);
+    // The model pull travels the wire: the client trains from what the
+    // codec round-trips (bit-exact for raw_f32), and the tracker bills the
+    // encoded bytes. download_floats beyond the model itself (e.g.
+    // SCAFFOLD's control variate) are billed as a second envelope.
+    ws.set_flat_params(
+        fed_.pull_model(*job.start, job.round, job.download_floats));
+    if (obs::EventJournal::enabled()) {
+      journal_download(job, c, fed_.cfg().codec);
     }
     // One store acquisition per client step; the shared_ptr keeps the
     // client alive across train + n_train even if the LRU evicts it.
@@ -172,12 +168,8 @@ void ParallelRoundRunner::train_clients_remote_into(
     call.round = job.round;
     call.opts = job.opts;
     call.rng = job.rng.state();
-    if (job.download_floats > 0) {
-      call.start = fed_.pull_model(*job.start, job.round, job.download_floats);
-      if (journal_on) journal_download(job, c, fed_.cfg().codec);
-    } else {
-      call.start = *job.start;
-    }
+    call.start = fed_.pull_model(*job.start, job.round, job.download_floats);
+    if (journal_on) journal_download(job, c, fed_.cfg().codec);
     if (job.prox_ref != nullptr) call.prox_ref = *job.prox_ref;
     if (job.grad_offset) call.grad_offset = *job.grad_offset;
     upload_floats[idx] = job.upload_floats;

@@ -40,8 +40,10 @@ struct RoundTrainJob {
   util::Rng rng{0};
   const std::vector<float>* prox_ref = nullptr;
   std::optional<std::vector<float>> grad_offset;
-  std::uint64_t download_floats = 0;  // accounted before training
-  std::uint64_t upload_floats = 0;    // accounted after training
+  // Floats billed for the download before training: at least start->size(),
+  // since the client always trains from the model as the wire delivers it.
+  std::uint64_t download_floats = 0;
+  std::uint64_t upload_floats = 0;  // accounted after training
   // Round id keying the fault schedule for this client step (algorithms set
   // it to the communication round, or a salted id for out-of-band passes
   // like CFL's split sweep). Decisions are pure in (seed, client, round).

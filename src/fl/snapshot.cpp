@@ -6,6 +6,7 @@
 #include <sstream>
 #include <type_traits>
 
+#include "fl/landmark.h"
 #include "obs/json.h"
 #include "util/cpu.h"
 #include "util/fields.h"
@@ -82,9 +83,9 @@ util::RngState read_rng_state(util::BinaryReader& r) {
   return st;
 }
 
-std::string serialize_body(const RunSnapshot& snap) {
-  std::ostringstream os(std::ios::binary);
-  util::BinaryWriter w(os);
+// The sealed file image of `snap`.
+std::string seal_snapshot(const RunSnapshot& snap) {
+  util::BinaryWriter w;
   w.write_u64(snap.config_fingerprint);
   w.write_u64(snap.seed);
   w.write_u64(snap.next_round);
@@ -115,12 +116,19 @@ std::string serialize_body(const RunSnapshot& snap) {
   }
   w.write_u64(snap.algo_state.size());
   w.write_bytes(snap.algo_state.data(), snap.algo_state.size());
-  return os.str();
+  return util::seal(kSnapshotMagic, kSnapshotVersion, w.view());
 }
 
-RunSnapshot parse_body(const std::string& body) {
-  std::istringstream is(body, std::ios::binary);
-  util::BinaryReader r(is);
+// The least bytes each counted item of the body takes, so a count the
+// remaining body cannot hold is refused before anything is reserved: a
+// record is five 8-byte fields, a counter a string length and a value, a
+// probe a string length and the 52-byte RngState.
+constexpr std::size_t kRecordBytes = 5 * 8;
+constexpr std::size_t kCounterBytes = 8 + 8;
+constexpr std::size_t kProbeBytes = 8 + 52;
+
+RunSnapshot parse_body(std::string_view body) {
+  util::BinaryReader r(body);
   RunSnapshot snap;
   snap.config_fingerprint = r.read_u64();
   snap.seed = r.read_u64();
@@ -132,7 +140,7 @@ RunSnapshot parse_body(const std::string& body) {
   snap.comm.payload_bytes = r.read_u64();
   snap.comm.wire_bytes = r.read_u64();
   snap.comm.messages = r.read_u64();
-  const std::uint64_t n_records = r.read_u64();
+  const std::uint64_t n_records = r.read_count(kRecordBytes);
   snap.records.reserve(n_records);
   for (std::uint64_t i = 0; i < n_records; ++i) {
     RoundRecord rec;
@@ -143,14 +151,14 @@ RunSnapshot parse_body(const std::string& body) {
     rec.n_clusters = r.read_u64();
     snap.records.push_back(rec);
   }
-  const std::uint64_t n_counters = r.read_u64();
+  const std::uint64_t n_counters = r.read_count(kCounterBytes);
   snap.counters.reserve(n_counters);
   for (std::uint64_t i = 0; i < n_counters; ++i) {
     std::string name = r.read_string();
     const std::uint64_t value = r.read_u64();
     snap.counters.emplace_back(std::move(name), value);
   }
-  const std::uint64_t n_probes = r.read_u64();
+  const std::uint64_t n_probes = r.read_count(kProbeBytes);
   snap.rng_probes.reserve(n_probes);
   for (std::uint64_t i = 0; i < n_probes; ++i) {
     RngProbe p;
@@ -158,8 +166,11 @@ RunSnapshot parse_body(const std::string& body) {
     p.state = read_rng_state(r);
     snap.rng_probes.push_back(std::move(p));
   }
-  const std::uint64_t n_state = r.read_u64();
-  snap.algo_state = r.read_bytes(n_state);
+  snap.algo_state = r.read_bytes(r.read_u64());
+  if (!r.done()) {
+    throw std::runtime_error(std::to_string(r.remaining()) +
+                             " bytes after the algorithm state");
+  }
   return snap;
 }
 
@@ -173,10 +184,11 @@ RunSnapshot parse_sealed(std::string_view file) {
     throw SnapshotError(std::string("snapshot ") + e.what());
   }
   try {
-    return parse_body(std::string(body));
+    return parse_body(body);
   } catch (const std::runtime_error& e) {
-    // CRC-valid bytes that still fail to parse mean a writer bug, not disk
-    // corruption, but the caller's handling is the same.
+    // CRC-valid bytes that still fail to parse mean a writer bug or a
+    // crafted file, not disk corruption, but the caller's handling is the
+    // same.
     throw SnapshotError(std::string("snapshot body malformed: ") + e.what());
   }
 }
@@ -254,26 +266,24 @@ std::uint64_t config_fingerprint(const ExperimentConfig& cfg) {
 }
 
 std::vector<RngProbe> rng_probes_for(const ExperimentConfig& cfg) {
-  // Mirrors the stream-split constants in federation.cpp (sample_round and
-  // train_rng): a resumed binary whose splits land elsewhere would silently
-  // diverge, so these states are compared bit for bit on resume.
+  // The streams sample_round, train_rng and sample_landmarks split off: a
+  // resumed binary whose splits land elsewhere would silently diverge, so
+  // these states are compared bit for bit on resume.
   const util::Rng root(cfg.seed);
   std::vector<RngProbe> probes;
   probes.push_back({"root", root.state()});
-  probes.push_back({"sampler.r0", root.split(0xA11CE000ULL).state()});
-  probes.push_back({"train.c0.r0", root.split(0xC11E47000000ULL).state()});
-  // fl/landmark.h kLandmarkStream — the landmark-id sampling stream. Probed
-  // only when landmark mode is on, so exact-mode snapshots keep their
+  probes.push_back({"sampler.r0", root.split(kSamplerStream).state()});
+  probes.push_back({"train.c0.r0", root.split(kTrainStream).state()});
+  // Probed only when landmark mode is on, so exact-mode snapshots keep their
   // pre-landmark byte layout.
   if (cfg.landmarks > 0) {
-    probes.push_back({"landmark", root.split(0x1A7DB4A2C5EEDULL).state()});
+    probes.push_back({"landmark", root.split(kLandmarkStream).state()});
   }
   return probes;
 }
 
 std::vector<std::uint8_t> serialize_snapshot(const RunSnapshot& snap) {
-  const std::string file =
-      util::seal(kSnapshotMagic, kSnapshotVersion, serialize_body(snap));
+  const std::string file = seal_snapshot(snap);
   return {file.begin(), file.end()};
 }
 
@@ -283,8 +293,7 @@ RunSnapshot parse_snapshot(const std::vector<std::uint8_t>& bytes) {
 }
 
 void write_snapshot(const RunSnapshot& snap, const std::string& path) {
-  const std::string file =
-      util::seal(kSnapshotMagic, kSnapshotVersion, serialize_body(snap));
+  const std::string file = seal_snapshot(snap);
   as_snapshot_error([&] { util::write_file(path, file); });
 }
 
@@ -352,6 +361,7 @@ void write_manifest(const ExperimentConfig& cfg, const std::string& method,
 }
 
 // ---- shared save_state/load_state helpers ---------------------------
+// Each item the readers count is, or starts with, a u64.
 
 void write_nested_f32(util::BinaryWriter& w,
                       const std::vector<std::vector<float>>& v) {
@@ -360,7 +370,7 @@ void write_nested_f32(util::BinaryWriter& w,
 }
 
 std::vector<std::vector<float>> read_nested_f32(util::BinaryReader& r) {
-  const std::uint64_t n = r.read_u64();
+  const std::uint64_t n = r.read_count(sizeof(std::uint64_t));
   std::vector<std::vector<float>> v;
   v.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) v.push_back(r.read_f32_vec());
@@ -374,7 +384,7 @@ void write_index_vec(util::BinaryWriter& w,
 }
 
 std::vector<std::size_t> read_index_vec(util::BinaryReader& r) {
-  const std::uint64_t n = r.read_u64();
+  const std::uint64_t n = r.read_count(sizeof(std::uint64_t));
   std::vector<std::size_t> v;
   v.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -390,7 +400,7 @@ void write_tensor(util::BinaryWriter& w, const tensor::Tensor& t) {
 }
 
 tensor::Tensor read_tensor(util::BinaryReader& r) {
-  const std::uint64_t ndim = r.read_u64();
+  const std::uint64_t ndim = r.read_count(sizeof(std::uint64_t));
   tensor::Shape shape;
   shape.reserve(ndim);
   for (std::uint64_t i = 0; i < ndim; ++i) {

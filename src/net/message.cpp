@@ -1,6 +1,6 @@
 #include "net/message.h"
 
-#include <cstring>
+#include <stdexcept>
 #include <type_traits>
 
 #include "util/fields.h"
@@ -10,100 +10,54 @@ namespace fedclust::net {
 
 namespace {
 
-using util::get_f32_le;
-using util::get_u16_le;
-using util::get_u32_le;
-using util::get_u64_le;
-using util::put_f32_le;
-using util::put_f64_le;
-using util::put_u16_le;
-using util::put_u32_le;
-using util::put_u64_le;
+using util::BinaryReader;
+using util::BinaryWriter;
 
-// Sequential bounds-checked reader over a message body. Any out-of-range
-// read trips `ok` and subsequent reads return zeros; callers check ok()
-// once at the end (plus done() to reject trailing garbage).
-class Cursor {
- public:
-  explicit Cursor(const std::vector<std::uint8_t>& body)
-      : p_(body.data()), n_(body.size()) {}
-
-  std::uint8_t u8() {
-    if (!take(1)) return 0;
-    return p_[off_ - 1];
-  }
-  std::uint16_t u16() { return take(2) ? get_u16_le(p_ + off_ - 2) : 0; }
-  std::uint32_t u32() { return take(4) ? get_u32_le(p_ + off_ - 4) : 0; }
-  std::uint64_t u64() { return take(8) ? get_u64_le(p_ + off_ - 8) : 0; }
-  float f32() { return take(4) ? get_f32_le(p_ + off_ - 4) : 0.0f; }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-
-  // Length-prefixed byte blob (u32 length). Rejects lengths that overrun
-  // the remaining body.
-  bool blob(std::vector<std::uint8_t>& out) {
-    const std::uint32_t len = u32();
-    if (!ok_ || len > n_ - off_) {
-      ok_ = false;
-      return false;
-    }
-    out.assign(p_ + off_, p_ + off_ + len);
-    off_ += len;
-    return true;
-  }
-
-  bool str(std::string& out) {
-    const std::uint32_t len = u32();
-    if (!ok_ || len > n_ - off_) {
-      ok_ = false;
-      return false;
-    }
-    out.assign(reinterpret_cast<const char*>(p_ + off_), len);
-    off_ += len;
-    return true;
-  }
-
-  bool ok() const { return ok_; }
-  bool done() const { return ok_ && off_ == n_; }
-
- private:
-  bool take(std::size_t k) {
-    if (!ok_ || k > n_ - off_) {
-      ok_ = false;
-      return false;
-    }
-    off_ += k;
-    return true;
-  }
-
-  const std::uint8_t* p_;
-  std::size_t n_;
-  std::size_t off_ = 0;
-  bool ok_ = true;
-};
-
-void put_blob(std::vector<std::uint8_t>& out,
-              const std::vector<std::uint8_t>& blob) {
-  put_u32_le(out, static_cast<std::uint32_t>(blob.size()));
-  out.insert(out.end(), blob.begin(), blob.end());
+// A writer holding the body's type byte.
+BinaryWriter start(MsgType type) {
+  BinaryWriter w;
+  w.write_u8(static_cast<std::uint8_t>(type));
+  return w;
 }
 
-void put_rng(std::vector<std::uint8_t>& out, const util::RngState& st) {
-  put_u64_le(out, st.seed);
-  for (int i = 0; i < 4; ++i) put_u64_le(out, st.s[i]);
-  out.push_back(st.has_cached_normal ? 1 : 0);
-  put_f64_le(out, st.cached_normal);
+// Blobs and strings carry a u32 length.
+void write_blob(BinaryWriter& w, const std::vector<std::uint8_t>& blob) {
+  w.write_u32(static_cast<std::uint32_t>(blob.size()));
+  w.write_bytes(blob.data(), blob.size());
 }
 
-void get_rng(Cursor& c, util::RngState& st) {
-  st.seed = c.u64();
-  for (int i = 0; i < 4; ++i) st.s[i] = c.u64();
-  st.has_cached_normal = c.u8() != 0;
-  st.cached_normal = c.f64();
+std::vector<std::uint8_t> read_blob(BinaryReader& r) {
+  return r.read_bytes(r.read_u32());
+}
+
+// The net RngState encoding (a u8 flag; snapshots use a u32 one).
+void write_rng(BinaryWriter& w, const util::RngState& st) {
+  w.write_u64(st.seed);
+  for (int i = 0; i < 4; ++i) w.write_u64(st.s[i]);
+  w.write_u8(st.has_cached_normal ? 1 : 0);
+  w.write_f64(st.cached_normal);
+}
+
+void read_rng(BinaryReader& r, util::RngState& st) {
+  st.seed = r.read_u64();
+  for (int i = 0; i < 4; ++i) st.s[i] = r.read_u64();
+  st.has_cached_normal = r.read_u8() != 0;
+  st.cached_normal = r.read_f64();
+}
+
+// Parses a `type` body with `fields`: false when the type byte differs, a
+// read runs past the body or a length overruns it, `fields` returns false,
+// or bytes are left over.
+template <class Fields>
+bool decode(const std::vector<std::uint8_t>& body, MsgType type,
+            Fields&& fields) {
+  BinaryReader r(body);
+  try {
+    return r.read_u8() == static_cast<std::uint8_t>(type) && fields(r) &&
+           r.done();
+  } catch (const std::runtime_error&) {
+    return false;
+  }
 }
 
 }  // namespace
@@ -119,143 +73,130 @@ std::optional<MsgType> peek_type(const std::vector<std::uint8_t>& body) {
 }
 
 std::vector<std::uint8_t> encode_hello(const HelloMsg& m) {
-  std::vector<std::uint8_t> b;
-  b.push_back(static_cast<std::uint8_t>(MsgType::kHello));
-  put_u16_le(b, m.proto);
-  put_u64_le(b, m.fingerprint);
-  put_u64_le(b, m.seed);
-  put_u64_le(b, m.resume_round);
-  put_u64_le(b, m.calls_served);
-  return b;
+  BinaryWriter w = start(MsgType::kHello);
+  w.write_u16(m.proto);
+  w.write_u64(m.fingerprint);
+  w.write_u64(m.seed);
+  w.write_u64(m.resume_round);
+  w.write_u64(m.calls_served);
+  return w.take();
 }
 
 bool decode_hello(const std::vector<std::uint8_t>& body, HelloMsg& out) {
-  Cursor c(body);
-  if (c.u8() != static_cast<std::uint8_t>(MsgType::kHello)) return false;
-  out.proto = c.u16();
-  out.fingerprint = c.u64();
-  out.seed = c.u64();
-  out.resume_round = c.u64();
-  out.calls_served = c.u64();
-  return c.done();
+  return decode(body, MsgType::kHello, [&](BinaryReader& r) {
+    out.proto = r.read_u16();
+    out.fingerprint = r.read_u64();
+    out.seed = r.read_u64();
+    out.resume_round = r.read_u64();
+    out.calls_served = r.read_u64();
+    return true;
+  });
 }
 
 std::vector<std::uint8_t> encode_welcome(const WelcomeMsg& m) {
-  std::vector<std::uint8_t> b;
-  b.push_back(static_cast<std::uint8_t>(MsgType::kWelcome));
-  put_u32_le(b, m.worker_id);
-  put_u64_le(b, m.next_round);
-  put_u32_le(b, m.n_workers);
-  return b;
+  BinaryWriter w = start(MsgType::kWelcome);
+  w.write_u32(m.worker_id);
+  w.write_u64(m.next_round);
+  w.write_u32(m.n_workers);
+  return w.take();
 }
 
 bool decode_welcome(const std::vector<std::uint8_t>& body, WelcomeMsg& out) {
-  Cursor c(body);
-  if (c.u8() != static_cast<std::uint8_t>(MsgType::kWelcome)) return false;
-  out.worker_id = c.u32();
-  out.next_round = c.u64();
-  out.n_workers = c.u32();
-  return c.done();
+  return decode(body, MsgType::kWelcome, [&](BinaryReader& r) {
+    out.worker_id = r.read_u32();
+    out.next_round = r.read_u64();
+    out.n_workers = r.read_u32();
+    return true;
+  });
 }
 
 std::vector<std::uint8_t> encode_train_req(const TrainReqMsg& m) {
-  std::vector<std::uint8_t> b;
-  b.push_back(static_cast<std::uint8_t>(MsgType::kTrainReq));
-  put_u64_le(b, m.client);
-  put_u64_le(b, m.round);
+  BinaryWriter w = start(MsgType::kTrainReq);
+  w.write_u64(m.client);
+  w.write_u64(m.round);
   fl::for_each_field(m.opts, [&](const util::FieldInfo&, const auto& v) {
     if constexpr (std::is_same_v<std::decay_t<decltype(v)>, float>) {
-      put_f32_le(b, v);
+      w.write_f32(v);
     } else {
       static_assert(std::is_same_v<std::decay_t<decltype(v)>, std::size_t>);
-      put_u64_le(b, v);
+      w.write_u64(v);
     }
   });
-  put_rng(b, m.rng);
+  write_rng(w, m.rng);
   std::uint8_t flags = 0;
   if (m.prox_env) flags |= 1u;
   if (m.offset_env) flags |= 2u;
-  b.push_back(flags);
-  put_blob(b, m.start_env);
-  if (m.prox_env) put_blob(b, *m.prox_env);
-  if (m.offset_env) put_blob(b, *m.offset_env);
-  return b;
+  w.write_u8(flags);
+  write_blob(w, m.start_env);
+  if (m.prox_env) write_blob(w, *m.prox_env);
+  if (m.offset_env) write_blob(w, *m.offset_env);
+  return w.take();
 }
 
 bool decode_train_req(const std::vector<std::uint8_t>& body,
                       TrainReqMsg& out) {
-  Cursor c(body);
-  if (c.u8() != static_cast<std::uint8_t>(MsgType::kTrainReq)) return false;
-  out.client = c.u64();
-  out.round = c.u64();
-  fl::for_each_field(out.opts, [&](const util::FieldInfo&, auto& v) {
-    if constexpr (std::is_same_v<std::decay_t<decltype(v)>, float>) {
-      v = c.f32();
-    } else {
-      static_assert(std::is_same_v<std::decay_t<decltype(v)>, std::size_t>);
-      v = static_cast<std::size_t>(c.u64());
-    }
+  return decode(body, MsgType::kTrainReq, [&](BinaryReader& r) {
+    out.client = r.read_u64();
+    out.round = r.read_u64();
+    fl::for_each_field(out.opts, [&](const util::FieldInfo&, auto& v) {
+      if constexpr (std::is_same_v<std::decay_t<decltype(v)>, float>) {
+        v = r.read_f32();
+      } else {
+        static_assert(std::is_same_v<std::decay_t<decltype(v)>, std::size_t>);
+        v = static_cast<std::size_t>(r.read_u64());
+      }
+    });
+    read_rng(r, out.rng);
+    const std::uint8_t flags = r.read_u8();
+    if (flags & ~3u) return false;
+    out.start_env = read_blob(r);
+    out.prox_env.reset();
+    out.offset_env.reset();
+    if (flags & 1u) out.prox_env = read_blob(r);
+    if (flags & 2u) out.offset_env = read_blob(r);
+    return true;
   });
-  get_rng(c, out.rng);
-  const std::uint8_t flags = c.u8();
-  if (flags & ~3u) return false;
-  if (!c.blob(out.start_env)) return false;
-  out.prox_env.reset();
-  out.offset_env.reset();
-  if (flags & 1u) {
-    std::vector<std::uint8_t> blob;
-    if (!c.blob(blob)) return false;
-    out.prox_env = std::move(blob);
-  }
-  if (flags & 2u) {
-    std::vector<std::uint8_t> blob;
-    if (!c.blob(blob)) return false;
-    out.offset_env = std::move(blob);
-  }
-  return c.done();
 }
 
 std::vector<std::uint8_t> encode_train_resp(const TrainRespMsg& m) {
-  std::vector<std::uint8_t> b;
-  b.push_back(static_cast<std::uint8_t>(MsgType::kTrainResp));
-  put_u64_le(b, m.client);
-  put_u64_le(b, m.round);
-  b.push_back(m.ok ? 1 : 0);
-  put_f32_le(b, m.loss);
-  put_u64_le(b, m.train_us);
-  if (m.ok) put_blob(b, m.params_env);
-  return b;
+  BinaryWriter w = start(MsgType::kTrainResp);
+  w.write_u64(m.client);
+  w.write_u64(m.round);
+  w.write_u8(m.ok ? 1 : 0);
+  w.write_f32(m.loss);
+  w.write_u64(m.train_us);
+  if (m.ok) write_blob(w, m.params_env);
+  return w.take();
 }
 
 bool decode_train_resp(const std::vector<std::uint8_t>& body,
                        TrainRespMsg& out) {
-  Cursor c(body);
-  if (c.u8() != static_cast<std::uint8_t>(MsgType::kTrainResp)) return false;
-  out.client = c.u64();
-  out.round = c.u64();
-  out.ok = c.u8() != 0;
-  out.loss = c.f32();
-  out.train_us = c.u64();
-  out.params_env.clear();
-  if (out.ok && !c.blob(out.params_env)) return false;
-  return c.done();
+  return decode(body, MsgType::kTrainResp, [&](BinaryReader& r) {
+    out.client = r.read_u64();
+    out.round = r.read_u64();
+    out.ok = r.read_u8() != 0;
+    out.loss = r.read_f32();
+    out.train_us = r.read_u64();
+    out.params_env.clear();
+    if (out.ok) out.params_env = read_blob(r);
+    return true;
+  });
 }
 
 std::vector<std::uint8_t> encode_heartbeat(const HeartbeatMsg& m) {
-  std::vector<std::uint8_t> b;
-  b.push_back(static_cast<std::uint8_t>(MsgType::kHeartbeat));
-  put_u32_le(b, m.worker_id);
-  put_u64_le(b, m.calls_served);
-  return b;
+  BinaryWriter w = start(MsgType::kHeartbeat);
+  w.write_u32(m.worker_id);
+  w.write_u64(m.calls_served);
+  return w.take();
 }
 
 bool decode_heartbeat(const std::vector<std::uint8_t>& body,
                       HeartbeatMsg& out) {
-  Cursor c(body);
-  if (c.u8() != static_cast<std::uint8_t>(MsgType::kHeartbeat)) return false;
-  out.worker_id = c.u32();
-  out.calls_served = c.u64();
-  return c.done();
+  return decode(body, MsgType::kHeartbeat, [&](BinaryReader& r) {
+    out.worker_id = r.read_u32();
+    out.calls_served = r.read_u64();
+    return true;
+  });
 }
 
 std::vector<std::uint8_t> encode_shutdown() {
@@ -263,20 +204,19 @@ std::vector<std::uint8_t> encode_shutdown() {
 }
 
 std::vector<std::uint8_t> encode_error(const ErrorMsg& m) {
-  std::vector<std::uint8_t> b;
-  b.push_back(static_cast<std::uint8_t>(MsgType::kError));
-  put_u32_le(b, m.code);
-  put_u32_le(b, static_cast<std::uint32_t>(m.reason.size()));
-  b.insert(b.end(), m.reason.begin(), m.reason.end());
-  return b;
+  BinaryWriter w = start(MsgType::kError);
+  w.write_u32(m.code);
+  write_blob(w, {m.reason.begin(), m.reason.end()});
+  return w.take();
 }
 
 bool decode_error(const std::vector<std::uint8_t>& body, ErrorMsg& out) {
-  Cursor c(body);
-  if (c.u8() != static_cast<std::uint8_t>(MsgType::kError)) return false;
-  out.code = c.u32();
-  if (!c.str(out.reason)) return false;
-  return c.done();
+  return decode(body, MsgType::kError, [&](BinaryReader& r) {
+    out.code = r.read_u32();
+    const std::vector<std::uint8_t> reason = read_blob(r);
+    out.reason.assign(reason.begin(), reason.end());
+    return true;
+  });
 }
 
 }  // namespace fedclust::net

@@ -3,7 +3,8 @@
 // Transport control messages — the bodies that travel inside net frames.
 //
 // A frame body is one message: a type byte followed by little-endian fields
-// (util::put_*_le / get_*_le). Model parameters never appear as raw floats
+// (util::BinaryWriter / BinaryReader; blobs and strings carry a u32
+// length). Model parameters never appear as raw floats
 // here; they ride inside wire:: envelopes (always raw_f32 — the experiment
 // codec is simulated server-side), embedded as length-prefixed byte blobs.
 // That gives two independent integrity stages: the frame CRC over the whole
@@ -11,8 +12,8 @@
 // in-process quarantine pipeline.
 //
 // Every decode is bounds-checked; decode_* return false on any structural
-// problem (short body, bad type, trailing garbage, oversized counts) and
-// never read out of range. Decoding the *embedded envelopes* is the
+// problem (short body, bad type, trailing garbage, a length that overruns
+// the body) and never read out of range or allocate past the body's size. Decoding the *embedded envelopes* is the
 // caller's job via wire::try_decode so failures can be journalled with the
 // precise DecodeStatus.
 

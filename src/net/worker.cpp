@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <filesystem>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -25,7 +24,6 @@ namespace {
 constexpr std::uint32_t kStateMagic = 0xFC3057A7u;
 // v2: the util::seal frame around four u64 fields; v1 files are rejected.
 constexpr std::uint16_t kStateVersion = 2;
-constexpr std::size_t kStateBodyBytes = 4 * 8;
 
 }  // namespace
 
@@ -35,19 +33,15 @@ bool load_worker_state(const std::string& path, std::uint64_t fingerprint,
   WorkerState st;
   try {
     const std::string file = util::read_file(path);
-    const std::string_view body =
-        util::unseal(file, kStateMagic, kStateVersion);
-    if (body.size() != kStateBodyBytes) {
-      throw std::runtime_error("body is " + std::to_string(body.size()) +
-                               " bytes, want " +
-                               std::to_string(kStateBodyBytes));
-    }
-    std::istringstream is{std::string(body)};
-    util::BinaryReader r(is);
+    util::BinaryReader r(util::unseal(file, kStateMagic, kStateVersion));
     st.fingerprint = r.read_u64();
     st.seed = r.read_u64();
     st.last_round = r.read_u64();
     st.calls_served = r.read_u64();
+    if (!r.done()) {
+      throw std::runtime_error(std::to_string(r.remaining()) +
+                               " bytes after the four fields");
+    }
   } catch (const std::runtime_error& e) {
     FC_LOG_WARN << "worker: ignoring state file " << path << ": "
                 << e.what();
@@ -60,15 +54,14 @@ bool load_worker_state(const std::string& path, std::uint64_t fingerprint,
 }
 
 void save_worker_state(const std::string& path, const WorkerState& st) {
-  std::ostringstream body(std::ios::binary);
-  util::BinaryWriter w(body);
+  util::BinaryWriter w;
   w.write_u64(st.fingerprint);
   w.write_u64(st.seed);
   w.write_u64(st.last_round);
   w.write_u64(st.calls_served);
   try {
     util::write_file(path,
-                     util::seal(kStateMagic, kStateVersion, body.str()));
+                     util::seal(kStateMagic, kStateVersion, w.view()));
   } catch (const std::runtime_error& e) {
     FC_LOG_WARN << "worker: failed saving state file: " << e.what();
   }

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/cpu.h"
@@ -66,78 +65,34 @@ std::uint32_t crc32c(const std::uint8_t* data, std::size_t n) {
 
 // ------------------------------------------------------------------ writer
 
-namespace {
-
-// Stages a scalar through the LE byte primitives so stream output is
-// byte-order independent.
-template <typename PutFn>
-void write_le(std::ostream& os, PutFn put) {
-  std::vector<std::uint8_t> buf;
-  put(buf);
-  os.write(reinterpret_cast<const char*>(buf.data()),
-           static_cast<std::streamsize>(buf.size()));
-}
-
-}  // namespace
-
-void BinaryWriter::write_u32(std::uint32_t v) {
-  write_le(os_, [v](std::vector<std::uint8_t>& b) { put_u32_le(b, v); });
-}
-void BinaryWriter::write_u64(std::uint64_t v) {
-  write_le(os_, [v](std::vector<std::uint8_t>& b) { put_u64_le(b, v); });
-}
-void BinaryWriter::write_f32(float v) {
-  write_le(os_, [v](std::vector<std::uint8_t>& b) { put_f32_le(b, v); });
-}
-void BinaryWriter::write_f64(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  write_u64(bits);
-}
 void BinaryWriter::write_string(const std::string& s) {
   write_u64(s.size());
-  os_.write(s.data(), static_cast<std::streamsize>(s.size()));
+  write_bytes(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
 }
 void BinaryWriter::write_f32_vec(const std::vector<float>& v) {
   write_u64(v.size());
-  std::vector<std::uint8_t> buf;
-  buf.reserve(v.size() * sizeof(float));
-  for (const float x : v) put_f32_le(buf, x);
-  write_bytes(buf.data(), buf.size());
+  for (const float x : v) write_f32(x);
 }
 void BinaryWriter::write_f64_vec(const std::vector<double>& v) {
   write_u64(v.size());
   for (const double x : v) write_f64(x);
 }
 void BinaryWriter::write_bytes(const std::uint8_t* data, std::size_t n) {
-  os_.write(reinterpret_cast<const char*>(data),
-            static_cast<std::streamsize>(n));
+  buf_.insert(buf_.end(), data, data + n);
 }
 
 // ------------------------------------------------------------------ reader
 
-void BinaryReader::read_raw(void* dst, std::size_t n) {
-  is_.read(static_cast<char*>(dst), static_cast<std::streamsize>(n));
-  if (static_cast<std::size_t>(is_.gcount()) != n) {
-    throw std::runtime_error("BinaryReader: truncated stream");
+const std::uint8_t* BinaryReader::take(std::size_t k, const char* what) {
+  if (k > remaining()) {
+    throw std::runtime_error("BinaryReader: want " + std::to_string(k) +
+                             " bytes for " + what + ", " +
+                             std::to_string(remaining()) + " left");
   }
+  off_ += k;
+  return p_ + off_ - k;
 }
 
-std::uint32_t BinaryReader::read_u32() {
-  std::uint8_t b[4];
-  read_raw(b, sizeof(b));
-  return get_u32_le(b);
-}
-std::uint64_t BinaryReader::read_u64() {
-  std::uint8_t b[8];
-  read_raw(b, sizeof(b));
-  return get_u64_le(b);
-}
-float BinaryReader::read_f32() {
-  std::uint8_t b[4];
-  read_raw(b, sizeof(b));
-  return get_f32_le(b);
-}
 double BinaryReader::read_f64() {
   const std::uint64_t bits = read_u64();
   double v;
@@ -146,29 +101,35 @@ double BinaryReader::read_f64() {
 }
 std::string BinaryReader::read_string() {
   const std::uint64_t n = read_u64();
-  std::string s(n, '\0');
-  if (n > 0) read_raw(s.data(), n);
-  return s;
+  const auto* p = reinterpret_cast<const char*>(take(n, "a string"));
+  return {p, p + n};
 }
 std::vector<float> BinaryReader::read_f32_vec() {
-  const std::uint64_t n = read_u64();
-  const std::vector<std::uint8_t> buf = read_bytes(n * sizeof(float));
+  const std::uint64_t n = read_count(sizeof(float));
+  const std::uint8_t* p = take(n * sizeof(float), "an f32 vector");
   std::vector<float> v(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    v[i] = get_f32_le(buf.data() + i * sizeof(float));
-  }
+  for (std::uint64_t i = 0; i < n; ++i) v[i] = get_f32_le(p + 4 * i);
   return v;
 }
 std::vector<double> BinaryReader::read_f64_vec() {
-  const std::uint64_t n = read_u64();
+  const std::uint64_t n = read_count(sizeof(double));
   std::vector<double> v(n);
   for (std::uint64_t i = 0; i < n; ++i) v[i] = read_f64();
   return v;
 }
 std::vector<std::uint8_t> BinaryReader::read_bytes(std::size_t n) {
-  std::vector<std::uint8_t> buf(n);
-  if (n > 0) read_raw(buf.data(), n);
-  return buf;
+  const std::uint8_t* p = take(n, "a byte string");
+  return {p, p + n};
+}
+std::uint64_t BinaryReader::read_count(std::size_t item_bytes) {
+  const std::uint64_t n = read_u64();
+  if (n > remaining() / item_bytes) {
+    throw std::runtime_error("BinaryReader: count " + std::to_string(n) +
+                             " of " + std::to_string(item_bytes) +
+                             "-byte items overruns the " +
+                             std::to_string(remaining()) + " bytes left");
+  }
+  return n;
 }
 
 // ------------------------------------------------------------------ files
@@ -176,9 +137,12 @@ std::vector<std::uint8_t> BinaryReader::read_bytes(std::size_t n) {
 std::string read_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw std::runtime_error("cannot read " + path);
-  std::ostringstream os;
-  os << is.rdbuf();
-  return std::move(os).str();
+  std::string bytes;
+  char chunk[1 << 16];
+  while (is.read(chunk, sizeof(chunk)) || is.gcount() > 0) {
+    bytes.append(chunk, static_cast<std::size_t>(is.gcount()));
+  }
+  return bytes;
 }
 
 void write_file(const std::string& path, std::string_view bytes) {

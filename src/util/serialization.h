@@ -1,18 +1,18 @@
 #pragma once
 
-// Binary (de)serialization for snapshots, worker state files and wire
-// envelopes, plus the whole-file I/O every file the product writes or reads
-// back goes through. All multi-byte fields are explicitly little-endian
-// regardless of host byte order, so files and wire payloads are portable
-// across machines; `crc32c` provides the Castagnoli checksum used by the
-// wire layer and the sealed file frame.
+// Binary (de)serialization for snapshots, algorithm and worker state, net
+// messages and wire envelopes, plus the whole-file I/O every file the
+// product writes or reads back goes through. All multi-byte fields are
+// explicitly little-endian regardless of host byte order, so files and wire
+// payloads are portable across machines; `crc32c` provides the Castagnoli
+// checksum used by the wire layer and the sealed file frame.
 
 #include <cstdint>
 #include <cstring>
-#include <ostream>
-#include <istream>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace fedclust::util {
@@ -22,7 +22,8 @@ namespace fedclust::util {
 //
 // `put_*` append to a byte vector; `get_*` read from a raw pointer the
 // caller has already bounds-checked. These are the shared encoding
-// primitives for fl::wire envelopes and sealed files.
+// primitives for fl::wire envelopes, sealed files and the BinaryWriter /
+// BinaryReader below.
 
 inline void put_u16_le(std::vector<std::uint8_t>& out, std::uint16_t v) {
   out.push_back(static_cast<std::uint8_t>(v & 0xff));
@@ -121,43 +122,75 @@ std::uint32_t crc32c_extend(std::uint32_t crc, const std::uint8_t* data,
                             std::size_t n);
 
 // ------------------------------------------------------------------
-// Stream writers. Every field goes through the little-endian primitives
-// above; on little-endian hosts the byte stream is identical to the old
-// host-order format, on big-endian hosts it is now portable.
+// Byte writer and reader. Every field goes through the little-endian
+// primitives above, so snapshots, algorithm state, worker state files and
+// net messages are byte-order independent. Lengths and counts are written
+// by the caller's format: snapshots use u64 (write_string, the vectors),
+// net messages a u32 then write_bytes.
 
 class BinaryWriter {
  public:
-  explicit BinaryWriter(std::ostream& os) : os_(os) {}
-
-  void write_u32(std::uint32_t v);
-  void write_u64(std::uint64_t v);
-  void write_f32(float v);
-  void write_f64(double v);
+  void write_u8(std::uint8_t v) { buf_.push_back(v); }
+  void write_u16(std::uint16_t v) { put_u16_le(buf_, v); }
+  void write_u32(std::uint32_t v) { put_u32_le(buf_, v); }
+  void write_u64(std::uint64_t v) { put_u64_le(buf_, v); }
+  void write_f32(float v) { put_f32_le(buf_, v); }
+  void write_f64(double v) { put_f64_le(buf_, v); }
   void write_string(const std::string& s);
   void write_f32_vec(const std::vector<float>& v);
   void write_f64_vec(const std::vector<double>& v);
   void write_bytes(const std::uint8_t* data, std::size_t n);
 
+  // The bytes written so far, as a vector or as chars (for util::seal).
+  const std::vector<std::uint8_t>& bytes() const { return buf_; }
+  std::string_view view() const {
+    return {reinterpret_cast<const char*>(buf_.data()), buf_.size()};
+  }
+  // Moves the bytes out, leaving the writer empty.
+  std::vector<std::uint8_t> take() { return std::move(buf_); }
+
  private:
-  std::ostream& os_;
+  std::vector<std::uint8_t> buf_;
 };
 
+// Reads a byte span the caller keeps alive. Every read checks the bytes
+// left first and throws std::runtime_error naming what it wanted and how
+// much was left; a length or count read from the input is checked against
+// the bytes left before anything is allocated, so no input can make the
+// reader allocate more than it holds.
 class BinaryReader {
  public:
-  explicit BinaryReader(std::istream& is) : is_(is) {}
+  explicit BinaryReader(std::span<const std::uint8_t> bytes)
+      : p_(bytes.data()), n_(bytes.size()) {}
+  explicit BinaryReader(std::string_view bytes)
+      : p_(reinterpret_cast<const std::uint8_t*>(bytes.data())),
+        n_(bytes.size()) {}
 
-  std::uint32_t read_u32();
-  std::uint64_t read_u64();
-  float read_f32();
+  std::uint8_t read_u8() { return *take(1, "u8"); }
+  std::uint16_t read_u16() { return get_u16_le(take(2, "u16")); }
+  std::uint32_t read_u32() { return get_u32_le(take(4, "u32")); }
+  std::uint64_t read_u64() { return get_u64_le(take(8, "u64")); }
+  float read_f32() { return get_f32_le(take(4, "f32")); }
   double read_f64();
   std::string read_string();
   std::vector<float> read_f32_vec();
   std::vector<double> read_f64_vec();
   std::vector<std::uint8_t> read_bytes(std::size_t n);
+  // A u64 count of items that take at least `item_bytes` each, refused when
+  // the bytes left cannot hold that many.
+  std::uint64_t read_count(std::size_t item_bytes);
+
+  std::size_t remaining() const { return n_ - off_; }
+  // True when every byte was consumed.
+  bool done() const { return off_ == n_; }
 
  private:
-  void read_raw(void* dst, std::size_t n);
-  std::istream& is_;
+  // The next `k` bytes, consumed; throws when fewer are left.
+  const std::uint8_t* take(std::size_t k, const char* what);
+
+  const std::uint8_t* p_;
+  std::size_t n_;
+  std::size_t off_ = 0;
 };
 
 // ------------------------------------------------------------------

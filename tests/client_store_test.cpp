@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -266,18 +265,16 @@ TEST(SparseClientParams, SaveLoadRoundTrip) {
   for (const std::size_t id : {7, 42, 9999}) {
     p.touch(id) = {static_cast<float>(id), 1.0f, 2.0f};
   }
-  std::ostringstream os;
-  util::BinaryWriter w(os);
+  util::BinaryWriter w;
   p.save(w);
-  const std::string bytes = os.str();
+  const std::vector<std::uint8_t>& bytes = w.bytes();
   // Snapshot size scales with touched slots, not population: 3 records of
   // (u64 id + u64 len + 3 f32) + the two header u64s.
   EXPECT_EQ(bytes.size(), 2 * 8 + 3 * (8 + 8 + 3 * 4));
 
   fl::SparseClientParams q;
   q.reset(10000, std::vector<float>(3, 0.5f));
-  std::istringstream is(bytes);
-  util::BinaryReader r(is);
+  util::BinaryReader r(bytes);
   q.load(r);
   EXPECT_EQ(q.touched_count(), 3u);
   for (std::size_t id = 0; id < 10000; ++id) {
@@ -290,21 +287,19 @@ TEST(SparseClientParams, LoadRejectsCorruption) {
                             std::vector<std::pair<std::uint64_t,
                                                   std::vector<float>>>
                                 records) {
-    std::ostringstream os;
-    util::BinaryWriter w(os);
+    util::BinaryWriter w;
     w.write_u64(n);
     w.write_u64(count);
     for (auto& [id, vec] : records) {
       w.write_u64(id);
       w.write_f32_vec(vec);
     }
-    return os.str();
+    return w.take();
   };
-  const auto load_into = [](const std::string& bytes) {
+  const auto load_into = [](const std::vector<std::uint8_t>& bytes) {
     fl::SparseClientParams p;
     p.reset(100, std::vector<float>(2, 0.0f));
-    std::istringstream is(bytes);
-    util::BinaryReader r(is);
+    util::BinaryReader r(bytes);
     p.load(r);
   };
   // Population disagrees with reset().

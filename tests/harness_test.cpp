@@ -1,11 +1,9 @@
-// Tests for the bench harness: scale/env handling, config synthesis, the
-// trace CSV cache round-trip, and the embedded paper reference tables.
+// Tests for the bench harness: scale/env handling, config synthesis,
+// deterministic campaign runs, and the embedded paper reference tables.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 
 #include "harness.h"
 #include "table_common.h"
@@ -70,36 +68,6 @@ TEST(Harness, MakeConfigSettings) {
   EXPECT_GT(skew20.algo.pacfl_k, 1u);
 }
 
-TEST(Harness, TraceCsvRoundTrip) {
-  fl::Trace t;
-  t.method = "FedClust";
-  t.dataset = "svhn";
-  t.records = {{0, 0.25, 4000, 8000, 3}, {1, 0.5, 12000, 16000, 3}};
-  const std::string path = ::testing::TempDir() + "/harness_trace.csv";
-  t.save_csv(path);
-  const auto loaded = load_trace_csv(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->method, "FedClust");
-  EXPECT_EQ(loaded->dataset, "svhn");
-  ASSERT_EQ(loaded->records.size(), 2u);
-  EXPECT_EQ(loaded->records[1].round, 1u);
-  EXPECT_NEAR(loaded->records[1].avg_local_test_acc, 0.5, 1e-6);
-  EXPECT_EQ(loaded->records[1].n_clusters, 3u);
-  // Bytes survive the Mb round-trip to within float formatting.
-  EXPECT_NEAR(static_cast<double>(loaded->records[1].bytes_up), 12000.0,
-              200.0);
-}
-
-TEST(Harness, LoadTraceRejectsMissingOrMalformed) {
-  EXPECT_FALSE(load_trace_csv("/nonexistent/trace.csv").has_value());
-  const std::string path = ::testing::TempDir() + "/bad_trace.csv";
-  {
-    std::ofstream os(path);
-    os << "method,dataset\nonly,two\n";
-  }
-  EXPECT_FALSE(load_trace_csv(path).has_value());
-}
-
 TEST(Harness, PaperTablesMatchSpotChecks) {
   // Values transcribed from the paper; spot-check each table.
   EXPECT_DOUBLE_EQ(paper_accuracy("skew20", "FedClust", "cifar10"), 95.82);
@@ -130,7 +98,7 @@ TEST(Harness, SplitCsvList) {
   EXPECT_EQ(split_csv_list("a,,b"), (std::vector<std::string>{"a", "b"}));
 }
 
-TEST(Harness, RunMethodCachedHitsCache) {
+TEST(Harness, RunMethodIsDeterministic) {
   EnvGuard guard({"FEDCLUST_BENCH_SCALE"});
   Scale tiny = get_scale();
   tiny.n_clients = 6;
@@ -138,14 +106,19 @@ TEST(Harness, RunMethodCachedHitsCache) {
   tiny.test_per_client = 4;
   tiny.rounds = 2;
   tiny.seeds = 1;
-  // Work in a temp dir so bench_results doesn't pollute the repo.
-  const auto cwd = std::filesystem::current_path();
-  std::filesystem::current_path(::testing::TempDir());
-  const auto t1 = run_method_cached("FedAvg", "skew20", "fmnist", tiny, 1);
-  const auto t2 = run_method_cached("FedAvg", "skew20", "fmnist", tiny, 1);
-  std::filesystem::current_path(cwd);
-  ASSERT_EQ(t1.records.size(), t2.records.size());
-  EXPECT_NEAR(t1.final_accuracy(), t2.final_accuracy(), 1e-5);
+  const auto t1 = run_method("FedAvg", "skew20", "fmnist", tiny, 1);
+  const auto t2 = run_method("FedAvg", "skew20", "fmnist", tiny, 1);
+  ASSERT_EQ(t1.records.size(), tiny.rounds);
+  ASSERT_EQ(t2.records.size(), t1.records.size());
+  for (std::size_t i = 0; i < t1.records.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(t2.records[i].round, t1.records[i].round);
+    EXPECT_EQ(t2.records[i].avg_local_test_acc,
+              t1.records[i].avg_local_test_acc);
+    EXPECT_EQ(t2.records[i].bytes_up, t1.records[i].bytes_up);
+    EXPECT_EQ(t2.records[i].bytes_down, t1.records[i].bytes_down);
+    EXPECT_EQ(t2.records[i].n_clusters, t1.records[i].n_clusters);
+  }
 }
 
 }  // namespace

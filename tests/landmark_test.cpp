@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
-#include <sstream>
 
 #include "clustering/distance.h"
 #include "clustering/metrics.h"
@@ -71,10 +70,9 @@ std::vector<std::size_t> every_id(std::size_t n) {
 }
 
 std::string state_bytes(const FlAlgorithm& algo) {
-  std::ostringstream os(std::ios::binary);
-  util::BinaryWriter w(os);
+  util::BinaryWriter w;
   algo.save_state(w);
-  return os.str();
+  return std::string(w.view());
 }
 
 TEST(LandmarkSampling, DeterministicSortedDistinctInRange) {
@@ -228,10 +226,9 @@ TEST(LandmarkFedClust, SnapshotRoundTripPreservesLandmarks) {
 
   Federation fresh_fed(cfg);
   core::FedClust fresh(fresh_fed);
-  std::istringstream is(saved, std::ios::binary);
-  util::BinaryReader rd(is);
+  util::BinaryReader rd(saved);
   fresh.load_state(rd);
-  EXPECT_EQ(is.peek(), std::istringstream::traits_type::eof());
+  EXPECT_TRUE(rd.done());
   EXPECT_EQ(fresh.landmark_ids(), algo.landmark_ids());
   EXPECT_EQ(fresh.assignment(), algo.assignment());
   EXPECT_EQ(state_bytes(fresh), saved);
@@ -254,8 +251,7 @@ TEST(LandmarkFedClust, CorruptLandmarkSnapshotRejected) {
   }
   Federation fresh_fed(cfg);
   core::FedClust fresh(fresh_fed);
-  std::istringstream is(saved, std::ios::binary);
-  util::BinaryReader rd(is);
+  util::BinaryReader rd(saved);
   EXPECT_THROW(fresh.load_state(rd), std::runtime_error);
 }
 
@@ -275,10 +271,9 @@ TEST(LandmarkPacfl, SketchAssignsEveryoneAndSnapshotsClean) {
   const std::string saved = state_bytes(algo);
   Federation fresh_fed(cfg);
   Pacfl fresh(fresh_fed);
-  std::istringstream is(saved, std::ios::binary);
-  util::BinaryReader rd(is);
+  util::BinaryReader rd(saved);
   fresh.load_state(rd);
-  EXPECT_EQ(is.peek(), std::istringstream::traits_type::eof());
+  EXPECT_TRUE(rd.done());
   EXPECT_EQ(fresh.landmark_ids(), algo.landmark_ids());
   EXPECT_EQ(state_bytes(fresh), saved);
 }

@@ -7,9 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "core/registry.h"
 #include "fl/federation.h"
@@ -42,10 +42,9 @@ fl::ExperimentConfig small_cfg(std::uint64_t seed) {
 }
 
 std::string state_bytes(const fl::FlAlgorithm& algo) {
-  std::ostringstream os(std::ios::binary);
-  util::BinaryWriter w(os);
+  util::BinaryWriter w;
   algo.save_state(w);
-  return os.str();
+  return std::string(w.view());
 }
 
 // ------------------------------------------------------------- format
@@ -159,6 +158,45 @@ TEST(SnapshotFormat, TrailingBytesAreRejected) {
   std::vector<std::uint8_t> bytes = kGoldenBytes;
   bytes.push_back(0x00);
   EXPECT_THROW(fl::parse_snapshot(bytes), fl::SnapshotError);
+}
+
+// 2^62: a length or count no body can hold. Code that allocates before it
+// checks fails fast on it with std::bad_alloc or std::length_error instead
+// of the SnapshotError the parser promises.
+constexpr std::uint64_t kHugeLength = std::uint64_t{1} << 62;
+
+void store_u64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+TEST(SnapshotFormat, OversizedLengthsAreRejectedBeforeAllocating) {
+  // Offsets into kGoldenBytes' body of each length or count it carries,
+  // with the value the golden snapshot stores there.
+  const struct {
+    const char* field;
+    std::size_t offset;
+    std::uint64_t golden;
+  } kFields[] = {
+      {"method length", 24, 6},       {"dataset length", 38, 6},
+      {"record count", 92, 1},        {"counter count", 140, 1},
+      {"counter name length", 148, 9}, {"probe count", 173, 1},
+      {"probe name length", 181, 4},  {"algorithm state length", 245, 4},
+  };
+  const std::vector<std::uint8_t> body(
+      kGoldenBytes.begin() + util::kSealHeaderBytes, kGoldenBytes.end());
+  for (const auto& f : kFields) {
+    SCOPED_TRACE(f.field);
+    ASSERT_EQ(util::get_u64_le(body.data() + f.offset), f.golden);
+    std::vector<std::uint8_t> huge = body;
+    store_u64(huge.data() + f.offset, kHugeLength);
+    // Resealed, so the CRC holds and only the parser can refuse it.
+    const std::string file = util::seal(
+        fl::kSnapshotMagic, fl::kSnapshotVersion,
+        std::string_view(reinterpret_cast<const char*>(huge.data()),
+                         huge.size()));
+    EXPECT_THROW(fl::parse_snapshot({file.begin(), file.end()}),
+                 fl::SnapshotError);
+  }
 }
 
 TEST(SnapshotFiles, WriteThenLoadRoundTrips) {
@@ -358,6 +396,18 @@ TEST(SnapshotConfig, RngProbesArePureInSeed) {
   EXPECT_EQ(a[0].name, "root");
 }
 
+// The probe uses the salt train_rng splits at, so moving that salt moves
+// the probe and resume refuses snapshots written before the move.
+TEST(SnapshotConfig, TrainProbeIsTheFederationTrainStream) {
+  const fl::ExperimentConfig cfg = small_cfg(5);
+  const std::vector<fl::RngProbe> probes = fl::rng_probes_for(cfg);
+  const auto it = std::find_if(probes.begin(), probes.end(), [](const auto& p) {
+    return p.name == "train.c0.r0";
+  });
+  ASSERT_NE(it, probes.end());
+  EXPECT_EQ(it->state, fl::Federation(cfg).train_rng(0, 0).state());
+}
+
 TEST(SnapshotManifest, CarriesProvenanceAndFullConfig) {
   const std::string json = fl::manifest_json(small_cfg(5), "FedClust");
   for (const char* key :
@@ -409,11 +459,10 @@ TEST(AlgorithmState, SaveLoadRoundTripsForEveryMethod) {
 
     fl::Federation fresh_fed(cfg);
     const auto fresh = core::make_algorithm(method, fresh_fed);
-    std::istringstream is(saved, std::ios::binary);
-    util::BinaryReader rd(is);
+    util::BinaryReader rd(saved);
     fresh->load_state(rd);
     // load must consume exactly what save wrote and reproduce it.
-    EXPECT_EQ(is.peek(), std::istringstream::traits_type::eof());
+    EXPECT_TRUE(rd.done());
     EXPECT_EQ(state_bytes(*fresh), saved);
   }
 }
@@ -457,6 +506,33 @@ TEST(AlgorithmState, ResumeRejectsMismatches) {
   fl::Federation fed_e(cfg);
   const auto drifted = core::make_algorithm("FedAvg", fed_e);
   EXPECT_THROW(drifted->resume_from(drift), fl::SnapshotError);
+}
+
+// A CRC-valid snapshot whose algorithm state declares an f32 vector of 2^62
+// floats, or carries one byte load_state leaves unread: resume refuses both
+// with SnapshotError before it restores the comm ledger.
+TEST(AlgorithmState, ResumeRefusesOversizedAndLeftoverState) {
+  fl::ExperimentConfig cfg = small_cfg(5);
+  cfg.rounds = 2;
+  fl::Federation fed(cfg);
+  const auto algo = core::make_algorithm("FedAvg", fed);
+  const fl::Trace trace = algo->run();
+  const fl::RunSnapshot snap = algo->capture_snapshot(2, trace.records);
+
+  fl::RunSnapshot huge = snap;  // FedAvg's state is one f32 vector
+  ASSERT_GE(huge.algo_state.size(), 8u);
+  store_u64(huge.algo_state.data(), kHugeLength);
+  fl::RunSnapshot leftover = snap;
+  leftover.algo_state.push_back(0);
+
+  for (const fl::RunSnapshot* bad : {&huge, &leftover}) {
+    fl::Federation fresh_fed(cfg);
+    const auto fresh = core::make_algorithm("FedAvg", fresh_fed);
+    const fl::CommLedger before = fresh_fed.comm().ledger();
+    fresh->resume_from(fl::parse_snapshot(fl::serialize_snapshot(*bad)));
+    EXPECT_THROW(fresh->run(), fl::SnapshotError);
+    EXPECT_EQ(fresh_fed.comm().ledger(), before);
+  }
 }
 
 // ------------------------------------------------- resume bit-identity
@@ -598,9 +674,8 @@ TEST(SparseSnapshot, CorruptSparseRecordsAreRejected) {
   const std::string good = state_bytes(*algo);
   ASSERT_GE(good.size(), 24u);  // u64 n, u64 count, first u64 id, ...
 
-  const auto load_bytes = [&](std::string bytes) {
-    std::istringstream is(std::move(bytes), std::ios::binary);
-    util::BinaryReader r(is);
+  const auto load_bytes = [&](const std::string& bytes) {
+    util::BinaryReader r(bytes);
     fl::Federation fresh_fed(cfg);
     core::make_algorithm("Local", fresh_fed)->load_state(r);
   };

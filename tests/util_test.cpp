@@ -155,14 +155,13 @@ TEST(Config, ArgParserHelpReturnsFalse) {
 // -------------------------------------------------------- serialization
 
 TEST(Serialization, RoundTripScalars) {
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  BinaryWriter w;
   w.write_u32(0xdeadbeef);
   w.write_u64(1234567890123ULL);
   w.write_f32(3.25f);
   w.write_f64(-1e100);
   w.write_string("hello fedclust");
-  BinaryReader r(ss);
+  BinaryReader r(w.bytes());
   EXPECT_EQ(r.read_u32(), 0xdeadbeefu);
   EXPECT_EQ(r.read_u64(), 1234567890123ULL);
   EXPECT_FLOAT_EQ(r.read_f32(), 3.25f);
@@ -171,24 +170,48 @@ TEST(Serialization, RoundTripScalars) {
 }
 
 TEST(Serialization, RoundTripVectors) {
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  BinaryWriter w;
   const std::vector<float> vf = {1.0f, -2.5f, 0.0f};
   const std::vector<double> vd = {};
   w.write_f32_vec(vf);
   w.write_f64_vec(vd);
-  BinaryReader r(ss);
+  BinaryReader r(w.bytes());
   EXPECT_EQ(r.read_f32_vec(), vf);
   EXPECT_TRUE(r.read_f64_vec().empty());
 }
 
 TEST(Serialization, TruncatedStreamThrows) {
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  BinaryWriter w;
   w.write_u32(1);
-  BinaryReader r(ss);
+  w.write_u8(2);
+  BinaryReader r(w.bytes());
   r.read_u32();
-  EXPECT_THROW(r.read_u64(), std::runtime_error);
+  try {
+    r.read_u64();
+    ADD_FAILURE() << "read past the end";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("want 8 bytes for u64, 1 left"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(r.done());
+  EXPECT_EQ(r.read_u8(), 2u);
+  EXPECT_TRUE(r.done());
+}
+
+// A declared length or count the bytes left cannot hold throws before
+// anything is allocated: 2^62 floats would be 2^64 bytes, which wraps to 0.
+TEST(Serialization, LengthsBeyondTheBytesLeftThrow) {
+  BinaryWriter w;
+  w.write_u64(std::uint64_t{1} << 62);
+  w.write_u64(0);
+  const auto reader = [&] { return BinaryReader(w.bytes()); };
+  EXPECT_THROW(reader().read_string(), std::runtime_error);
+  EXPECT_THROW(reader().read_f32_vec(), std::runtime_error);
+  EXPECT_THROW(reader().read_f64_vec(), std::runtime_error);
+  EXPECT_THROW(reader().read_count(1), std::runtime_error);
+  EXPECT_THROW(reader().read_bytes(17), std::runtime_error);
+  EXPECT_EQ(reader().read_bytes(16).size(), 16u);
 }
 
 // ---------------------------------------------------------------- files
