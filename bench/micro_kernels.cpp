@@ -281,12 +281,14 @@ BENCHMARK(BM_FloatAggregate);
 
 // Streaming tree reduction (the per-round aggregation path) against the
 // materialized baseline: collect every update first, then one
-// weighted_average pass. Arg = cohort size; the streaming path's win is
-// memory (each update is folded into double accumulators on delivery),
-// not FLOPs, so throughput should track the baseline closely.
+// weighted_average pass. Args = cohort size, model dim; the streaming
+// path's win is memory (each update is folded into double accumulators on
+// delivery), not FLOPs, so throughput should track the baseline closely.
+// 500 x 21686 is million_fedavg's cohort at LeNet-5 size, where every
+// accumulator is larger than glibc's default mmap threshold.
 void BM_StreamingAggregate(benchmark::State& state) {
-  const std::size_t n = 1 << 16;
   const std::size_t clients = static_cast<std::size_t>(state.range(0));
+  const std::size_t n = static_cast<std::size_t>(state.range(1));
   std::vector<std::vector<float>> updates;
   for (std::size_t c = 0; c < clients; ++c) {
     updates.push_back(random_tensor({n}, 7 + c).vec());
@@ -303,7 +305,53 @@ void BM_StreamingAggregate(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n * clients));
 }
-BENCHMARK(BM_StreamingAggregate)->Arg(8)->Arg(64);
+BENCHMARK(BM_StreamingAggregate)
+    ->Args({8, 1 << 16})
+    ->Args({64, 1 << 16})
+    ->Args({500, 21686});
+
+// k of n clients without replacement: (10, 2) is a skew client's label
+// set, drawn once per client the partition plan replays; (1000000, 500)
+// is million_fedavg's cohort.
+void BM_SampleWithoutReplacement(benchmark::State& state, std::size_t n,
+                                 std::size_t k) {
+  util::Rng rng(11);
+  for (auto _ : state) {
+    auto ids = rng.sample_without_replacement(n, k);
+    benchmark::DoNotOptimize(ids.data());
+  }
+}
+BENCHMARK_CAPTURE(BM_SampleWithoutReplacement, 10x2, 10, 2);
+BENCHMARK_CAPTURE(BM_SampleWithoutReplacement, 100x10, 100, 10);
+BENCHMARK_CAPTURE(BM_SampleWithoutReplacement, 1000000x500, 1000000, 500);
+
+// One client's assignment out of a 1M-client label-skew plan: sketch(i)
+// replays the clients between i's checkpoint and i. The 64 clients are
+// spread evenly across one checkpoint stride, so the mean replay is half a
+// stride, as for a store miss on a random client.
+void BM_PartitionSketch(benchmark::State& state) {
+  data::FederatedConfig cfg;
+  cfg.n_clients = 1000000;
+  cfg.train_per_client = 1;
+  cfg.test_per_client = 1;
+  cfg.partition = "skew";
+  const data::PartitionPlan plan(data::dataset_spec("cifar10"), cfg, 5);
+  constexpr std::size_t kStride = data::PartitionPlan::kCheckpointStride;
+  constexpr std::size_t kClients = 64;
+  std::vector<std::size_t> ids;
+  for (std::size_t j = 0; j < kClients; ++j) {
+    ids.push_back(500 * kStride + j * (kStride / kClients) + 7);
+  }
+  for (auto _ : state) {
+    for (const std::size_t i : ids) {
+      auto sk = plan.sketch(i);
+      benchmark::DoNotOptimize(sk.label_weights.data());
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kClients));
+}
+BENCHMARK(BM_PartitionSketch);
 
 void BM_MaterializedAggregate(benchmark::State& state) {
   const std::size_t n = 1 << 16;

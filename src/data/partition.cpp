@@ -16,13 +16,12 @@ std::size_t labels_per_client(double skew_fraction, std::size_t num_classes) {
   return std::max<std::size_t>(1, std::min(l, num_classes));
 }
 
-std::vector<double> weights_from_label_set(
-    const std::vector<std::size_t>& label_set, std::size_t num_classes) {
-  std::vector<double> w(num_classes, 0.0);
+void weights_from_label_set(std::span<const std::size_t> label_set,
+                            std::span<double> w) {
+  std::ranges::fill(w, 0.0);
   for (const std::size_t l : label_set) {
     w[l] = 1.0 / static_cast<double>(label_set.size());
   }
-  return w;
 }
 
 void fill_dataset(Dataset& ds, std::size_t n,
@@ -69,7 +68,9 @@ PartitionPlan::PartitionPlan(SyntheticSpec spec, FederatedConfig cfg,
         const auto set = assign_rng.sample_without_replacement(
             spec_.num_classes,
             labels_per_client(cfg_.skew_fraction, spec_.num_classes));
-        pool_weights_.push_back(weights_from_label_set(set, spec_.num_classes));
+        std::vector<double> w(spec_.num_classes);
+        weights_from_label_set(set, w);
+        pool_weights_.push_back(std::move(w));
       } else {  // iid pool degenerates to uniform
         pool_weights_.emplace_back(
             spec_.num_classes, 1.0 / static_cast<double>(spec_.num_classes));
@@ -79,56 +80,81 @@ PartitionPlan::PartitionPlan(SyntheticSpec spec, FederatedConfig cfg,
 
   // One assignment-stream sweep: draws only, no sample synthesis. Costs
   // O(n) RNG draws once; each later sketch(i) replays at most one stride.
+  ClientSketch scratch = blank_sketch();
+  std::vector<std::size_t> labels = label_scratch();
   checkpoints_.reserve(cfg_.n_clients / kCheckpointStride + 1);
   for (std::size_t i = 0; i < cfg_.n_clients; ++i) {
     if (i % kCheckpointStride == 0) checkpoints_.push_back(assign_rng);
-    (void)replay_one(assign_rng, i);
+    draw(assign_rng, i, /*keep=*/false, labels, scratch);
   }
 }
 
-ClientSketch PartitionPlan::replay_one(util::Rng& rng, std::size_t i) const {
+ClientSketch PartitionPlan::blank_sketch() const {
   ClientSketch sk;
-  sk.group_id = i;
+  sk.label_weights.resize(spec_.num_classes);
+  return sk;
+}
+
+std::vector<std::size_t> PartitionPlan::label_scratch() const {
+  if (cfg_.label_set_pool > 0 || cfg_.partition != "skew") return {};
+  return std::vector<std::size_t>(
+      labels_per_client(cfg_.skew_fraction, spec_.num_classes));
+}
+
+void PartitionPlan::draw(util::Rng& rng, std::size_t i, bool keep,
+                         std::span<std::size_t> labels,
+                         ClientSketch& sk) const {
+  const std::span<double> weights(sk.label_weights);
+  if (keep) {
+    sk.group_id = i;
+    sk.n_train = cfg_.train_per_client;
+    sk.n_test = cfg_.test_per_client;
+  }
   if (cfg_.label_set_pool > 0) {
-    sk.group_id = static_cast<std::size_t>(
+    const auto g = static_cast<std::size_t>(
         rng.randint(0, static_cast<std::int64_t>(cfg_.label_set_pool)));
-    sk.label_weights = pool_weights_[sk.group_id];
+    if (keep) {
+      sk.group_id = g;
+      std::ranges::copy(pool_weights_[g], weights.begin());
+    }
   } else if (cfg_.partition == "skew") {
-    const auto set = rng.sample_without_replacement(
-        spec_.num_classes,
-        labels_per_client(cfg_.skew_fraction, spec_.num_classes));
-    sk.label_weights = weights_from_label_set(set, spec_.num_classes);
+    rng.sample_without_replacement(spec_.num_classes, labels);
+    if (keep) weights_from_label_set(labels, weights);
   } else if (cfg_.partition == "dirichlet") {
-    sk.label_weights = rng.dirichlet(cfg_.dirichlet_alpha, spec_.num_classes);
-  } else {  // iid
-    sk.label_weights.assign(spec_.num_classes,
-                            1.0 / static_cast<double>(spec_.num_classes));
+    // The gammas are drawn into sk either way; a kept client's are its
+    // weights.
+    rng.dirichlet(cfg_.dirichlet_alpha, weights);
+  } else if (keep) {  // iid
+    std::ranges::fill(weights, 1.0 / static_cast<double>(spec_.num_classes));
   }
 
-  sk.n_train = cfg_.train_per_client;
   if (cfg_.quantity_skew_factor > 1.0) {
     // Log-uniform draw keeps the geometric mean at train_per_client.
     const double lo = std::log(1.0 / cfg_.quantity_skew_factor);
     const double hi = std::log(cfg_.quantity_skew_factor);
-    sk.n_train = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               std::lround(static_cast<double>(cfg_.train_per_client) *
-                           std::exp(rng.uniform(lo, hi)))));
+    const double log_scale = rng.uniform(lo, hi);
+    if (keep) {
+      sk.n_train = std::max<std::size_t>(
+          1, static_cast<std::size_t>(
+                 std::lround(static_cast<double>(cfg_.train_per_client) *
+                             std::exp(log_scale))));
+    }
   }
-  sk.n_test = cfg_.test_per_client;
-  return sk;
 }
 
 ClientSketch PartitionPlan::sketch(std::size_t i) const {
   if (i >= cfg_.n_clients) {
     throw std::out_of_range("PartitionPlan::sketch: client out of range");
   }
+  ClientSketch sk = blank_sketch();
+  std::vector<std::size_t> labels = label_scratch();
   util::Rng rng = checkpoints_[i / kCheckpointStride];
   for (std::size_t j = (i / kCheckpointStride) * kCheckpointStride; j < i;
        ++j) {
-    (void)replay_one(rng, j);
+    draw(rng, j, /*keep=*/false, labels, sk);
   }
-  return replay_one(rng, i);
+  draw(rng, i, /*keep=*/true, labels, sk);
+  return sk;
 }
 
 ClientData PartitionPlan::materialize_from(ClientSketch sketch,
@@ -152,11 +178,13 @@ std::vector<ClientData> make_federated_data(const SyntheticSpec& spec,
                                             std::uint64_t seed) {
   const PartitionPlan plan(spec, cfg, seed);
   util::Rng assign_rng = plan.checkpoints_.front();
+  std::vector<std::size_t> labels = plan.label_scratch();
   std::vector<ClientData> clients;
   clients.reserve(cfg.n_clients);
   for (std::size_t i = 0; i < cfg.n_clients; ++i) {
-    clients.push_back(
-        plan.materialize_from(plan.replay_one(assign_rng, i), i));
+    ClientSketch sk = plan.blank_sketch();
+    plan.draw(assign_rng, i, /*keep=*/true, labels, sk);
+    clients.push_back(plan.materialize_from(std::move(sk), i));
   }
   return clients;
 }

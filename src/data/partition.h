@@ -13,6 +13,7 @@
 // the generator for exactly those samples.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -102,17 +103,26 @@ class PartitionPlan {
 
  private:
   // The eager path iterates the assignment stream sequentially through the
-  // same replay_one/materialize_from pair, so eager and on-demand clients
-  // are bit-identical by construction.
+  // same draw/materialize_from pair, so eager and on-demand clients are
+  // bit-identical by construction.
   friend std::vector<ClientData> make_federated_data(const SyntheticSpec& spec,
                                                      const FederatedConfig& cfg,
                                                      std::uint64_t seed);
 
   ClientData materialize_from(ClientSketch sketch, std::size_t i) const;
 
-  // Replays client i's assignment draws from `rng` (positioned at the start
-  // of client i's draws) and advances it past them.
-  ClientSketch replay_one(util::Rng& rng, std::size_t i) const;
+  // Client i's assignment draws from `rng` (positioned at the start of
+  // client i's draws), advancing it past them: the same draws whether the
+  // client is kept or only replayed past on the way to a later one. Only
+  // a kept client's decisions are written to `sk`; the label weights are
+  // built for it alone. `sk` and `labels` come from blank_sketch() and
+  // label_scratch(), so a draw allocates nothing.
+  void draw(util::Rng& rng, std::size_t i, bool keep,
+            std::span<std::size_t> labels, ClientSketch& sk) const;
+  // A sketch with room for num_classes label weights, and the skew label
+  // set's scratch (empty in the other modes).
+  ClientSketch blank_sketch() const;
+  std::vector<std::size_t> label_scratch() const;
 
   SyntheticSpec spec_;
   FederatedConfig cfg_;

@@ -141,6 +141,9 @@ SyntheticGenerator::SyntheticGenerator(SyntheticSpec spec, std::uint64_t seed)
       coeffs_.push_back(std::move(coeff));
     }
   }
+  // Sized now, next to the generator's other long-lived buffers; filled on
+  // first use.
+  gratings_->terms.resize(spec_.num_classes * image_size());
 }
 
 std::vector<float> SyntheticGenerator::render(
@@ -154,31 +157,43 @@ std::vector<float> SyntheticGenerator::render(
     for (std::size_t i = 0; i < n; ++i) img[i] += w * atom[i];
   }
 
-  // Class-identity grating: orientation/frequency determined by the class,
-  // shared by all its prototypes.
-  const std::size_t hw = spec_.hw;
-  const double angle = std::numbers::pi * static_cast<double>(cls) /
-                       static_cast<double>(spec_.num_classes);
-  const double freq = 2.0 * std::numbers::pi *
-                      (1.0 + static_cast<double>(cls % 4)) /
-                      static_cast<double>(hw);
-  const float cs = static_cast<float>(std::cos(angle));
-  const float sn = static_cast<float>(std::sin(angle));
-  for (std::size_t c = 0; c < spec_.channels; ++c) {
-    const float phase =
-        static_cast<float>(c) * 2.0f / static_cast<float>(spec_.channels);
-    float* plane = img.data() + c * hw * hw;
-    for (std::size_t y = 0; y < hw; ++y) {
-      for (std::size_t x = 0; x < hw; ++x) {
-        const float t =
-            cs * static_cast<float>(x) + sn * static_cast<float>(y);
-        plane[y * hw + x] +=
-            spec_.grating_scale *
-            std::sin(static_cast<float>(freq) * t + phase);
+  // Class-identity grating, shared by all the class's prototypes.
+  const float* g = grating(cls);
+  for (std::size_t i = 0; i < n; ++i) img[i] += g[i];
+  return img;
+}
+
+const float* SyntheticGenerator::grating(std::int64_t cls) const {
+  std::call_once(gratings_->once, [this] {
+    const std::size_t hw = spec_.hw;
+    std::vector<float>& terms = gratings_->terms;
+    for (std::size_t k = 0; k < spec_.num_classes; ++k) {
+      // Orientation and frequency are determined by the class.
+      const double angle = std::numbers::pi * static_cast<double>(k) /
+                           static_cast<double>(spec_.num_classes);
+      const double freq = 2.0 * std::numbers::pi *
+                          (1.0 + static_cast<double>(k % 4)) /
+                          static_cast<double>(hw);
+      const float cs = static_cast<float>(std::cos(angle));
+      const float sn = static_cast<float>(std::sin(angle));
+      for (std::size_t c = 0; c < spec_.channels; ++c) {
+        const float phase =
+            static_cast<float>(c) * 2.0f / static_cast<float>(spec_.channels);
+        float* plane = terms.data() + k * image_size() + c * hw * hw;
+        for (std::size_t y = 0; y < hw; ++y) {
+          for (std::size_t x = 0; x < hw; ++x) {
+            const float t =
+                cs * static_cast<float>(x) + sn * static_cast<float>(y);
+            plane[y * hw + x] =
+                spec_.grating_scale *
+                std::sin(static_cast<float>(freq) * t + phase);
+          }
+        }
       }
     }
-  }
-  return img;
+  });
+  return gratings_->terms.data() +
+         static_cast<std::size_t>(cls) * image_size();
 }
 
 std::vector<float> SyntheticGenerator::sample(std::int64_t cls,

@@ -25,6 +25,8 @@
 // matches the paper: FMNIST easiest, then SVHN, CIFAR-10, CIFAR-100.
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -90,6 +92,8 @@ class SyntheticGenerator {
   // adds the class grating.
   std::vector<float> render(std::int64_t cls,
                             const std::vector<float>& coeffs) const;
+  // Class cls's grating, image_size() floats.
+  const float* grating(std::int64_t cls) const;
 
   SyntheticSpec spec_;
   // dict_[a]: one atom field of image_size() floats.
@@ -97,6 +101,15 @@ class SyntheticGenerator {
   // coeffs_[cls * prototypes_per_class + which]: dictionary coefficients
   // (dense vector of dict_size, mostly zero).
   std::vector<std::vector<float>> coeffs_;
+  // Every class's grating term, grating_scale * sin(...) per (channel, y,
+  // x): a pure function of the spec, allocated with the generator, filled
+  // once on first use by whichever thread renders first, and shared by
+  // copies of the generator.
+  struct Gratings {
+    std::once_flag once;
+    std::vector<float> terms;  // [class][image_size()]
+  };
+  std::shared_ptr<Gratings> gratings_ = std::make_shared<Gratings>();
 };
 
 }  // namespace fedclust::data

@@ -132,7 +132,8 @@ void Pacfl::save_state(util::BinaryWriter& w) const {
 void Pacfl::load_state(util::BinaryReader& r) {
   assignment_ = read_index_vec(r);
   cluster_models_ = read_nested_f32(r);
-  const std::uint64_t n = r.read_u64();
+  // The smallest tensor record is two u64s: rank 0 and an empty data count.
+  const std::uint64_t n = r.read_count(2 * sizeof(std::uint64_t));
   bases_.clear();
   bases_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) bases_.push_back(read_tensor(r));

@@ -1,6 +1,9 @@
 #include "fl/parallel_round.h"
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
+#include <mutex>
 
 #include "fl/codec.h"
 #include "fl/transport.h"
@@ -33,6 +36,52 @@ void journal_download(const RoundTrainJob& job, std::size_t c,
   }
   OBS_JOURNAL(job.round, c, kDownload, job.download_floats * 4, wire_bytes);
 }
+
+// The model pulls of one train_clients_into call. Each distinct job.start
+// goes through the codec once: the first client that needs it does the
+// round trip while any other waits, and every client trains from those
+// decoded floats — the codec is pure in the payload, so they are the bits a
+// round trip per client would give. Each client's download is still billed
+// on its own. The decoded models live only as long as the call, and
+// raw_f32 keeps none: its round trip is byte-exact, so its clients train
+// from job.start itself.
+class ModelPulls {
+ public:
+  explicit ModelPulls(Federation& fed)
+      : fed_(fed), exact_(fed.cfg().codec == wire::CodecId::kRawF32) {}
+
+  // job.start as the client receives it; bills the client's download.
+  const std::vector<float>& pull(const RoundTrainJob& job) {
+    Pulled* p = nullptr;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      const auto it = std::find_if(
+          pulled_.begin(), pulled_.end(),
+          [&](const Pulled& e) { return e.start == job.start; });
+      p = it != pulled_.end() ? &*it : &pulled_.emplace_back(job.start);
+    }
+    std::call_once(p->once, [&] {
+      p->params = fed_.pull_round_trip(*job.start, job.round, &p->encoded);
+      if (exact_) std::vector<float>().swap(p->params);
+    });
+    fed_.bill_pull(job.start->size(), p->encoded, job.download_floats);
+    return exact_ ? *job.start : p->params;
+  }
+
+ private:
+  struct Pulled {
+    explicit Pulled(const std::vector<float>* s) : start(s) {}
+    const std::vector<float>* start;
+    std::once_flag once;
+    std::vector<float> params;
+    std::uint64_t encoded = 0;
+  };
+
+  Federation& fed_;
+  const bool exact_;
+  std::mutex mu_;
+  std::deque<Pulled> pulled_;  // stable addresses for call_once waiters
+};
 
 }  // namespace
 
@@ -110,6 +159,7 @@ void ParallelRoundRunner::train_clients_into(
     train_clients_remote_into(clients, job_of, consume);
     return;
   }
+  ModelPulls pulls(fed_);
   for_each_client(clients, [&](std::size_t idx, std::size_t c,
                                nn::Model& ws) {
     const RoundTrainJob job = job_of(idx, c);
@@ -121,8 +171,7 @@ void ParallelRoundRunner::train_clients_into(
     // codec round-trips (bit-exact for raw_f32), and the tracker bills the
     // encoded bytes. download_floats beyond the model itself (e.g.
     // SCAFFOLD's control variate) are billed as a second envelope.
-    ws.set_flat_params(
-        fed_.pull_model(*job.start, job.round, job.download_floats));
+    ws.set_flat_params(pulls.pull(job));
     if (obs::EventJournal::enabled()) {
       journal_download(job, c, fed_.cfg().codec);
     }
@@ -157,9 +206,10 @@ void ParallelRoundRunner::train_clients_remote_into(
   std::vector<std::uint64_t> upload_floats(clients.size(), 0);
 
   // Phase 1 (server): resolve everything stochastic before any byte leaves
-  // the process — pull_model applies the experiment codec and bills the
+  // the process — the model pull applies the experiment codec and bills the
   // download exactly like the in-process path, and the RNG stream ships as
   // serialized state, so the worker replays the identical computation.
+  ModelPulls pulls(fed_);
   for (std::size_t idx = 0; idx < clients.size(); ++idx) {
     const std::size_t c = clients[idx];
     const RoundTrainJob job = job_of(idx, c);
@@ -168,7 +218,7 @@ void ParallelRoundRunner::train_clients_remote_into(
     call.round = job.round;
     call.opts = job.opts;
     call.rng = job.rng.state();
-    call.start = fed_.pull_model(*job.start, job.round, job.download_floats);
+    call.start = pulls.pull(job);
     if (journal_on) journal_download(job, c, fed_.cfg().codec);
     if (job.prox_ref != nullptr) call.prox_ref = *job.prox_ref;
     if (job.grad_offset) call.grad_offset = *job.grad_offset;

@@ -31,9 +31,11 @@ namespace fedclust::fl {
 
 // Everything the common train-upload-collect client step needs, produced by
 // the algorithm per sampled client before fan-out. `start` must outlive the
-// call; prox_ref likewise (point it at round-constant storage such as the
-// global model). grad_offset is owned by the job because SCAFFOLD/FedDyn
-// derive it per client.
+// call and must not change during it: the runner sends each distinct start
+// model through the codec once per call and hands every client pointing at
+// it the same decoded floats. prox_ref likewise (point it at round-constant
+// storage such as the global model). grad_offset is owned by the job
+// because SCAFFOLD/FedDyn derive it per client.
 struct RoundTrainJob {
   const std::vector<float>* start = nullptr;  // params loaded before training
   LocalTrainOptions opts;

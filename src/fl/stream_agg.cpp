@@ -63,6 +63,8 @@ void StreamingAggregator::resolve(std::size_t slot, bool delivered_flag,
   if (delivered_flag) {
     ++delivered_;
     leaf.w = w;
+    // Every entry is written below, so a recycled buffer needs no clearing.
+    leaf.acc = std::exchange(spare_, {});
     leaf.acc.resize(dim_);
     for (std::size_t i = 0; i < dim_; ++i) {
       leaf.acc[i] = w * static_cast<double>(v[i]);
@@ -93,6 +95,7 @@ void StreamingAggregator::resolve(std::size_t slot, bool delivered_flag,
       } else {
         for (std::size_t i = 0; i < dim_; ++i) left.acc[i] += right.acc[i];
         parent.acc = std::move(left.acc);
+        if (spare_.empty()) spare_ = std::move(right.acc);
       }
       parent.w = left.w + right.w;
       std::vector<double>().swap(left.acc);
@@ -105,6 +108,8 @@ void StreamingAggregator::resolve(std::size_t slot, bool delivered_flag,
     j /= 2;
     ++l;
   }
+  // No leaf is left to take the spare.
+  if (resolved_ == n_slots_) std::vector<double>().swap(spare_);
 }
 
 bool StreamingAggregator::any_delivered() const {

@@ -1,7 +1,11 @@
 #include "util/rng.h"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
 
@@ -132,6 +136,11 @@ double Rng::gamma(double shape) {
 
 std::vector<double> Rng::dirichlet(double alpha, std::size_t k) {
   std::vector<double> p(k);
+  dirichlet(alpha, p);
+  return p;
+}
+
+void Rng::dirichlet(double alpha, std::span<double> p) {
   double sum = 0.0;
   for (auto& pi : p) {
     pi = gamma(alpha);
@@ -139,11 +148,10 @@ std::vector<double> Rng::dirichlet(double alpha, std::size_t k) {
   }
   if (sum <= 0.0) {
     // Degenerate draw (all gammas underflowed); fall back to uniform.
-    for (auto& pi : p) pi = 1.0 / static_cast<double>(k);
-    return p;
+    for (auto& pi : p) pi = 1.0 / static_cast<double>(p.size());
+    return;
   }
   for (auto& pi : p) pi /= sum;
-  return p;
 }
 
 std::size_t Rng::categorical(const std::vector<double>& weights) {
@@ -164,21 +172,82 @@ std::size_t Rng::categorical(const std::vector<double>& weights) {
   return weights.size() - 1;
 }
 
+namespace {
+
+// Rng::sample_without_replacement past kDenseSampleN: the same draws, with
+// only the positions a swap displaced (at most one per step) kept, in an
+// open-addressing table of >= 2k slots. Position i is never read after
+// step i, so it is never stored. Out of line, so the dense path keeps a
+// small frame.
+[[gnu::noinline]] void sample_displaced(Rng& rng, std::size_t n,
+                                        std::span<std::size_t> out) {
+  struct Slot {
+    std::size_t pos;
+    std::size_t value;
+  };
+  constexpr std::size_t kEmpty = std::numeric_limits<std::size_t>::max();
+  const std::size_t k = out.size();
+  const std::size_t cap = std::bit_ceil(std::max<std::size_t>(2 * k, 2));
+  std::vector<Slot> slots(cap, Slot{kEmpty, 0});
+  const int shift = 64 - std::countr_zero(cap);
+  // Fibonacci hashing; the slot holding `pos`, or the empty one ending its
+  // probe run.
+  const auto find = [&](std::size_t pos) -> Slot& {
+    std::size_t s = static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(pos) * 0x9e3779b97f4a7c15ULL) >> shift);
+    while (slots[s].pos != pos && slots[s].pos != kEmpty) {
+      s = (s + 1) & (cap - 1);
+    }
+    return slots[s];
+  };
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto j = static_cast<std::size_t>(rng.randint(
+        static_cast<std::int64_t>(i), static_cast<std::int64_t>(n)));
+    const Slot& at_i = find(i);
+    const std::size_t vi = at_i.pos == i ? at_i.value : i;
+    if (j == i) {
+      out[i] = vi;
+      continue;
+    }
+    Slot& at_j = find(j);
+    out[i] = at_j.pos == j ? at_j.value : j;
+    at_j.pos = j;
+    at_j.value = vi;
+  }
+}
+
+}  // namespace
+
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
                                                          std::size_t k) {
   if (k > n) {
     throw std::invalid_argument("sample_without_replacement: k > n");
   }
-  // Partial Fisher–Yates over an index vector: O(n) setup, O(k) draws.
-  std::vector<std::size_t> idx(n);
-  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+  std::vector<std::size_t> out(k);
+  sample_without_replacement(n, out);
+  return out;
+}
+
+void Rng::sample_without_replacement(std::size_t n,
+                                     std::span<std::size_t> out) {
+  const std::size_t k = out.size();
+  if (k > n) {
+    throw std::invalid_argument("sample_without_replacement: k > n");
+  }
+  if (n > kDenseSampleN) {
+    sample_displaced(*this, n, out);
+    return;
+  }
+  // Partial Fisher–Yates over idx[p] = p, on the stack: step i draws
+  // j = randint(i, n), swaps idx[i] and idx[j] and emits the new idx[i].
+  std::array<std::size_t, kDenseSampleN> idx;
+  for (std::size_t p = 0; p < n; ++p) idx[p] = p;
   for (std::size_t i = 0; i < k; ++i) {
     const auto j = static_cast<std::size_t>(
         randint(static_cast<std::int64_t>(i), static_cast<std::int64_t>(n)));
     std::swap(idx[i], idx[j]);
+    out[i] = idx[i];
   }
-  idx.resize(k);
-  return idx;
 }
 
 }  // namespace fedclust::util

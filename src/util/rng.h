@@ -8,6 +8,7 @@
 // reproducible bit-for-bit regardless of thread scheduling.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace fedclust::util {
@@ -65,6 +66,8 @@ class Rng {
   // Symmetric Dirichlet(alpha) over k categories; returns a probability
   // vector of length k.
   std::vector<double> dirichlet(double alpha, std::size_t k);
+  // Same draws, written into p (k = p.size()); allocates nothing.
+  void dirichlet(double alpha, std::span<double> p);
 
   // Index sampled from an unnormalized non-negative weight vector.
   std::size_t categorical(const std::vector<double>& weights);
@@ -80,8 +83,14 @@ class Rng {
   }
 
   // k distinct indices drawn uniformly from [0, n); requires k <= n.
+  // The draws of a partial Fisher–Yates shuffle of [0, n), made in O(k)
+  // time and memory once n exceeds kDenseSampleN.
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k);
+  // Same draws, written into out (k = out.size()); allocates nothing while
+  // n <= kDenseSampleN.
+  void sample_without_replacement(std::size_t n, std::span<std::size_t> out);
+  static constexpr std::size_t kDenseSampleN = 256;
 
  private:
   std::uint64_t seed_;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <set>
 
+#include "alloc_counter.h"
 #include "data/dataset.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
@@ -284,6 +285,35 @@ TEST(Partition, DeterministicInSeed) {
     EXPECT_EQ(a[i].train.labels(), b[i].train.labels());
     for (std::size_t s = 0; s < a[i].train.size(); ++s) {
       EXPECT_EQ(a[i].train.image(s)[0], b[i].train.image(s)[0]);
+    }
+  }
+}
+
+// Replaying the clients between a checkpoint and the one asked for
+// allocates nothing: sketch(i) makes the same allocations wherever i lies
+// in its checkpoint stride, in every partition mode.
+TEST(Partition, SketchAllocationsDoNotDependOnReplayDistance) {
+  constexpr std::size_t kStride = PartitionPlan::kCheckpointStride;
+  for (const std::string partition : {"skew", "dirichlet", "iid"}) {
+    for (const std::size_t pool : {0, 3}) {
+      for (const double qskew : {1.0, 3.0}) {
+        SCOPED_TRACE(partition + " pool=" + std::to_string(pool) +
+                     " qskew=" + std::to_string(qskew));
+        FederatedConfig cfg;
+        cfg.n_clients = 2 * kStride + 10;
+        cfg.partition = partition;
+        cfg.label_set_pool = pool;
+        cfg.quantity_skew_factor = qskew;
+        const PartitionPlan plan(dataset_spec("cifar10"), cfg, 17);
+        const auto at_checkpoint =
+            alloc_counter::count([&] { (void)plan.sketch(kStride); });
+        for (const std::size_t i : {kStride + 1, kStride + 500,
+                                    2 * kStride - 1}) {
+          const auto far = alloc_counter::count([&] { (void)plan.sketch(i); });
+          EXPECT_EQ(far.allocations, at_checkpoint.allocations) << i;
+          EXPECT_EQ(far.bytes, at_checkpoint.bytes) << i;
+        }
+      }
     }
   }
 }

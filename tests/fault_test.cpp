@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "core/fedclust.h"
 #include "core/registry.h"
@@ -225,6 +228,39 @@ TEST(UpdateValidatorTest, EnforcesNormBoundOnlyWhenSet) {
   EXPECT_EQ(bounded.check({0.5f, 0.5f}), nullptr);
   const fl::UpdateValidator unbounded(0.0);
   EXPECT_EQ(unbounded.check({1e30f, 1e30f}), nullptr);
+}
+
+// Without a bound the validator scans exponent bits instead of summing a
+// norm; both settings must reach the same verdict on every special value.
+TEST(UpdateValidatorTest, SpecialValuesAtBothBoundSettings) {
+  const float qnan = std::numeric_limits<float>::quiet_NaN();
+  const float snan = std::numeric_limits<float>::signaling_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float max_denorm = std::bit_cast<float>(std::uint32_t{0x007fffff});
+  // Quiet and signalling NaNs with nonzero payloads, and a negative NaN.
+  const float qnan_payload = std::bit_cast<float>(std::uint32_t{0x7fc12345});
+  const float snan_payload = std::bit_cast<float>(std::uint32_t{0x7f800001});
+  const float neg_nan = std::bit_cast<float>(std::uint32_t{0xffc00000});
+  for (const double bound : {0.0, 1e6}) {
+    SCOPED_TRACE(bound);
+    const fl::UpdateValidator v(bound);
+    for (const float bad : {qnan, snan, qnan_payload, snan_payload, neg_nan,
+                            inf, -inf}) {
+      std::vector<float> update(37, 0.25f);
+      update.back() = bad;  // the last element, past any vector tail
+      EXPECT_STREQ(v.check(update), "non_finite") << bad;
+      update.back() = 0.25f;
+      update.front() = bad;
+      EXPECT_STREQ(v.check(update), "non_finite") << bad;
+    }
+    EXPECT_EQ(v.check({denorm, -denorm, max_denorm, -max_denorm}), nullptr);
+    EXPECT_EQ(v.check({-0.0f, 0.0f, -0.0f}), nullptr);
+    EXPECT_STREQ(v.check({std::numeric_limits<float>::max(),
+                          std::numeric_limits<float>::lowest()}),
+                 bound > 0.0 ? "norm_bound" : nullptr);
+    EXPECT_EQ(v.check({}), nullptr);
+  }
 }
 
 // ---- FaultEngine schedule purity ------------------------------------------

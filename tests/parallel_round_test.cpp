@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <numeric>
 #include <set>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "fl/federation.h"
+#include "fl/wire.h"
+#include "obs/trace.h"
 #include "util/thread_pool.h"
 
 namespace fedclust {
@@ -107,6 +111,63 @@ TEST_F(ParallelRoundTest, CommBytesAreExactUnderConcurrency) {
     return std::make_pair(fed.comm().bytes_up(), fed.comm().bytes_down());
   };
   EXPECT_EQ(bytes_with(1), bytes_with(4));
+}
+
+// Within one call each distinct start model goes through the codec once,
+// however many clients train from it, and every client's download is
+// still billed as a pull_model per client bills it.
+TEST_F(ParallelRoundTest, EachStartModelRoundTripsOncePerCall) {
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    util::reset_global_pool(threads);
+    fl::ExperimentConfig cfg = small_cfg(9);
+    cfg.codec = fl::wire::CodecId::kQInt8;
+    fl::Federation fed(cfg);
+    const std::vector<float> a = fed.init_params();
+    std::vector<float> b = a;
+    for (float& x : b) x *= 0.5f;
+    std::vector<std::size_t> clients(fed.n_clients());
+    std::iota(clients.begin(), clients.end(), 0);
+    const auto start_of = [&](std::size_t idx) {
+      return idx % 3 == 0 ? &b : &a;
+    };
+
+    obs::SpanTracer& tracer = obs::SpanTracer::instance();
+    tracer.clear();
+    tracer.set_enabled(true);
+    fl::ParallelRoundRunner runner(fed);
+    const auto results = runner.train_clients(
+        clients, [&](std::size_t idx, std::size_t c) {
+          fl::RoundTrainJob job;
+          job.start = start_of(idx);
+          job.opts = fed.cfg().local;
+          job.rng = fed.train_rng(c, 0);
+          job.download_floats = fed.model_size();
+          job.upload_floats = fed.model_size();
+          return job;
+        });
+    tracer.set_enabled(false);
+    std::size_t pulls = 0;
+    for (const auto& thread : tracer.collect()) {
+      for (const obs::SpanEvent& e : thread.events) {
+        if (std::string_view(e.name).starts_with("wire.encode/") &&
+            e.arg2 == fl::wire::kServerSender) {
+          ++pulls;
+        }
+      }
+    }
+    tracer.clear();
+    EXPECT_EQ(pulls, 2u);
+    EXPECT_EQ(results.size(), clients.size());
+
+    fl::Federation ref(cfg);
+    for (std::size_t idx = 0; idx < clients.size(); ++idx) {
+      (void)ref.pull_model(*start_of(idx), 0, ref.model_size());
+    }
+    EXPECT_EQ(fed.comm().bytes_down(), ref.comm().bytes_down());
+    // Plus one fault-free upload per client.
+    EXPECT_EQ(fed.comm().messages(), ref.comm().messages() + clients.size());
+  }
 }
 
 TEST_F(ParallelRoundTest, ForEachIndexCoversEveryIndexOnce) {

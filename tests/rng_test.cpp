@@ -5,6 +5,11 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "alloc_counter.h"
 
 namespace fedclust::util {
 namespace {
@@ -183,6 +188,86 @@ TEST(Rng, SampleWithoutReplacementFull) {
 TEST(Rng, SampleWithoutReplacementRejectsOversample) {
   Rng rng(23);
   EXPECT_THROW(rng.sample_without_replacement(3, 4), std::invalid_argument);
+  std::vector<std::size_t> out(4);
+  EXPECT_THROW(rng.sample_without_replacement(3, std::span(out)),
+               std::invalid_argument);
+}
+
+// The dense partial Fisher–Yates the sampler must reproduce draw for draw:
+// an n-entry index array, k swaps, the first k entries.
+std::vector<std::size_t> dense_sample(Rng& rng, std::size_t n, std::size_t k) {
+  std::vector<std::size_t> idx(n);
+  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto j = static_cast<std::size_t>(rng.randint(
+        static_cast<std::int64_t>(i), static_cast<std::int64_t>(n)));
+    std::swap(idx[i], idx[j]);
+  }
+  idx.resize(k);
+  return idx;
+}
+
+// Same values and the same generator state afterwards, through both
+// overloads, on both paths: the stack array (n <= kDenseSampleN) and the
+// displaced-position table.
+TEST(Rng, SampleWithoutReplacementMatchesDenseFisherYates) {
+  static_assert(Rng::kDenseSampleN == 256);
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {0, 0},      {1, 0},     {1, 1},       {10, 0},        {10, 2},
+      {10, 10},    {100, 10},  {100, 100},   {256, 17},      {256, 256},
+      {257, 0},    {257, 1},   {257, 16},    {2700, 2},      {1000000, 16},
+      {257, 17},   {300, 300}, {2700, 256},  {1000000, 500}};
+  for (const auto& [n, k] : shapes) {
+    const std::uint64_t seeds = n >= 1000000 ? 4 : 64;
+    for (std::uint64_t seed = 0; seed < seeds; ++seed) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " k=" << k
+                                      << " seed=" << seed);
+      Rng want_rng(seed);
+      const std::vector<std::size_t> want = dense_sample(want_rng, n, k);
+      Rng got_rng(seed);
+      ASSERT_EQ(got_rng.sample_without_replacement(n, k), want);
+      EXPECT_EQ(got_rng.state(), want_rng.state());
+
+      Rng span_rng(seed);
+      std::vector<std::size_t> out(k);
+      span_rng.sample_without_replacement(n, std::span(out));
+      EXPECT_EQ(out, want);
+      EXPECT_EQ(span_rng.state(), want_rng.state());
+    }
+  }
+}
+
+// Memory is O(k): the bytes a draw allocates do not grow with n, and a
+// draw from a small n into a caller's buffer allocates nothing.
+TEST(Rng, SampleWithoutReplacementAllocationIsIndependentOfN) {
+  for (const std::size_t k : {std::size_t{2}, std::size_t{500}}) {
+    std::size_t first_bytes = 0;
+    for (const std::size_t n : {std::size_t{1000}, std::size_t{1000000},
+                                std::size_t{1} << 40}) {
+      Rng rng(7);
+      const auto c = alloc_counter::count(
+          [&] { (void)rng.sample_without_replacement(n, k); });
+      if (n == 1000) first_bytes = c.bytes;
+      EXPECT_EQ(c.bytes, first_bytes) << "k=" << k << " n=" << n;
+      EXPECT_LE(c.bytes, 64 * k) << "k=" << k << " n=" << n;
+    }
+  }
+  Rng rng(7);
+  std::vector<std::size_t> out(Rng::kDenseSampleN);
+  const auto c = alloc_counter::count([&] {
+    rng.sample_without_replacement(Rng::kDenseSampleN, std::span(out));
+  });
+  EXPECT_EQ(c.allocations, 0u);
+}
+
+TEST(Rng, DirichletSpanMatchesVector) {
+  Rng a(31);
+  Rng b(31);
+  const std::vector<double> want = a.dirichlet(0.3, 7);
+  std::vector<double> got(7);
+  b.dirichlet(0.3, std::span(got));
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(b.state(), a.state());
 }
 
 // Property sweep: statistical sanity holds across seeds.

@@ -535,6 +535,31 @@ TEST(AlgorithmState, ResumeRefusesOversizedAndLeftoverState) {
   }
 }
 
+// PACFL's state carries a count of subspace bases; a CRC-valid state that
+// declares 2^62 of them is refused with SnapshotError, not a failed reserve.
+TEST(AlgorithmState, ResumeRefusesOversizedPacflBasisCount) {
+  fl::ExperimentConfig cfg = small_cfg(5);
+  cfg.rounds = 2;
+  fl::Federation fed(cfg);
+  const auto algo = core::make_algorithm("PACFL", fed);
+  const fl::Trace trace = algo->run();
+  const fl::RunSnapshot snap = algo->capture_snapshot(2, trace.records);
+
+  // The basis count follows the assignment and the cluster models.
+  util::BinaryReader rd(snap.algo_state);
+  (void)fl::read_index_vec(rd);
+  (void)fl::read_nested_f32(rd);
+  const std::size_t offset = snap.algo_state.size() - rd.remaining();
+  ASSERT_GT(util::get_u64_le(snap.algo_state.data() + offset), 0u);
+  fl::RunSnapshot huge = snap;
+  store_u64(huge.algo_state.data() + offset, kHugeLength);
+
+  fl::Federation fresh_fed(cfg);
+  const auto fresh = core::make_algorithm("PACFL", fresh_fed);
+  fresh->resume_from(fl::parse_snapshot(fl::serialize_snapshot(huge)));
+  EXPECT_THROW(fresh->run(), fl::SnapshotError);
+}
+
 // ------------------------------------------------- resume bit-identity
 
 void expect_identical(const fl::Trace& a, const fl::Trace& b) {

@@ -3,12 +3,12 @@
 # check_docs, one-worker socket_single_worker, two-worker
 # socket_two_workers, kill -9 worker restart socket_restart,
 # kill-and-resume cli_resume, landmark-contract cli_landmark, every-ISA
-# cli_isa, journal + fedclust_report gate cli_report and
-# obs/fault/codec/log-epoch output cli_smoke ctests), then the concurrency
-# tests (thread pool + parallel round executor + obs stress) rebuilt and
-# re-run under ThreadSanitizer, then the fault/wire/snapshot tests rebuilt
-# and re-run under Address+UBSanitizer, then simulator CLI smokes: the
-# client store and landmark clustering at 100k clients.
+# cli_isa, journal + fedclust_report gate cli_report,
+# obs/fault/codec/log-epoch output cli_smoke and 100k-client store
+# scale_smoke ctests), then the concurrency tests (thread pool + parallel
+# round executor + obs stress) rebuilt and re-run under ThreadSanitizer,
+# then the fault/wire/snapshot tests rebuilt and re-run under
+# Address+UBSanitizer, then the landmark clustering smoke at 100k clients.
 # Run from the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -26,43 +26,6 @@ FEDCLUST_THREADS=4 ctest --preset tsan-smoke
 cmake --preset asan
 cmake --build --preset asan-smoke -j "$(nproc)"
 FEDCLUST_THREADS=4 ctest --preset asan-smoke
-
-# Scale smoke — the client store at population scale: 100k clients with a
-# 0.1% cohort must run in bounded memory (LRU cache of 64 that really
-# evicts, so the RSS ceiling is independent of the population) and stay
-# bit-identical to the never-evicting store, at 1 and 4 worker threads
-# (docs/INVARIANTS.md §Scale).
-scale_dir=build/scale_smoke
-rm -rf "$scale_dir" && mkdir -p "$scale_dir"
-scale_flags=(--method=FedAvg --dataset=fmnist --clients=100000 --train=1
-             --test=1 --sample=0.001 --rounds=2 --eval-clients=50 --seed=3)
-FEDCLUST_THREADS=1 ./build/tools/fedclust_sim "${scale_flags[@]}" \
-    --out="$scale_dir/full.csv" > "$scale_dir/full.out"
-for threads in 1 4; do
-  FEDCLUST_THREADS=$threads ./build/tools/fedclust_sim "${scale_flags[@]}" \
-      --virtual-clients=1 --client-cache=64 \
-      --out="$scale_dir/virt.t$threads.csv" \
-      > "$scale_dir/virt.t$threads.out"
-  cmp "$scale_dir/full.csv" "$scale_dir/virt.t$threads.csv" ||
-    { echo "scale smoke: trace differs from never-evicting store" \
-           "(threads=$threads)" >&2; exit 1; }
-  [ "$(state_line "$scale_dir/full.out")" = \
-    "$(state_line "$scale_dir/virt.t$threads.out")" ] ||
-    { echo "scale smoke: state digest differs (threads=$threads)" >&2
-      exit 1; }
-  virt_rss=$(grep -oP '^peak rss \K[0-9]+' "$scale_dir/virt.t$threads.out")
-  # Ceiling: 128 MiB leaves headroom over the observed ~25 MiB while still
-  # proving the population never resided in memory.
-  [ -n "$virt_rss" ] && [ "$virt_rss" -lt 131072 ] ||
-    { echo "scale smoke: virtual RSS $virt_rss KiB above 131072 KiB ceiling" \
-        >&2; exit 1; }
-  evictions=$(grep -oP 'client store: .* \K[0-9]+(?= evictions)' \
-              "$scale_dir/virt.t$threads.out")
-  [ -n "$evictions" ] && [ "$evictions" -gt 0 ] ||
-    { echo "scale smoke: bounded store never evicted (threads=$threads)" >&2
-      exit 1; }
-done
-echo "scale smoke ok (virtual rss ${virt_rss} KiB, ${evictions} evictions)"
 
 # Landmark clustering smoke (docs/SCALING.md §Landmark clustering):
 # FedClust at 100k virtual clients with --landmarks=256 must finish under
