@@ -286,18 +286,8 @@ void FaultEngine::corrupt_wire(std::vector<std::uint8_t>& bytes,
 }
 
 const char* UpdateValidator::check(const std::vector<float>& params) const {
-  if (max_norm_ > 0.0) {
-    // The exact sequential sum, so a borderline decision cannot flip.
-    double sumsq = 0.0;
-    for (const float v : params) {
-      if (!std::isfinite(v)) return "non_finite";
-      sumsq += static_cast<double>(v) * v;
-    }
-    return std::sqrt(sumsq) > max_norm_ ? "norm_bound" : nullptr;
-  }
-  // No bound, so no norm: a value is non-finite (±inf, or NaN with any
-  // payload) exactly when its exponent bits are all ones. The branch-free
-  // integer scan vectorizes.
+  // A value is non-finite (±inf, or NaN with any payload) exactly when its
+  // exponent bits are all ones. The branch-free integer scan vectorizes.
   constexpr std::uint32_t kExponent = 0x7f800000u;
   std::uint32_t non_finite = 0;
   for (const float v : params) {
@@ -305,7 +295,12 @@ const char* UpdateValidator::check(const std::vector<float>& params) const {
     std::memcpy(&bits, &v, sizeof(bits));
     non_finite |= static_cast<std::uint32_t>((bits & kExponent) == kExponent);
   }
-  return non_finite != 0 ? "non_finite" : nullptr;
+  if (non_finite != 0) return "non_finite";
+  if (max_norm_ <= 0.0) return nullptr;
+  // The exact sequential sum, so a borderline decision cannot flip.
+  double sumsq = 0.0;
+  for (const float v : params) sumsq += static_cast<double>(v) * v;
+  return std::sqrt(sumsq) > max_norm_ ? "norm_bound" : nullptr;
 }
 
 }  // namespace fedclust::fl

@@ -235,27 +235,15 @@ std::vector<float> Federation::pull_model(const std::vector<float>& payload,
                                           std::size_t round,
                                           std::uint64_t counted_floats) {
   std::uint64_t encoded = 0;
-  std::vector<float> rx = pull_round_trip(payload, round, &encoded);
-  bill_pull(payload.size(), encoded, counted_floats);
-  return rx;
-}
-
-std::vector<float> Federation::pull_round_trip(
-    const std::vector<float>& payload, std::size_t round,
-    std::uint64_t* encoded_bytes) const {
-  return wire_round_trip(wire::MessageKind::kModelPull, payload.data(),
-                         payload.size(), wire::kServerSender, round,
-                         encoded_bytes);
-}
-
-void Federation::bill_pull(std::uint64_t payload_floats,
-                           std::uint64_t encoded_bytes,
-                           std::uint64_t counted_floats) {
-  comm_.download_envelope(payload_floats, encoded_bytes);
-  if (counted_floats > payload_floats) {
-    const std::uint64_t extra = counted_floats - payload_floats;
+  std::vector<float> rx =
+      wire_round_trip(wire::MessageKind::kModelPull, payload.data(),
+                      payload.size(), wire::kServerSender, round, &encoded);
+  comm_.download_envelope(payload.size(), encoded);
+  if (counted_floats > payload.size()) {
+    const std::uint64_t extra = counted_floats - payload.size();
     comm_.download_envelope(extra, wire::encoded_size(cfg_.codec, extra));
   }
+  return rx;
 }
 
 std::vector<float> Federation::upload_payload(wire::MessageKind kind,

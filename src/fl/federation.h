@@ -286,14 +286,6 @@ class Federation {
   std::vector<float> pull_model(const std::vector<float>& payload,
                                 std::size_t round,
                                 std::uint64_t counted_floats);
-  // pull_model's two halves, for a payload sent to many clients: the codec
-  // round trip (pure and thread-safe; sets *encoded_bytes to the encoded
-  // payload size), and the billing of one client's download of it.
-  std::vector<float> pull_round_trip(const std::vector<float>& payload,
-                                     std::size_t round,
-                                     std::uint64_t* encoded_bytes) const;
-  void bill_pull(std::uint64_t payload_floats, std::uint64_t encoded_bytes,
-                 std::uint64_t counted_floats);
 
   // Client -> server setup payload (warmup partials, FLIS profiles, PACFL
   // subspace bases): round-trips through the wire and bills the upload.

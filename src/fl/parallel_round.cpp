@@ -42,9 +42,9 @@ void journal_download(const RoundTrainJob& job, std::size_t c,
 // round trip while any other waits, and every client trains from those
 // decoded floats — the codec is pure in the payload, so they are the bits a
 // round trip per client would give. Each client's download is still billed
-// on its own. The decoded models live only as long as the call, and
-// raw_f32 keeps none: its round trip is byte-exact, so its clients train
-// from job.start itself.
+// on its own, as pull_model bills it. The decoded models live only as long
+// as the call, and raw_f32 keeps none: its round trip is byte-exact, so its
+// clients train from job.start itself.
 class ModelPulls {
  public:
   explicit ModelPulls(Federation& fed)
@@ -61,10 +61,15 @@ class ModelPulls {
       p = it != pulled_.end() ? &*it : &pulled_.emplace_back(job.start);
     }
     std::call_once(p->once, [&] {
-      p->params = fed_.pull_round_trip(*job.start, job.round, &p->encoded);
+      p->params = fed_.through_wire(wire::MessageKind::kModelPull, *job.start,
+                                    wire::kServerSender, job.round);
       if (exact_) std::vector<float>().swap(p->params);
     });
-    fed_.bill_pull(job.start->size(), p->encoded, job.download_floats);
+    const std::uint64_t model_floats = job.start->size();
+    fed_.bill_download(model_floats);
+    if (job.download_floats > model_floats) {
+      fed_.bill_download(job.download_floats - model_floats);
+    }
     return exact_ ? *job.start : p->params;
   }
 
@@ -74,7 +79,6 @@ class ModelPulls {
     const std::vector<float>* start;
     std::once_flag once;
     std::vector<float> params;
-    std::uint64_t encoded = 0;
   };
 
   Federation& fed_;

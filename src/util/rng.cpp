@@ -1,13 +1,11 @@
 #include "util/rng.h"
 
-#include <algorithm>
 #include <array>
-#include <bit>
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <numbers>
 #include <stdexcept>
+#include <unordered_map>
 
 namespace fedclust::util {
 
@@ -174,45 +172,37 @@ std::size_t Rng::categorical(const std::vector<double>& weights) {
 
 namespace {
 
-// Rng::sample_without_replacement past kDenseSampleN: the same draws, with
-// only the positions a swap displaced (at most one per step) kept, in an
-// open-addressing table of >= 2k slots. Position i is never read after
-// step i, so it is never stored. Out of line, so the dense path keeps a
-// small frame.
-[[gnu::noinline]] void sample_displaced(Rng& rng, std::size_t n,
-                                        std::span<std::size_t> out) {
-  struct Slot {
-    std::size_t pos;
-    std::size_t value;
-  };
-  constexpr std::size_t kEmpty = std::numeric_limits<std::size_t>::max();
-  const std::size_t k = out.size();
-  const std::size_t cap = std::bit_ceil(std::max<std::size_t>(2 * k, 2));
-  std::vector<Slot> slots(cap, Slot{kEmpty, 0});
-  const int shift = 64 - std::countr_zero(cap);
-  // Fibonacci hashing; the slot holding `pos`, or the empty one ending its
-  // probe run.
-  const auto find = [&](std::size_t pos) -> Slot& {
-    std::size_t s = static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(pos) * 0x9e3779b97f4a7c15ULL) >> shift);
-    while (slots[s].pos != pos && slots[s].pos != kEmpty) {
-      s = (s + 1) & (cap - 1);
-    }
-    return slots[s];
-  };
+// A partial Fisher–Yates shuffle of idx[p] = p, p < n <= kDenseSampleN, on
+// the stack: step i < k draws j = randint(i, n), swaps idx[i] and idx[j]
+// and emits the new idx[i]. Inlined into both overloads, so the generator
+// state stays in registers across the draws.
+template <class Emit>
+[[gnu::always_inline]] inline void shuffle_prefix(Rng& rng, std::size_t n,
+                                                std::size_t k, Emit emit) {
+  std::array<std::size_t, Rng::kDenseSampleN> idx;
+  for (std::size_t p = 0; p < n; ++p) idx[p] = p;
   for (std::size_t i = 0; i < k; ++i) {
     const auto j = static_cast<std::size_t>(rng.randint(
         static_cast<std::int64_t>(i), static_cast<std::int64_t>(n)));
-    const Slot& at_i = find(i);
-    const std::size_t vi = at_i.pos == i ? at_i.value : i;
-    if (j == i) {
-      out[i] = vi;
-      continue;
-    }
-    Slot& at_j = find(j);
-    out[i] = at_j.pos == j ? at_j.value : j;
-    at_j.pos = j;
-    at_j.value = vi;
+    std::swap(idx[i], idx[j]);
+    emit(idx[i]);
+  }
+}
+
+// The same draws for n > Rng::kDenseSampleN, in O(k) time and memory: only
+// the positions a swap displaced (at most one per step) are kept, and
+// position i is never read after step i.
+void sample_displaced(Rng& rng, std::size_t n, std::span<std::size_t> out) {
+  std::unordered_map<std::size_t, std::size_t> displaced;  // position -> id
+  displaced.reserve(out.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const auto j = static_cast<std::size_t>(rng.randint(
+        static_cast<std::int64_t>(i), static_cast<std::int64_t>(n)));
+    const auto at_i = displaced.find(i);
+    const std::size_t id_i = at_i != displaced.end() ? at_i->second : i;
+    std::size_t& id_j = displaced.try_emplace(j, j).first->second;
+    out[i] = id_j;
+    id_j = id_i;
   }
 }
 
@@ -223,31 +213,28 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
   if (k > n) {
     throw std::invalid_argument("sample_without_replacement: k > n");
   }
-  std::vector<std::size_t> out(k);
-  sample_without_replacement(n, out);
+  if (n > kDenseSampleN) {
+    std::vector<std::size_t> out(k);
+    sample_displaced(*this, n, out);
+    return out;
+  }
+  std::vector<std::size_t> out;
+  out.reserve(k);
+  shuffle_prefix(*this, n, k, [&](std::size_t id) { out.push_back(id); });
   return out;
 }
 
 void Rng::sample_without_replacement(std::size_t n,
                                      std::span<std::size_t> out) {
-  const std::size_t k = out.size();
-  if (k > n) {
+  if (out.size() > n) {
     throw std::invalid_argument("sample_without_replacement: k > n");
   }
   if (n > kDenseSampleN) {
     sample_displaced(*this, n, out);
     return;
   }
-  // Partial Fisher–Yates over idx[p] = p, on the stack: step i draws
-  // j = randint(i, n), swaps idx[i] and idx[j] and emits the new idx[i].
-  std::array<std::size_t, kDenseSampleN> idx;
-  for (std::size_t p = 0; p < n; ++p) idx[p] = p;
-  for (std::size_t i = 0; i < k; ++i) {
-    const auto j = static_cast<std::size_t>(
-        randint(static_cast<std::int64_t>(i), static_cast<std::int64_t>(n)));
-    std::swap(idx[i], idx[j]);
-    out[i] = idx[i];
-  }
+  auto next = out.begin();
+  shuffle_prefix(*this, n, out.size(), [&](std::size_t id) { *next++ = id; });
 }
 
 }  // namespace fedclust::util

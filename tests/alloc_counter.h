@@ -2,7 +2,9 @@
 
 // A counting global operator new/delete for tests that check what code
 // allocates. Include it in exactly one translation unit of a test binary:
-// it replaces the binary's global allocation functions.
+// it replaces the binary's global allocation functions. Keep it out of the
+// binaries the sanitizer presets run (tsan_smoke, asan_smoke): the
+// replacement hides new/delete from the sanitizer's own checks.
 //
 // Every block carries a 16-byte header holding its requested size, so a
 // delete knows what it frees; that lets a test watch the live blocks of

@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "alloc_counter.h"
 #include "data/partition.h"
 #include "fl/client_state.h"
 #include "fl/client_store.h"
@@ -400,32 +399,6 @@ TEST(StreamingAggregator, ContractViolationsThrow) {
 
 // tsan_smoke: concurrent submits from many threads must produce the exact
 // single-threaded result — the whole point of the fixed reduction tree.
-// A leaf takes the accumulator the last fold freed instead of a fresh one,
-// and the aggregator holds at most one such spare, none once every slot is
-// resolved: then only the root's accumulator is live.
-TEST(StreamingAggregator, ReusesAtMostOneSpareAccumulator) {
-  const std::size_t dim = 12347;  // a block size nothing else here allocates
-  const std::size_t slots = 64;
-  const std::vector<float> v(dim, 0.5f);
-  for (const bool reversed : {false, true}) {
-    SCOPED_TRACE(reversed);
-    alloc_counter::watch(dim * sizeof(double));
-    {
-      fl::StreamingAggregator agg(slots, dim);
-      for (std::size_t s = 0; s < slots; ++s) {
-        agg.submit(reversed ? slots - 1 - s : s, v.data(), dim, 1.0);
-      }
-      EXPECT_EQ(alloc_counter::watched_live.load(), 1u);
-      EXPECT_LE(alloc_counter::watched_allocations.load(), slots / 2 + 1);
-      std::vector<float> model(dim);
-      ASSERT_TRUE(agg.finish(model));
-      EXPECT_EQ(model, v);
-    }
-    EXPECT_EQ(alloc_counter::watched_live.load(), 0u);
-    alloc_counter::watch(0);
-  }
-}
-
 TEST(StreamingAggregator, ConcurrentSubmitIsBitIdentical) {
   const std::size_t dim = 256, slots = 64;
   std::vector<std::vector<float>> updates(slots, std::vector<float>(dim));

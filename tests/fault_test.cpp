@@ -230,8 +230,8 @@ TEST(UpdateValidatorTest, EnforcesNormBoundOnlyWhenSet) {
   EXPECT_EQ(unbounded.check({1e30f, 1e30f}), nullptr);
 }
 
-// Without a bound the validator scans exponent bits instead of summing a
-// norm; both settings must reach the same verdict on every special value.
+// Finiteness is an exponent-bits scan, and the norm is summed only when a
+// bound is set; every special value gets the same verdict at both settings.
 TEST(UpdateValidatorTest, SpecialValuesAtBothBoundSettings) {
   const float qnan = std::numeric_limits<float>::quiet_NaN();
   const float snan = std::numeric_limits<float>::signaling_NaN();

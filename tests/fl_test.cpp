@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
+#include "alloc_counter.h"
 #include "fl/client.h"
 #include "fl/comm.h"
 #include "fl/federation.h"
+#include "fl/stream_agg.h"
 #include "nn/loss.h"
 
 namespace fedclust::fl {
@@ -230,6 +233,32 @@ TEST(FederationTest, TrainRngStreamsDiffer) {
   Federation fed(tiny_config());
   EXPECT_NE(fed.train_rng(1, 2).next_u64(), fed.train_rng(2, 1).next_u64());
   EXPECT_EQ(fed.train_rng(1, 2).next_u64(), fed.train_rng(1, 2).next_u64());
+}
+
+// A leaf takes the accumulator the last fold freed instead of a fresh one,
+// and the aggregator holds at most one such spare, none once every slot is
+// resolved: then only the root's accumulator is live.
+TEST(StreamingAggregator, ReusesAtMostOneSpareAccumulator) {
+  const std::size_t dim = 12347;  // a block size nothing else here allocates
+  const std::size_t slots = 64;
+  const std::vector<float> v(dim, 0.5f);
+  for (const bool reversed : {false, true}) {
+    SCOPED_TRACE(reversed);
+    alloc_counter::watch(dim * sizeof(double));
+    {
+      StreamingAggregator agg(slots, dim);
+      for (std::size_t s = 0; s < slots; ++s) {
+        agg.submit(reversed ? slots - 1 - s : s, v.data(), dim, 1.0);
+      }
+      EXPECT_EQ(alloc_counter::watched_live.load(), 1u);
+      EXPECT_LE(alloc_counter::watched_allocations.load(), slots / 2 + 1);
+      std::vector<float> model(dim);
+      ASSERT_TRUE(agg.finish(model));
+      EXPECT_EQ(model, v);
+    }
+    EXPECT_EQ(alloc_counter::watched_live.load(), 0u);
+    alloc_counter::watch(0);
+  }
 }
 
 }  // namespace
