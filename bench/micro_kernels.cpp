@@ -372,40 +372,43 @@ void BM_MaterializedAggregate(benchmark::State& state) {
 }
 BENCHMARK(BM_MaterializedAggregate)->Arg(8)->Arg(64);
 
+// The nn step benches run warm models: after the first iteration every
+// activation, gradient and loss buffer is reused, as in a campaign.
 void BM_LeNetForward(benchmark::State& state) {
   nn::Model m = nn::lenet5(3, 16, 10, 1);
   const auto x = random_tensor({10, 3, 16, 16}, 4);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(m.forward(x));
+    benchmark::DoNotOptimize(m.forward(x).data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_LeNetForward);
 
+void train_steps(benchmark::State& state, nn::Model& m, nn::Sgd& opt) {
+  const auto x = random_tensor({10, 3, 16, 16}, 4);
+  const std::vector<std::int64_t> y = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  nn::LossResult loss;
+  for (auto _ : state) {
+    opt.zero_grad();
+    nn::softmax_cross_entropy(m.forward(x, true), y, loss);
+    m.backward(loss.grad_logits);
+    opt.step();
+    benchmark::DoNotOptimize(loss.loss);
+    benchmark::ClobberMemory();
+  }
+}
+
 void BM_LeNetTrainStep(benchmark::State& state) {
   nn::Model m = nn::lenet5(3, 16, 10, 1);
   nn::Sgd opt(m.parameters(), {.lr = 0.02f, .momentum = 0.5f});
-  const auto x = random_tensor({10, 3, 16, 16}, 4);
-  const std::vector<std::int64_t> y = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-  for (auto _ : state) {
-    opt.zero_grad();
-    const auto lr = nn::softmax_cross_entropy(m.forward(x, true), y);
-    m.backward(lr.grad_logits);
-    opt.step();
-  }
+  train_steps(state, m, opt);
 }
 BENCHMARK(BM_LeNetTrainStep);
 
 void BM_ResNet9TrainStep(benchmark::State& state) {
   nn::Model m = nn::resnet9(3, 16, 20, 8, 1);
   nn::Sgd opt(m.parameters(), {.lr = 0.02f});
-  const auto x = random_tensor({10, 3, 16, 16}, 4);
-  const std::vector<std::int64_t> y = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-  for (auto _ : state) {
-    opt.zero_grad();
-    const auto lr = nn::softmax_cross_entropy(m.forward(x, true), y);
-    m.backward(lr.grad_logits);
-    opt.step();
-  }
+  train_steps(state, m, opt);
 }
 BENCHMARK(BM_ResNet9TrainStep);
 
@@ -531,6 +534,30 @@ void BM_ClientLocalTraining(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClientLocalTraining);
+
+// One FedClust warmup's training in fedclust_paper's shape: LeNet-5, 50
+// CIFAR-10 samples, one epoch of five batches, on one warm workspace that
+// reloads the same start model every call.
+void BM_SimClientTrain(benchmark::State& state) {
+  const auto spec = data::dataset_spec("cifar10");
+  data::FederatedConfig fcfg;
+  fcfg.n_clients = 1;
+  fcfg.train_per_client = 50;
+  fcfg.test_per_client = 20;
+  auto cdata = data::make_federated_data(spec, fcfg, 1);
+  fl::SimClient client(0, std::move(cdata[0].train), std::move(cdata[0].test));
+  nn::Model m = nn::lenet5(3, 16, 10, 1);
+  const std::vector<float> start = m.flat_params();
+  fl::LocalTrainOptions opts;
+  opts.epochs = 1;
+  opts.batch_size = 10;
+  std::uint64_t salt = 0;
+  for (auto _ : state) {
+    m.set_flat_params(start);
+    benchmark::DoNotOptimize(client.train(m, opts, util::Rng(salt++)));
+  }
+}
+BENCHMARK(BM_SimClientTrain);
 
 // Round-level client parallelism: clients/sec for a full FedAvg round (20
 // sampled clients training concurrently) as the worker count sweeps 1, 2, 4

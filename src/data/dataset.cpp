@@ -30,23 +30,35 @@ const float* Dataset::image(std::size_t i) const {
   return images_.data() + i * image_size();
 }
 
-tensor::Tensor Dataset::batch_images(
-    const std::vector<std::size_t>& indices) const {
-  tensor::Tensor batch({indices.size(), channels_, hw_, hw_});
+void Dataset::batch_images(std::span<const std::size_t> indices,
+                           tensor::Tensor& out) const {
+  out.resize({indices.size(), channels_, hw_, hw_});
   const std::size_t img = image_size();
   for (std::size_t b = 0; b < indices.size(); ++b) {
     const float* src = image(indices[b]);
-    std::copy(src, src + img,
-              batch.data() + b * img);
+    std::copy(src, src + img, out.data() + b * img);
   }
+}
+
+void Dataset::batch_labels(std::span<const std::size_t> indices,
+                           std::vector<std::int64_t>& labels) const {
+  labels.resize(indices.size());
+  for (std::size_t b = 0; b < indices.size(); ++b) {
+    labels[b] = label(indices[b]);
+  }
+}
+
+tensor::Tensor Dataset::batch_images(
+    const std::vector<std::size_t>& indices) const {
+  tensor::Tensor batch;
+  batch_images(indices, batch);
   return batch;
 }
 
 std::vector<std::int64_t> Dataset::batch_labels(
     const std::vector<std::size_t>& indices) const {
   std::vector<std::int64_t> out;
-  out.reserve(indices.size());
-  for (const std::size_t i : indices) out.push_back(label(i));
+  batch_labels(indices, out);
   return out;
 }
 

@@ -3,6 +3,7 @@
 // In-memory labelled image dataset (CHW float images, integer labels).
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -32,7 +33,14 @@ class Dataset {
   // Pointer to the i-th CHW image (image_size() floats).
   const float* image(std::size_t i) const;
 
-  // Assembles an (B, C, H, W) batch from sample indices.
+  // Assembles the (B, C, H, W) batch of the given samples into `out`, and
+  // their labels into `labels`, resizing each in place (a reused buffer
+  // allocates only when it must grow).
+  void batch_images(std::span<const std::size_t> indices,
+                    tensor::Tensor& out) const;
+  void batch_labels(std::span<const std::size_t> indices,
+                    std::vector<std::int64_t>& labels) const;
+  // By-value forms.
   tensor::Tensor batch_images(const std::vector<std::size_t>& indices) const;
   std::vector<std::int64_t> batch_labels(
       const std::vector<std::size_t>& indices) const;

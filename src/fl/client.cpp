@@ -1,12 +1,28 @@
 #include "fl/client.h"
 
+#include <algorithm>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 
 namespace fedclust::fl {
+
+namespace {
+
+// The logits of every sample of `ds`, in order, as one batch assembled in
+// the workspace's buffers.
+const tensor::Tensor& forward_all(nn::Model& model, const data::Dataset& ds) {
+  nn::Model::StepBuffers& buf = model.step_buffers();
+  buf.order.resize(ds.size());
+  std::iota(buf.order.begin(), buf.order.end(), 0);
+  ds.batch_images(buf.order, buf.images);
+  return model.forward(buf.images);
+}
+
+}  // namespace
 
 SimClient::SimClient(std::size_t id, data::Dataset train, data::Dataset test)
     : id_(id), train_(std::move(train)), test_(std::move(test)) {
@@ -24,18 +40,22 @@ std::size_t SimClient::local_steps(const LocalTrainOptions& opts) const {
 float SimClient::train(nn::Model& model, const LocalTrainOptions& opts,
                        util::Rng rng, const std::vector<float>* prox_ref,
                        const std::vector<float>* grad_offset) const {
-  nn::Sgd opt(model.parameters(),
-              {.lr = opts.lr,
-               .momentum = opts.momentum,
-               .weight_decay = opts.weight_decay,
-               .clip_grad_norm = opts.clip_grad_norm,
-               .prox_mu = prox_ref != nullptr ? opts.prox_mu : 0.0f});
+  // Every buffer below is the workspace model's own, reused from its last
+  // call: a warm workspace's train() allocates nothing.
+  nn::Sgd& opt =
+      model.sgd({.lr = opts.lr,
+                 .momentum = opts.momentum,
+                 .weight_decay = opts.weight_decay,
+                 .clip_grad_norm = opts.clip_grad_norm,
+                 .prox_mu = prox_ref != nullptr ? opts.prox_mu : 0.0f});
   if (prox_ref != nullptr && opts.prox_mu != 0.0f) {
     opt.set_prox_reference(*prox_ref);
   }
   if (grad_offset != nullptr) opt.set_grad_offset(*grad_offset);
 
-  std::vector<std::size_t> order(train_.size());
+  nn::Model::StepBuffers& buf = model.step_buffers();
+  std::vector<std::size_t>& order = buf.order;
+  order.resize(train_.size());
   std::iota(order.begin(), order.end(), 0);
 
   float epoch_loss = 0.0f;
@@ -45,22 +65,17 @@ float SimClient::train(nn::Model& model, const LocalTrainOptions& opts,
     std::size_t n_batches = 0;
     for (std::size_t start = 0; start < order.size();
          start += opts.batch_size) {
-      const std::size_t end =
-          std::min(order.size(), start + opts.batch_size);
-      const std::vector<std::size_t> batch(order.begin() +
-                                               static_cast<std::ptrdiff_t>(
-                                                   start),
-                                           order.begin() +
-                                               static_cast<std::ptrdiff_t>(
-                                                   end));
-      const auto images = train_.batch_images(batch);
-      const auto labels = train_.batch_labels(batch);
+      const std::span<const std::size_t> batch(
+          order.data() + start,
+          std::min(order.size(), start + opts.batch_size) - start);
+      train_.batch_images(batch, buf.images);
+      train_.batch_labels(batch, buf.labels);
       opt.zero_grad();
-      const auto logits = model.forward(images, /*train=*/true);
-      const auto lr = nn::softmax_cross_entropy(logits, labels);
-      model.backward(lr.grad_logits);
+      nn::softmax_cross_entropy(model.forward(buf.images, /*train=*/true),
+                                buf.labels, buf.loss);
+      model.backward(buf.loss.grad_logits);
       opt.step();
-      loss_sum += lr.loss;
+      loss_sum += buf.loss.loss;
       ++n_batches;
     }
     epoch_loss = static_cast<float>(loss_sum /
@@ -71,18 +86,15 @@ float SimClient::train(nn::Model& model, const LocalTrainOptions& opts,
 
 double SimClient::evaluate(nn::Model& model) const {
   if (test_.empty()) return 0.0;
-  std::vector<std::size_t> all(test_.size());
-  std::iota(all.begin(), all.end(), 0);
-  const auto logits = model.forward(test_.batch_images(all));
-  return nn::accuracy(logits, test_.batch_labels(all));
+  return nn::accuracy(forward_all(model, test_), test_.labels());
 }
 
 float SimClient::train_loss(nn::Model& model) const {
-  std::vector<std::size_t> all(train_.size());
-  std::iota(all.begin(), all.end(), 0);
-  const auto logits = model.forward(train_.batch_images(all));
-  // A fresh LossResult only for the scalar; the gradient is discarded.
-  return nn::softmax_cross_entropy(logits, train_.batch_labels(all)).loss;
+  nn::LossResult& loss = model.step_buffers().loss;
+  // Only the scalar is read; the gradient is discarded.
+  nn::softmax_cross_entropy(forward_all(model, train_), train_.labels(),
+                            loss);
+  return loss.loss;
 }
 
 }  // namespace fedclust::fl

@@ -8,6 +8,20 @@
 
 namespace fedclust::fl {
 
+namespace {
+
+// The accumulator the last fold on this thread freed, if no leaf has taken
+// it yet: one per thread, kept across aggregators, so every round reuses
+// buffers instead of allocating one per update (at model size they come
+// from the heap top or from mmap, and glibc trims or unmaps each on free)
+// without holding more than one idle buffer per thread.
+std::vector<double>& thread_spare() {
+  thread_local std::vector<double> spare;
+  return spare;
+}
+
+}  // namespace
+
 StreamingAggregator::StreamingAggregator(std::size_t n_slots, std::size_t dim,
                                          bool int8_mode)
     : n_slots_(n_slots), dim_(dim), int8_mode_(int8_mode) {
@@ -64,7 +78,7 @@ void StreamingAggregator::resolve(std::size_t slot, bool delivered_flag,
     ++delivered_;
     leaf.w = w;
     // Every entry is written below, so a recycled buffer needs no clearing.
-    leaf.acc = std::exchange(spare_, {});
+    leaf.acc = std::exchange(thread_spare(), {});
     leaf.acc.resize(dim_);
     for (std::size_t i = 0; i < dim_; ++i) {
       leaf.acc[i] = w * static_cast<double>(v[i]);
@@ -95,7 +109,7 @@ void StreamingAggregator::resolve(std::size_t slot, bool delivered_flag,
       } else {
         for (std::size_t i = 0; i < dim_; ++i) left.acc[i] += right.acc[i];
         parent.acc = std::move(left.acc);
-        if (spare_.empty()) spare_ = std::move(right.acc);
+        if (thread_spare().empty()) thread_spare() = std::move(right.acc);
       }
       parent.w = left.w + right.w;
       std::vector<double>().swap(left.acc);
@@ -108,8 +122,6 @@ void StreamingAggregator::resolve(std::size_t slot, bool delivered_flag,
     j /= 2;
     ++l;
   }
-  // No leaf is left to take the spare.
-  if (resolved_ == n_slots_) std::vector<double>().swap(spare_);
 }
 
 bool StreamingAggregator::any_delivered() const {

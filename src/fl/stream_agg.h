@@ -13,7 +13,8 @@
 // Per-slot retained state after submit() returns is one double accumulator
 // tree node, not the float update — per-round memory is O(sampled cohort),
 // independent of the population (docs/INVARIANTS.md §Scale). A fold's freed
-// accumulator is kept as the one spare the next delivered leaf takes.
+// accumulator is kept as its thread's one spare, which the next leaf
+// delivered on that thread takes, in this tree or the next round's.
 
 #include <cstdint>
 #include <mutex>
@@ -66,12 +67,6 @@ class StreamingAggregator {
   std::vector<std::vector<Node>> levels_;
   std::size_t resolved_ = 0;
   std::size_t delivered_ = 0;
-  // The accumulator the last fold freed, if no leaf has taken it yet: at
-  // most one spare, so a cohort reuses buffers instead of mapping and
-  // unmapping one per update (they exceed glibc's mmap threshold at model
-  // size) without holding more than the tree needs. Released once every
-  // slot is resolved.
-  std::vector<double> spare_;
   // int8 mode: per-slot encoded payload + weight + delivered flag, consumed
   // at finish() in slot order — the same entry order the collect-then-reduce
   // path used.

@@ -6,6 +6,7 @@
 #include "obs/trace.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
+#include "tensor/tensor_ops.h"
 
 namespace fedclust::nn {
 
@@ -22,7 +23,20 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
               Tensor({out_channels, in_channels * kernel * kernel})),
       bias_(name_ + ".bias", Tensor({out_channels})) {}
 
-Tensor Conv2d::forward(const Tensor& x, bool train) {
+namespace {
+
+// One image's column matrix (an eval forward's, or a backward's dcol): dead
+// once its GEMM or col2im is done, so one buffer per thread serves every
+// conv layer of every replica that thread runs.
+std::vector<float>& image_cols(std::size_t size) {
+  thread_local std::vector<float> cols;
+  cols.resize(size);
+  return cols;
+}
+
+}  // namespace
+
+void Conv2d::forward_into(const Tensor& x, Tensor& y, bool train) {
   OBS_SPAN("conv2d.forward");
   if (x.ndim() != 4 || x.dim(1) != in_c_) {
     throw std::invalid_argument(name_ + ": expected input (N, " +
@@ -40,29 +54,19 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   // One lowering in both modes: per image, im2col into a column buffer, then
   // out(out_c, out_area) = W(out_c, col_rows) x col(col_rows, out_area).
   // Training keeps every image's columns in cached_cols_ for backward's dW
-  // and dcol GEMMs. Inference reuses one per-thread buffer, so an eval
-  // forward leaves the training cache as the last training forward set it.
-  //
-  // y is allocated before a column buffer can grow: a long-lived buffer
-  // placed above the first forward's output keeps glibc from trimming the
-  // heap top after every forward (the other order doubled the minor page
-  // faults of a FedClust campaign).
-  Tensor y({n, out_c_, oh, ow});
+  // and dcol GEMMs. Inference reuses the per-thread image buffer, so an
+  // eval forward leaves the training cache as the last training forward
+  // set it. im2col writes every element, padding zeros included, and the
+  // GEMM (beta = 0) every output, so reused buffers need no clearing.
+  y.resize({n, out_c_, oh, ow});
   float* cols = nullptr;
   std::size_t col_stride = 0;
   if (train) {
-    // im2col writes every element, padding zeros included, so a column
-    // buffer of the right shape is reused as is.
-    const tensor::Shape cols_shape = {n, col_rows, out_area};
-    if (cached_cols_.shape() != cols_shape) cached_cols_ = Tensor(cols_shape);
+    cached_cols_.resize({n, col_rows, out_area});
     cols = cached_cols_.data();
     col_stride = col_rows * out_area;
   } else {
-    // An image's columns are dead once its GEMM is done, and the eval sweep
-    // runs a forward per client batch, so one buffer per thread serves all.
-    thread_local std::vector<float> eval_cols;
-    eval_cols.resize(col_rows * out_area);
-    cols = eval_cols.data();
+    cols = image_cols(col_rows * out_area).data();
   }
 
   for (std::size_t i = 0; i < n; ++i) {
@@ -85,10 +89,9 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
     cached_h_ = h;
     cached_w_ = w;
   }
-  return y;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_out) {
+void Conv2d::backward_into(const Tensor& grad_out, Tensor& grad_in) {
   OBS_SPAN("conv2d.backward");
   if (cached_n_ == 0 || grad_out.ndim() != 4 || grad_out.dim(0) != cached_n_ ||
       grad_out.dim(1) != out_c_) {
@@ -103,10 +106,15 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const std::size_t col_rows = in_c_ * kernel_ * kernel_;
 
   // Without an input gradient (a model's first layer) the W^T x gy GEMM and
-  // col2im are skipped and grad_in stays empty.
+  // col2im are skipped and grad_in is left untouched.
   const bool input_grad = needs_input_grad();
-  Tensor grad_in = input_grad ? Tensor({n, in_c_, h, w}) : Tensor();
-  std::vector<float> grad_col(input_grad ? col_rows * out_area : 0);
+  float* grad_col = nullptr;
+  if (input_grad) {
+    // col2im accumulates overlapping patches, so grad_in starts at zero.
+    grad_in.resize({n, in_c_, h, w});
+    tensor::fill_(grad_in, 0.0f);
+    grad_col = image_cols(col_rows * out_area).data();
+  }
 
   for (std::size_t i = 0; i < n; ++i) {
     const float* gy = grad_out.data() + i * out_c_ * out_area;
@@ -126,11 +134,10 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     // dcol = W^T(col_rows, out_c) x gy(out_c, out_area), then scatter back.
     tensor::gemm(tensor::Trans::kYes, tensor::Trans::kNo, col_rows, out_area,
                  out_c_, 1.0f, weight_.value.data(), col_rows, gy, out_area,
-                 0.0f, grad_col.data(), out_area);
-    tensor::col2im(grad_col.data(), in_c_, h, w, kernel_, kernel_, stride_,
-                   pad_, grad_in.data() + i * in_c_ * h * w);
+                 0.0f, grad_col, out_area);
+    tensor::col2im(grad_col, in_c_, h, w, kernel_, kernel_, stride_, pad_,
+                   grad_in.data() + i * in_c_ * h * w);
   }
-  return grad_in;
 }
 
 }  // namespace fedclust::nn

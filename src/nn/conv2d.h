@@ -12,8 +12,8 @@ class Conv2d : public Module {
          std::size_t kernel, std::size_t stride = 1, std::size_t pad = 0,
          std::string name = "conv");
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  void forward_into(const Tensor& x, Tensor& y, bool train) override;
+  void backward_into(const Tensor& grad_out, Tensor& grad_in) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   std::string name() const override { return name_; }
 

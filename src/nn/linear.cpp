@@ -14,7 +14,7 @@ Linear::Linear(std::size_t in_features, std::size_t out_features,
       weight_(name_ + ".weight", Tensor({out_features, in_features})),
       bias_(name_ + ".bias", Tensor({out_features})) {}
 
-Tensor Linear::forward(const Tensor& x, bool train) {
+void Linear::forward_into(const Tensor& x, Tensor& y, bool train) {
   if (x.ndim() != 2 || x.dim(1) != in_) {
     throw std::invalid_argument(name_ + ": expected input (N, " +
                                 std::to_string(in_) + "), got " +
@@ -22,17 +22,18 @@ Tensor Linear::forward(const Tensor& x, bool train) {
   }
   const std::size_t n = x.dim(0);
   // y = x (N,in) * W^T (in,out)
-  Tensor y = tensor::matmul(x, tensor::Trans::kNo, weight_.value,
-                            tensor::Trans::kYes);
+  y.resize({n, out_});
+  tensor::gemm(tensor::Trans::kNo, tensor::Trans::kYes, n, out_, in_, 1.0f,
+               x.data(), in_, weight_.value.data(), in_, 0.0f, y.data(),
+               out_);
   for (std::size_t i = 0; i < n; ++i) {
     float* row = y.data() + i * out_;
     for (std::size_t j = 0; j < out_; ++j) row[j] += bias_.value[j];
   }
   if (train) cached_input_ = x;
-  return y;
 }
 
-Tensor Linear::backward(const Tensor& grad_out) {
+void Linear::backward_into(const Tensor& grad_out, Tensor& grad_in) {
   const std::size_t n = grad_out.dim(0);
   if (cached_input_.empty() || grad_out.dim(1) != out_ ||
       cached_input_.dim(0) != n) {
@@ -48,8 +49,10 @@ Tensor Linear::backward(const Tensor& grad_out) {
     for (std::size_t j = 0; j < out_; ++j) bias_.grad[j] += row[j];
   }
   // dx = gy W : (N, out) x (out, in)
-  return tensor::matmul(grad_out, tensor::Trans::kNo, weight_.value,
-                        tensor::Trans::kNo);
+  grad_in.resize({n, in_});
+  tensor::gemm(tensor::Trans::kNo, tensor::Trans::kNo, n, in_, out_, 1.0f,
+               grad_out.data(), out_, weight_.value.data(), in_, 0.0f,
+               grad_in.data(), in_);
 }
 
 }  // namespace fedclust::nn

@@ -11,8 +11,8 @@ class Linear : public Module {
   Linear(std::size_t in_features, std::size_t out_features,
          std::string name = "fc");
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  void forward_into(const Tensor& x, Tensor& y, bool train) override;
+  void backward_into(const Tensor& grad_out, Tensor& grad_in) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   std::string name() const override { return name_; }
 
@@ -28,7 +28,7 @@ class Linear : public Module {
   std::string name_;
   Parameter weight_;  // (out, in)
   Parameter bias_;    // (out)
-  Tensor cached_input_;
+  Tensor cached_input_;  // the training forward's x, for dW
 };
 
 }  // namespace fedclust::nn

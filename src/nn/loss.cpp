@@ -7,8 +7,9 @@
 
 namespace fedclust::nn {
 
-LossResult softmax_cross_entropy(const tensor::Tensor& logits,
-                                 const std::vector<std::int64_t>& labels) {
+void softmax_cross_entropy(const tensor::Tensor& logits,
+                           const std::vector<std::int64_t>& labels,
+                           LossResult& result) {
   if (logits.ndim() != 2 || logits.dim(0) != labels.size()) {
     throw std::invalid_argument(
         "softmax_cross_entropy: logits/labels shape mismatch");
@@ -17,7 +18,6 @@ LossResult softmax_cross_entropy(const tensor::Tensor& logits,
   const std::size_t k = logits.dim(1);
   if (n == 0) throw std::invalid_argument("softmax_cross_entropy: empty batch");
 
-  LossResult result;
   result.grad_logits = logits;
   tensor::softmax_rows_(result.grad_logits);  // now holds probabilities
 
@@ -36,6 +36,12 @@ LossResult softmax_cross_entropy(const tensor::Tensor& logits,
     for (std::size_t j = 0; j < k; ++j) row[j] *= inv_n;
   }
   result.loss = static_cast<float>(loss / static_cast<double>(n));
+}
+
+LossResult softmax_cross_entropy(const tensor::Tensor& logits,
+                                 const std::vector<std::int64_t>& labels) {
+  LossResult result;
+  softmax_cross_entropy(logits, labels, result);
   return result;
 }
 
@@ -45,10 +51,11 @@ double accuracy(const tensor::Tensor& logits,
     throw std::invalid_argument("accuracy: logits/labels shape mismatch");
   }
   if (labels.empty()) return 0.0;
-  const auto preds = tensor::argmax_rows(logits);
+  const std::size_t k = logits.dim(1);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (static_cast<std::int64_t>(preds[i]) == labels[i]) ++correct;
+    const std::size_t pred = tensor::argmax(logits.data() + i * k, k);
+    if (static_cast<std::int64_t>(pred) == labels[i]) ++correct;
   }
   return static_cast<double>(correct) / static_cast<double>(labels.size());
 }

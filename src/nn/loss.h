@@ -14,8 +14,12 @@ struct LossResult {
   tensor::Tensor grad_logits;   // dLoss/dlogits, (N, K)
 };
 
-// logits (N, K), labels in [0, K). The gradient already includes the 1/N
-// batch-mean factor.
+// logits (N, K), labels in [0, K). Writes the loss and its gradient into
+// `out`, reusing out.grad_logits' storage. The gradient already includes
+// the 1/N batch-mean factor.
+void softmax_cross_entropy(const tensor::Tensor& logits,
+                           const std::vector<std::int64_t>& labels,
+                           LossResult& out);
 LossResult softmax_cross_entropy(const tensor::Tensor& logits,
                                  const std::vector<std::int64_t>& labels);
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "tensor/tensor_ops.h"
+
 namespace fedclust::nn {
 
 Model::Model(std::unique_ptr<Module> net, std::size_t classifier_param_count)
@@ -17,6 +19,19 @@ Model::Model(std::unique_ptr<Module> net, std::size_t classifier_param_count)
     layout_.push_back({p->name, total_size_, p->value.size()});
     total_size_ += p->value.size();
   }
+}
+
+void Model::zero_grad() {
+  for (Parameter* p : params_) tensor::fill_(p->grad, 0.0f);
+}
+
+Sgd& Model::sgd(const SgdOptions& opts) {
+  if (sgd_) {
+    sgd_->reset(opts);
+  } else {
+    sgd_.emplace(params_, opts);
+  }
+  return *sgd_;
 }
 
 std::vector<float> Model::flat_params() const {
@@ -64,10 +79,14 @@ std::pair<std::size_t, std::size_t> Model::classifier_range() const {
 }
 
 std::vector<float> Model::classifier_params() const {
-  const auto [offset, size] = classifier_range();
-  const std::vector<float> flat = flat_params();
-  return {flat.begin() + static_cast<std::ptrdiff_t>(offset),
-          flat.begin() + static_cast<std::ptrdiff_t>(offset + size)};
+  std::vector<float> out;
+  out.reserve(classifier_range().second);
+  for (std::size_t i = params_.size() - classifier_param_count_;
+       i < params_.size(); ++i) {
+    const auto& v = params_[i]->value.vec();
+    out.insert(out.end(), v.begin(), v.end());
+  }
+  return out;
 }
 
 std::vector<float> Model::param_by_name(const std::string& name) const {

@@ -4,6 +4,18 @@
 
 namespace fedclust::nn {
 
+Tensor Module::forward(const Tensor& x, bool train) {
+  Tensor y;
+  forward_into(x, y, train);
+  return y;
+}
+
+Tensor Module::backward(const Tensor& grad_out) {
+  Tensor grad_in;
+  backward_into(grad_out, grad_in);
+  return grad_in;
+}
+
 void Module::zero_grad() {
   for (Parameter* p : parameters()) tensor::fill_(p->grad, 0.0f);
 }
@@ -13,18 +25,30 @@ Sequential& Sequential::add(std::unique_ptr<Module> m) {
   return *this;
 }
 
-Tensor Sequential::forward(const Tensor& x, bool train) {
-  Tensor out = x;
-  for (auto& child : children_) out = child->forward(out, train);
-  return out;
+void Sequential::forward_into(const Tensor& x, Tensor& y, bool train) {
+  if (children_.empty()) {
+    y = x;
+    return;
+  }
+  const Tensor* in = &x;
+  for (std::size_t i = 0; i < children_.size(); ++i) {
+    Tensor& out = i + 1 == children_.size() ? y : bufs_[i % 2];
+    children_[i]->forward_into(*in, out, train);
+    in = &out;
+  }
 }
 
-Tensor Sequential::backward(const Tensor& grad_out) {
-  Tensor g = grad_out;
-  for (auto it = children_.rbegin(); it != children_.rend(); ++it) {
-    g = (*it)->backward(g);
+void Sequential::backward_into(const Tensor& grad_out, Tensor& grad_in) {
+  if (children_.empty()) {
+    grad_in = grad_out;
+    return;
   }
-  return g;
+  const Tensor* g = &grad_out;
+  for (std::size_t i = children_.size(); i-- > 0;) {
+    Tensor& out = i == 0 ? grad_in : bufs_[i % 2];
+    children_[i]->backward_into(*g, out);
+    g = &out;
+  }
 }
 
 void Sequential::set_needs_input_grad(bool on) {

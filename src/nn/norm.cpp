@@ -1,5 +1,6 @@
 #include "nn/norm.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -19,7 +20,7 @@ GroupNorm::GroupNorm(std::size_t groups, std::size_t channels, float eps,
   }
 }
 
-Tensor GroupNorm::forward(const Tensor& x, bool train) {
+void GroupNorm::forward_into(const Tensor& x, Tensor& y, bool train) {
   if (x.ndim() != 4 || x.dim(1) != channels_) {
     throw std::invalid_argument(name_ + ": expected (N, " +
                                 std::to_string(channels_) + ", H, W), got " +
@@ -30,13 +31,19 @@ Tensor GroupNorm::forward(const Tensor& x, bool train) {
   const std::size_t ch_per_group = channels_ / groups_;
   const std::size_t group_size = ch_per_group * area;
 
-  Tensor y(x.shape());
-  Tensor xhat(x.shape());
-  std::vector<float> inv_stds(n * groups_);
+  y.resize(x.shape());
+  // Only a training forward writes the caches; an eval forward computes
+  // the same normalized values and keeps them in registers.
+  if (train) {
+    cached_xhat_.resize(x.shape());
+    cached_inv_std_.resize(n * groups_);
+    cached_shape_ = x.shape();
+  }
 
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t g = 0; g < groups_; ++g) {
-      const float* in = x.data() + (i * channels_ + g * ch_per_group) * area;
+      const std::size_t base = (i * channels_ + g * ch_per_group) * area;
+      const float* in = x.data() + base;
       double sum = 0.0;
       double sq = 0.0;
       for (std::size_t p = 0; p < group_size; ++p) {
@@ -47,32 +54,33 @@ Tensor GroupNorm::forward(const Tensor& x, bool train) {
       const double var = sq / static_cast<double>(group_size) - mean * mean;
       const float inv_std =
           static_cast<float>(1.0 / std::sqrt(std::max(var, 0.0) + eps_));
-      inv_stds[i * groups_ + g] = inv_std;
+      const float mean_f = static_cast<float>(mean);
 
-      float* xh = xhat.data() + (i * channels_ + g * ch_per_group) * area;
-      float* out = y.data() + (i * channels_ + g * ch_per_group) * area;
+      float* out = y.data() + base;
+      float* xh = train ? cached_xhat_.data() + base : nullptr;
+      if (train) cached_inv_std_[i * groups_ + g] = inv_std;
       for (std::size_t c = 0; c < ch_per_group; ++c) {
         const float gm = gamma_.value[g * ch_per_group + c];
         const float bt = beta_.value[g * ch_per_group + c];
-        for (std::size_t p = 0; p < area; ++p) {
-          const std::size_t idx = c * area + p;
-          const float h = (in[idx] - static_cast<float>(mean)) * inv_std;
-          xh[idx] = h;
-          out[idx] = gm * h + bt;
+        const std::size_t off = c * area;
+        if (xh != nullptr) {
+          for (std::size_t p = 0; p < area; ++p) {
+            const float h = (in[off + p] - mean_f) * inv_std;
+            xh[off + p] = h;
+            out[off + p] = gm * h + bt;
+          }
+        } else {
+          for (std::size_t p = 0; p < area; ++p) {
+            const float h = (in[off + p] - mean_f) * inv_std;
+            out[off + p] = gm * h + bt;
+          }
         }
       }
     }
   }
-
-  if (train) {
-    cached_xhat_ = std::move(xhat);
-    cached_inv_std_ = std::move(inv_stds);
-    cached_shape_ = x.shape();
-  }
-  return y;
 }
 
-Tensor GroupNorm::backward(const Tensor& grad_out) {
+void GroupNorm::backward_into(const Tensor& grad_out, Tensor& grad_in) {
   if (cached_shape_.empty() || grad_out.shape() != cached_shape_) {
     throw std::logic_error(name_ + ": backward without matching forward");
   }
@@ -81,7 +89,7 @@ Tensor GroupNorm::backward(const Tensor& grad_out) {
   const std::size_t ch_per_group = channels_ / groups_;
   const std::size_t group_size = ch_per_group * area;
 
-  Tensor grad_in(cached_shape_);
+  grad_in.resize(cached_shape_);
 
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t g = 0; g < groups_; ++g) {
@@ -126,7 +134,6 @@ Tensor GroupNorm::backward(const Tensor& grad_out) {
       }
     }
   }
-  return grad_in;
 }
 
 }  // namespace fedclust::nn

@@ -18,8 +18,8 @@ class GroupNorm : public Module {
   GroupNorm(std::size_t groups, std::size_t channels, float eps = 1e-5f,
             std::string name = "gn");
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  void forward_into(const Tensor& x, Tensor& y, bool train) override;
+  void backward_into(const Tensor& grad_out, Tensor& grad_in) override;
   std::vector<Parameter*> parameters() override { return {&gamma_, &beta_}; }
   std::string name() const override { return name_; }
 
@@ -31,8 +31,10 @@ class GroupNorm : public Module {
   Parameter gamma_;  // (C)
   Parameter beta_;   // (C)
 
+  // A training forward's normalized input and inverse standard deviations
+  // (per sample and group), for backward.
   Tensor cached_xhat_;
-  std::vector<float> cached_inv_std_;  // per (sample, group)
+  std::vector<float> cached_inv_std_;
   tensor::Shape cached_shape_;
 };
 

@@ -64,18 +64,25 @@ Sgd::Sgd(std::vector<Parameter*> params, SgdOptions opts)
   }
 }
 
-void Sgd::set_prox_reference(std::vector<float> ref) {
+void Sgd::reset(SgdOptions opts) {
+  opts_ = opts;
+  for (Tensor& v : velocity_) tensor::fill_(v, 0.0f);
+  prox_ref_.clear();
+  grad_offset_.clear();
+}
+
+void Sgd::set_prox_reference(const std::vector<float>& ref) {
   if (!ref.empty() && ref.size() != total_size_) {
     throw std::invalid_argument("Sgd: prox reference size mismatch");
   }
-  prox_ref_ = std::move(ref);
+  prox_ref_.assign(ref.begin(), ref.end());
 }
 
-void Sgd::set_grad_offset(std::vector<float> offset) {
+void Sgd::set_grad_offset(const std::vector<float>& offset) {
   if (!offset.empty() && offset.size() != total_size_) {
     throw std::invalid_argument("Sgd: grad offset size mismatch");
   }
-  grad_offset_ = std::move(offset);
+  grad_offset_.assign(offset.begin(), offset.end());
 }
 
 void Sgd::step() {

@@ -25,15 +25,21 @@ class Sgd {
 
   float lr() const { return opts_.lr; }
 
-  // Installs the global-model snapshot for the proximal term. The flat
-  // vector must match the concatenated parameter layout. Pass an empty
-  // vector to disable.
-  void set_prox_reference(std::vector<float> ref);
+  // Re-arms the optimizer for a new run over the same parameters: new
+  // options, momentum zeroed, no prox reference or gradient offset. It then
+  // steps exactly as a freshly constructed Sgd would, reusing its buffers.
+  void reset(SgdOptions opts);
 
-  // Installs a constant additive gradient offset (flat layout): every step
-  // uses g + offset. This is the hook SCAFFOLD's control variates and
-  // FedDyn's lagged-gradient correction plug into. Empty vector disables.
-  void set_grad_offset(std::vector<float> offset);
+  // Installs (copies) the global-model snapshot for the proximal term. The
+  // flat vector must match the concatenated parameter layout. Pass an
+  // empty vector to disable.
+  void set_prox_reference(const std::vector<float>& ref);
+
+  // Installs (copies) a constant additive gradient offset (flat layout):
+  // every step uses g + offset. This is the hook SCAFFOLD's control
+  // variates and FedDyn's lagged-gradient correction plug into. Empty
+  // vector disables.
+  void set_grad_offset(const std::vector<float>& offset);
 
   // w -= lr * v where v = momentum * v + (g + wd * w + mu * (w - w_ref)).
   void step();

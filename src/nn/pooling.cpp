@@ -1,9 +1,11 @@
 #include "nn/pooling.h"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
 #include "tensor/im2col.h"
+#include "tensor/tensor_ops.h"
 
 namespace fedclust::nn {
 
@@ -21,7 +23,7 @@ void check_nchw(const Tensor& x, const char* who) {
 MaxPool2d::MaxPool2d(std::size_t kernel, std::size_t stride)
     : kernel_(kernel), stride_(stride == 0 ? kernel : stride) {}
 
-Tensor MaxPool2d::forward(const Tensor& x, bool train) {
+void MaxPool2d::forward_into(const Tensor& x, Tensor& y, bool train) {
   check_nchw(x, "maxpool");
   const std::size_t n = x.dim(0);
   const std::size_t c = x.dim(1);
@@ -30,8 +32,9 @@ Tensor MaxPool2d::forward(const Tensor& x, bool train) {
   const std::size_t oh = tensor::conv_out_dim(h, kernel_, stride_, 0);
   const std::size_t ow = tensor::conv_out_dim(w, kernel_, stride_, 0);
 
-  Tensor y({n, c, oh, ow});
-  if (train) argmax_.assign(y.size(), 0);
+  // The loop writes every output and, in training, every argmax.
+  y.resize({n, c, oh, ow});
+  if (train) argmax_.resize(y.size());
 
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t ch = 0; ch < c; ++ch) {
@@ -64,27 +67,27 @@ Tensor MaxPool2d::forward(const Tensor& x, bool train) {
     cached_in_shape_ = x.shape();
     cached_out_shape_ = y.shape();
   }
-  return y;
 }
 
-Tensor MaxPool2d::backward(const Tensor& grad_out) {
+void MaxPool2d::backward_into(const Tensor& grad_out, Tensor& grad_in) {
   if (argmax_.empty() || grad_out.shape() != cached_out_shape_) {
     throw std::logic_error("maxpool: backward without matching forward");
   }
-  Tensor grad_in(cached_in_shape_);
+  // Scatter-add into a zeroed gradient.
+  grad_in.resize(cached_in_shape_);
+  tensor::fill_(grad_in, 0.0f);
   for (std::size_t i = 0; i < grad_out.size(); ++i) {
     grad_in[argmax_[i]] += grad_out[i];
   }
-  return grad_in;
 }
 
-Tensor GlobalAvgPool2d::forward(const Tensor& x, bool train) {
+void GlobalAvgPool2d::forward_into(const Tensor& x, Tensor& y, bool train) {
   check_nchw(x, "gap");
   const std::size_t n = x.dim(0);
   const std::size_t c = x.dim(1);
   const std::size_t area = x.dim(2) * x.dim(3);
   const float inv = 1.0f / static_cast<float>(area);
-  Tensor y({n, c});
+  y.resize({n, c});
   for (std::size_t i = 0; i < n * c; ++i) {
     const float* plane = x.data() + i * area;
     double s = 0.0;
@@ -92,41 +95,39 @@ Tensor GlobalAvgPool2d::forward(const Tensor& x, bool train) {
     y[i] = static_cast<float>(s) * inv;
   }
   if (train) cached_in_shape_ = x.shape();
-  return y;
 }
 
-Tensor GlobalAvgPool2d::backward(const Tensor& grad_out) {
+void GlobalAvgPool2d::backward_into(const Tensor& grad_out, Tensor& grad_in) {
   if (cached_in_shape_.empty()) {
     throw std::logic_error("gap: backward without matching forward");
   }
   const std::size_t area = cached_in_shape_[2] * cached_in_shape_[3];
   const float inv = 1.0f / static_cast<float>(area);
-  Tensor grad_in(cached_in_shape_);
+  grad_in.resize(cached_in_shape_);
   for (std::size_t i = 0; i < grad_out.size(); ++i) {
     const float g = grad_out[i] * inv;
     float* plane = grad_in.data() + i * area;
     for (std::size_t p = 0; p < area; ++p) plane[p] = g;
   }
-  return grad_in;
 }
 
-Tensor Flatten::forward(const Tensor& x, bool train) {
+void Flatten::forward_into(const Tensor& x, Tensor& y, bool train) {
   if (x.ndim() < 2) {
     throw std::invalid_argument("flatten: expected at least 2-D input");
   }
   if (train) cached_in_shape_ = x.shape();
-  Tensor y = x;
-  y.reshape({x.dim(0), x.size() / x.dim(0)});
-  return y;
+  y.resize({x.dim(0), x.size() / x.dim(0)});
+  std::copy(x.vec().begin(), x.vec().end(), y.vec().begin());
 }
 
-Tensor Flatten::backward(const Tensor& grad_out) {
-  if (cached_in_shape_.empty()) {
+void Flatten::backward_into(const Tensor& grad_out, Tensor& grad_in) {
+  if (cached_in_shape_.empty() ||
+      grad_out.size() != Tensor::numel(cached_in_shape_)) {
     throw std::logic_error("flatten: backward without matching forward");
   }
-  Tensor g = grad_out;
-  g.reshape(cached_in_shape_);
-  return g;
+  grad_in.resize(cached_in_shape_);
+  std::copy(grad_out.vec().begin(), grad_out.vec().end(),
+            grad_in.vec().begin());
 }
 
 }  // namespace fedclust::nn

@@ -10,8 +10,8 @@ class MaxPool2d : public Module {
  public:
   explicit MaxPool2d(std::size_t kernel, std::size_t stride = 0);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  void forward_into(const Tensor& x, Tensor& y, bool train) override;
+  void backward_into(const Tensor& grad_out, Tensor& grad_in) override;
   std::string name() const override { return "maxpool"; }
 
  private:
@@ -26,8 +26,8 @@ class MaxPool2d : public Module {
 // Averages each channel plane to a single value: (N, C, H, W) -> (N, C).
 class GlobalAvgPool2d : public Module {
  public:
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  void forward_into(const Tensor& x, Tensor& y, bool train) override;
+  void backward_into(const Tensor& grad_out, Tensor& grad_in) override;
   std::string name() const override { return "gap"; }
 
  private:
@@ -37,8 +37,8 @@ class GlobalAvgPool2d : public Module {
 // (N, C, H, W) -> (N, C*H*W); inverse on backward.
 class Flatten : public Module {
  public:
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  void forward_into(const Tensor& x, Tensor& y, bool train) override;
+  void backward_into(const Tensor& grad_out, Tensor& grad_in) override;
   std::string name() const override { return "flatten"; }
 
  private:

@@ -18,8 +18,8 @@ class ResidualBlock : public Module {
   explicit ResidualBlock(std::unique_ptr<Module> body,
                          std::string name = "res");
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  void forward_into(const Tensor& x, Tensor& y, bool train) override;
+  void backward_into(const Tensor& grad_out, Tensor& grad_in) override;
   std::vector<Parameter*> parameters() override { return body_->parameters(); }
   std::string name() const override { return name_; }
 
@@ -29,6 +29,9 @@ class ResidualBlock : public Module {
   // Mask of the final ReLU.
   std::vector<std::uint8_t> relu_mask_;
   tensor::Shape cached_shape_;
+  // The gradient through the final ReLU, which feeds both the body's
+  // backward and the skip connection.
+  Tensor relu_grad_;
 };
 
 }  // namespace fedclust::nn

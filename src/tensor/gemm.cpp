@@ -90,10 +90,14 @@ void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
   const auto kernel = util::fast_math_kernels() ? kt.gemm_nn_range_fma
                                                 : kt.gemm_nn_range;
   if (m * n * k >= kParallelThreshold && util::global_pool().size() > 0) {
+    // The std::function holds one reference, which fits its inline
+    // storage: a nested (inline) dispatch inside a client-parallel round
+    // then allocates nothing.
+    const auto rows = [&](std::size_t lo, std::size_t hi) {
+      kernel(lo, hi, n, k, alpha, an, lda_n, bn, ldb_n, c, ldc);
+    };
     util::parallel_for_chunked(
-        0, m, [&](std::size_t lo, std::size_t hi) {
-          kernel(lo, hi, n, k, alpha, an, lda_n, bn, ldb_n, c, ldc);
-        });
+        0, m, [&rows](std::size_t lo, std::size_t hi) { rows(lo, hi); });
   } else {
     kernel(0, m, n, k, alpha, an, lda_n, bn, ldb_n, c, ldc);
   }

@@ -69,6 +69,12 @@ void Tensor::reshape(Shape shape) {
   shape_ = std::move(shape);
 }
 
+void Tensor::resize(std::span<const std::size_t> shape) {
+  // assign() may not read from the vector it writes.
+  if (shape.data() != shape_.data()) shape_.assign(shape.begin(), shape.end());
+  data_.resize(numel(shape_));
+}
+
 std::string Tensor::shape_str() const {
   std::ostringstream os;
   os << "(";

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,15 @@ class Tensor {
 
   // In-place shape change; the element count must match.
   void reshape(Shape shape);
+
+  // Takes `shape`, growing or shrinking the element count to match, in
+  // place: the storage's capacity only grows, so a buffer reused across
+  // calls allocates only when it must grow. Element values are left
+  // unspecified; callers write every element before reading any.
+  void resize(std::span<const std::size_t> shape);
+  void resize(std::initializer_list<std::size_t> shape) {
+    resize(std::span<const std::size_t>(shape.begin(), shape.size()));
+  }
 
   std::string shape_str() const;
 

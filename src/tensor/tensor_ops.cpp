@@ -100,6 +100,14 @@ void softmax_rows_(Tensor& logits) {
   }
 }
 
+std::size_t argmax(const float* p, std::size_t k) {
+  std::size_t best = 0;
+  for (std::size_t j = 1; j < k; ++j) {
+    if (p[j] > p[best]) best = j;
+  }
+  return best;
+}
+
 std::vector<std::size_t> argmax_rows(const Tensor& m) {
   if (m.ndim() != 2) {
     throw std::invalid_argument("argmax_rows: expected a 2-D tensor");
@@ -108,13 +116,7 @@ std::vector<std::size_t> argmax_rows(const Tensor& m) {
   const std::size_t k = m.dim(1);
   std::vector<std::size_t> out(n);
   const float* p = m.data();
-  for (std::size_t r = 0; r < n; ++r, p += k) {
-    std::size_t best = 0;
-    for (std::size_t j = 1; j < k; ++j) {
-      if (p[j] > p[best]) best = j;
-    }
-    out[r] = best;
-  }
+  for (std::size_t r = 0; r < n; ++r, p += k) out[r] = argmax(p, k);
   return out;
 }
 

@@ -41,6 +41,10 @@ float sum(const Tensor& t);
 // Numerically stable row-wise softmax of an (n, k) matrix, in place.
 void softmax_rows_(Tensor& logits);
 
+// Index of the first largest of p[0..k); 0 when none compares larger than
+// p[0] (k == 0 included).
+std::size_t argmax(const float* p, std::size_t k);
+
 // Row-wise argmax of an (n, k) matrix.
 std::vector<std::size_t> argmax_rows(const Tensor& m);
 

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -40,22 +41,20 @@ Tensor random_input(tensor::Shape shape, util::Rng& rng, float scale = 1.0f) {
 // ReLU kink inside the finite-difference step would break the check.
 class Tanh : public Module {
  public:
-  Tensor forward(const Tensor& x, bool train) override {
-    Tensor y = x;
+  void forward_into(const Tensor& x, Tensor& y, bool train) override {
+    y = x;
     for (auto& v : y.vec()) v = std::tanh(v);
     if (train) cached_output_ = y;
-    return y;
   }
-  Tensor backward(const Tensor& grad_out) override {
+  void backward_into(const Tensor& grad_out, Tensor& grad_in) override {
     if (cached_output_.shape() != grad_out.shape()) {
       throw std::logic_error("tanh: backward without matching forward");
     }
-    Tensor g = grad_out;
-    for (std::size_t i = 0; i < g.size(); ++i) {
+    grad_in = grad_out;
+    for (std::size_t i = 0; i < grad_in.size(); ++i) {
       const float t = cached_output_[i];
-      g[i] *= 1.0f - t * t;
+      grad_in[i] *= 1.0f - t * t;
     }
-    return g;
   }
   std::string name() const override { return "tanh"; }
 
@@ -468,11 +467,11 @@ TEST(ReLUTest, ForwardAndBackwardAreBitExactSelects) {
 // post-add ReLU sees its input bits unchanged.
 class NegZeroBody : public Module {
  public:
-  Tensor forward(const Tensor& x, bool /*train*/) override {
-    return Tensor::full(x.shape(), -0.0f);
+  void forward_into(const Tensor& x, Tensor& y, bool /*train*/) override {
+    y = Tensor::full(x.shape(), -0.0f);
   }
-  Tensor backward(const Tensor& grad_out) override {
-    return Tensor::full(grad_out.shape(), -0.0f);
+  void backward_into(const Tensor& grad_out, Tensor& grad_in) override {
+    grad_in = Tensor::full(grad_out.shape(), -0.0f);
   }
   std::string name() const override { return "negzero"; }
 };
@@ -620,6 +619,97 @@ TEST(SequentialTest, ZeroGradClearsAll) {
   net.zero_grad();
   for (Parameter* p : net.parameters()) {
     for (const float g : p->grad.vec()) EXPECT_EQ(g, 0.0f);
+  }
+}
+
+// ------------------------------------------------------ reused buffers
+
+// Every pass writes its whole destination and reads nothing stale: a
+// module that has already run a larger all-NaN batch, writing into
+// destinations pre-filled with NaN, gives bit for bit what a fresh module
+// gives through the by-value forms (whose destinations start empty).
+TEST(ReusedBuffers, EveryPassWritesItsWholeDestination) {
+  using Factory = std::function<std::unique_ptr<Module>()>;
+  struct Case {
+    const char* name;
+    Factory make;
+    tensor::Shape in;
+  };
+  const auto seeded = [](auto build) {
+    return [build] {
+      util::Rng rng(91);
+      return build(rng);
+    };
+  };
+  const Case cases[] = {
+      {"conv", seeded([](util::Rng& r) -> std::unique_ptr<Module> {
+         return make_conv(2, 3, 3, 1, 1, r, "c");
+       }),
+       {2, 2, 5, 5}},
+      {"conv_s2", seeded([](util::Rng& r) -> std::unique_ptr<Module> {
+         return make_conv(2, 3, 3, 2, 0, r, "c");
+       }),
+       {2, 2, 7, 7}},
+      {"linear", seeded([](util::Rng& r) -> std::unique_ptr<Module> {
+         return make_linear(6, 4, r, "fc");
+       }),
+       {3, 6}},
+      {"relu", [] { return std::make_unique<ReLU>(); }, {2, 3, 4, 4}},
+      {"maxpool", [] { return std::make_unique<MaxPool2d>(2); }, {2, 3, 4, 4}},
+      {"gap", [] { return std::make_unique<GlobalAvgPool2d>(); }, {2, 3, 4, 4}},
+      {"flatten", [] { return std::make_unique<Flatten>(); }, {2, 3, 2, 2}},
+      {"groupnorm", [] { return std::make_unique<GroupNorm>(2, 4); },
+       {2, 4, 3, 3}},
+      {"residual", seeded([](util::Rng& r) -> std::unique_ptr<Module> {
+         return std::make_unique<ResidualBlock>(
+             make_conv(3, 3, 3, 1, 1, r, "b"));
+       }),
+       {2, 3, 4, 4}},
+      {"sequential", seeded([](util::Rng& r) -> std::unique_ptr<Module> {
+         auto net = std::make_unique<Sequential>();
+         net->add(make_conv(1, 2, 3, 1, 1, r, "c1"));
+         net->emplace<ReLU>();
+         net->emplace<MaxPool2d>(2);
+         net->emplace<Flatten>();
+         net->add(make_linear(8, 3, r, "fc"));
+         return net;
+       }),
+       {2, 1, 4, 4}},
+  };
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  util::Rng rng(92);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Tensor x = random_input(c.in, rng);
+    const auto fresh = c.make();
+    const Tensor want_y = fresh->forward(x, /*train=*/true);
+    const Tensor g = random_input(want_y.shape(), rng);
+    const Tensor want_gx = fresh->backward(g);
+    const Tensor want_eval = fresh->forward(x, /*train=*/false);
+
+    const auto reused = c.make();
+    tensor::Shape big = c.in;
+    big[0] += 1;
+    Tensor y;
+    Tensor gx;
+    reused->forward_into(Tensor::full(big, nan), y, /*train=*/true);
+    reused->backward_into(Tensor::full(y.shape(), nan), gx);
+    reused->zero_grad();
+    y = Tensor::full({y.size() + 7}, nan);
+    gx = Tensor::full({gx.size() + 7}, nan);
+    reused->forward_into(x, y, /*train=*/true);
+    reused->backward_into(g, gx);
+    EXPECT_TRUE(same_bits(y, want_y)) << "train forward";
+    EXPECT_TRUE(same_bits(gx, want_gx)) << "backward";
+    const auto got_p = reused->parameters();
+    const auto want_p = fresh->parameters();
+    for (std::size_t k = 0; k < got_p.size(); ++k) {
+      EXPECT_TRUE(same_bits(got_p[k]->grad, want_p[k]->grad))
+          << got_p[k]->name;
+    }
+    std::fill(y.vec().begin(), y.vec().end(), nan);
+    reused->forward_into(x, y, /*train=*/false);
+    EXPECT_TRUE(same_bits(y, want_eval)) << "eval forward";
   }
 }
 

@@ -4,14 +4,21 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <utility>
 
+#include "nn/activations.h"
 #include "nn/init.h"
 #include "nn/loss.h"
 #include "nn/model.h"
 #include "nn/model_zoo.h"
+#include "nn/norm.h"
 #include "nn/optimizer.h"
+#include "nn/residual.h"
 #include "obs/metrics.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
@@ -237,6 +244,111 @@ TEST(ModelTest, FirstLayerSkipsOnlyTheInputGradient) {
   }
   reg.set_enabled(false);
   reg.reset_values();
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() && bitwise_equal(a.vec(), b.vec());
+}
+
+// Every buffer a model reuses is fully written before it is read, so no
+// value of an earlier call leaks into a later one as batch sizes change:
+// after each call, the reused model's logits, loss and gradients match,
+// bit for bit, those of a freshly built model loaded with the same
+// parameters. (This binary also runs under ASan, which checks bounds.)
+TEST(ModelTest, ReusedBuffersLeakNoStaleValues) {
+  util::Rng rng(81);
+  using Factory = Model (*)(std::uint64_t);
+  const std::pair<const char*, Factory> archs[] = {
+      {"lenet5", [](std::uint64_t s) { return lenet5(3, 16, 10, s); }},
+      {"resnet9", [](std::uint64_t s) { return resnet9(3, 16, 10, 8, s); }},
+      {"vgglite", [](std::uint64_t s) { return vgg_lite(3, 16, 10, 8, s); }},
+  };
+  struct Call {
+    bool train;
+    std::size_t batch;
+  };
+  const Call calls[] = {
+      {true, 10}, {false, 20}, {true, 5}, {false, 1}, {true, 10}};
+  for (const auto& [name, make] : archs) {
+    SCOPED_TRACE(name);
+    Model m = make(3);
+    Sgd opt(m.parameters(), {.lr = 0.05f, .momentum = 0.5f});
+    LossResult loss;
+    for (const Call& call : calls) {
+      SCOPED_TRACE(call.batch);
+      Tensor x({call.batch, 3, 16, 16});
+      for (auto& v : x.vec()) v = rng.normalf(0.0f, 1.0f);
+      std::vector<std::int64_t> y(call.batch);
+      for (auto& label : y) label = rng.randint(0, 10);
+      Model fresh = make(4);
+      fresh.set_flat_params(m.flat_params());
+      if (!call.train) {
+        EXPECT_TRUE(same_bits(m.forward(x), fresh.forward(x)));
+        continue;
+      }
+      opt.zero_grad();
+      const Tensor& logits = m.forward(x, /*train=*/true);
+      const Tensor want_logits = fresh.forward(x, /*train=*/true);
+      EXPECT_TRUE(same_bits(logits, want_logits));
+      softmax_cross_entropy(logits, y, loss);
+      const LossResult want = softmax_cross_entropy(want_logits, y);
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(loss.loss),
+                std::bit_cast<std::uint32_t>(want.loss));
+      EXPECT_TRUE(same_bits(loss.grad_logits, want.grad_logits));
+      m.backward(loss.grad_logits);
+      fresh.backward(want.grad_logits);
+      EXPECT_TRUE(bitwise_equal(m.flat_grads(), fresh.flat_grads()));
+      opt.step();  // the next call runs on new weights
+    }
+  }
+}
+
+// A residual block reuses its body's buffers, its post-add mask and the
+// gradient through that ReLU. Inputs whose batch and spatial size change
+// from call to call must still get exactly what a fresh block computes,
+// in the outputs, the input gradient and every parameter gradient.
+TEST(ModelTest, ResidualBlockReusesBuffersAcrossShapes) {
+  const auto make_block = [] {
+    util::Rng r(83);
+    auto body = std::make_unique<Sequential>();
+    body->add(make_conv(4, 4, 3, 1, 1, r, "a"));
+    body->emplace<GroupNorm>(2, 4, 1e-5f, "a.gn");
+    body->emplace<ReLU>();
+    body->add(make_conv(4, 4, 3, 1, 1, r, "b"));
+    body->emplace<GroupNorm>(2, 4, 1e-5f, "b.gn");
+    return ResidualBlock(std::move(body));
+  };
+  util::Rng rng(84);
+  const auto random = [&](const tensor::Shape& shape) {
+    Tensor t(shape);
+    for (auto& v : t.vec()) v = rng.normalf(0.0f, 1.0f);
+    return t;
+  };
+  ResidualBlock block = make_block();
+  Tensor y;
+  Tensor gx;
+  const tensor::Shape shapes[] = {
+      {2, 4, 8, 8}, {3, 4, 4, 4}, {1, 4, 6, 6}, {2, 4, 8, 8}};
+  for (std::size_t i = 0; i < std::size(shapes); ++i) {
+    SCOPED_TRACE(i);
+    const Tensor x = random(shapes[i]);
+    const Tensor g = random(shapes[i]);
+    ResidualBlock fresh = make_block();
+    block.zero_grad();
+    block.forward_into(x, y, /*train=*/true);
+    EXPECT_TRUE(same_bits(y, fresh.forward(x, /*train=*/true)));
+    block.backward_into(g, gx);
+    EXPECT_TRUE(same_bits(gx, fresh.backward(g)));
+    const auto got = block.parameters();
+    const auto want = fresh.parameters();
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_TRUE(same_bits(got[k]->grad, want[k]->grad)) << got[k]->name;
+    }
+    // An eval forward at the next call's shape in between.
+    const Tensor e = random(shapes[(i + 1) % std::size(shapes)]);
+    block.forward_into(e, y, /*train=*/false);
+    EXPECT_TRUE(same_bits(y, fresh.forward(e, /*train=*/false)));
+  }
 }
 
 // ------------------------------------------------------------ optimizer
