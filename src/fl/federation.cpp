@@ -130,29 +130,18 @@ nn::Model Federation::make_model(std::uint64_t salt) const {
   return nn::build_model(cfg_.model, cfg_.seed ^ (salt * 0x9e3779b9ULL + 1));
 }
 
-nn::Model* Federation::acquire_workspace() {
-  {
-    const std::lock_guard<std::mutex> lock(ws_mu_);
-    if (!ws_free_.empty()) {
-      nn::Model* m = ws_free_.back();
-      ws_free_.pop_back();
-      return m;
-    }
-  }
-  // Build outside the lock so concurrent first acquisitions don't serialize
-  // on model construction. Initial weights are irrelevant: every user loads
-  // parameters before touching the replica.
-  auto replica = std::make_unique<nn::Model>(
-      nn::build_model(cfg_.model, cfg_.seed));
-  nn::Model* m = replica.get();
-  const std::lock_guard<std::mutex> lock(ws_mu_);
-  ws_owned_.push_back(std::move(replica));
-  return m;
+void Federation::grow_replicas(std::size_t n) {
+  if (replicas_.size() + 1 < n) replicas_.resize(n - 1);
 }
 
-void Federation::release_workspace(nn::Model* m) {
-  const std::lock_guard<std::mutex> lock(ws_mu_);
-  ws_free_.push_back(m);
+nn::Model& Federation::replica(std::size_t c) {
+  if (c == 0) return workspace_;
+  std::unique_ptr<nn::Model>& slot = replicas_.at(c - 1);
+  // Initial weights are irrelevant: every user loads parameters first.
+  if (!slot) {
+    slot = std::make_unique<nn::Model>(nn::build_model(cfg_.model, cfg_.seed));
+  }
+  return *slot;
 }
 
 std::vector<std::size_t> Federation::sample_round(std::size_t round) const {

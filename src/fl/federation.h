@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -212,20 +211,22 @@ class Federation {
   // Fresh model with architecture cfg.model (weights seeded by salt).
   nn::Model make_model(std::uint64_t salt) const;
 
-  // The reusable workspace model algorithms load parameters into (the
-  // sequential path; concurrent client work leases replicas instead).
+  // The reusable workspace model algorithms load parameters into; it is
+  // also replica 0 of the client-parallel loops.
   nn::Model& workspace() { return workspace_; }
 
-  // Thread-safe checkout of a model replica for concurrent client work.
-  // Replicas share the architecture of workspace() and are grown lazily, at
-  // most one per in-flight worker; callers must load parameters with
-  // set_flat_params before use. Model behavior is fully determined by the
-  // flat parameter vector for every zoo architecture (no layer owns an RNG
-  // stream or running statistics), which is what makes replicas
-  // interchangeable with the shared workspace — keep it that way when
-  // adding layers, or thread-count invariance breaks.
-  nn::Model* acquire_workspace();
-  void release_workspace(nn::Model* m);
+  // Model replica c, which chunk c of ParallelRoundRunner::for_each_index
+  // trains and evaluates on: replica 0 is workspace(), and replica c >= 1
+  // has its architecture and is built on first use. Callers load
+  // parameters with set_flat_params before use. Model behavior is fully
+  // determined by the flat parameter vector for every zoo architecture (no
+  // layer owns an RNG stream or running statistics), which is what makes
+  // replicas interchangeable — keep it that way when adding layers, or
+  // thread-count invariance breaks. grow_replicas(n) makes room for
+  // replicas [0, n) and runs on the dispatching thread before the fan-out;
+  // replica(c) runs on chunk c's thread.
+  void grow_replicas(std::size_t n);
+  nn::Model& replica(std::size_t c);
 
   // max(R*N, 1) distinct client ids for the given round — over-selected by
   // fault.over_select_fraction to hedge expected dropouts, minus the fault
@@ -353,28 +354,11 @@ class Federation {
   nn::Model workspace_;
   std::vector<float> init_params_;
 
-  // Lazily grown pool of workspace replicas for client-parallel execution.
-  std::mutex ws_mu_;
-  std::vector<std::unique_ptr<nn::Model>> ws_owned_;
-  std::vector<nn::Model*> ws_free_;
-};
-
-// RAII lease on a workspace replica; used by the parallel round executor's
-// worker chunks.
-class WorkspaceLease {
- public:
-  explicit WorkspaceLease(Federation& fed)
-      : fed_(fed), model_(fed.acquire_workspace()) {}
-  ~WorkspaceLease() { fed_.release_workspace(model_); }
-
-  WorkspaceLease(const WorkspaceLease&) = delete;
-  WorkspaceLease& operator=(const WorkspaceLease&) = delete;
-
-  nn::Model& model() { return *model_; }
-
- private:
-  Federation& fed_;
-  nn::Model* model_;
+  // replicas_[c - 1] is replica c. No lock guards it: grow_replicas resizes
+  // it on the dispatching thread before the pool publishes the fan-out,
+  // chunk c runs on one thread and is the only one to touch slot c - 1, and
+  // the pool runs one fan-out at a time.
+  std::vector<std::unique_ptr<nn::Model>> replicas_;
 };
 
 // n_i-weighted average of client parameter vectors (FedAvg aggregation).

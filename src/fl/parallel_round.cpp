@@ -91,18 +91,20 @@ class ModelPulls {
 
 void ParallelRoundRunner::for_each_index(
     std::size_t n, const std::function<void(std::size_t, nn::Model&)>& fn) {
+  if (n == 0) return;
   util::ThreadPool& pool = util::global_pool();
-  if (pool.size() == 0 || n <= 1 || util::ThreadPool::in_parallel_region()) {
-    // Exact sequential path: one shared workspace, ascending client index.
-    nn::Model& ws = fed_.workspace();
-    for (std::size_t i = 0; i < n; ++i) fn(i, ws);
-    return;
-  }
-  pool.parallel_for_chunked(0, n, [&](std::size_t lo, std::size_t hi) {
-    // One replica per chunk: leases are amortized over the chunk's clients.
-    WorkspaceLease lease(fed_);
-    for (std::size_t i = lo; i < hi; ++i) fn(i, lease.model());
-  });
+  // Chunk c trains on replica c. At one thread, or nested in a chunk, the
+  // loop is one chunk on the workspace, and the pool runs it inline.
+  const std::size_t len = pool.chunk_length(n);
+  fed_.grow_replicas((n + len - 1) / len);
+  const auto chunk = [&](std::size_t lo, std::size_t hi) {
+    nn::Model& model = fed_.replica(lo / len);
+    for (std::size_t i = lo; i < hi; ++i) fn(i, model);
+  };
+  // One captured reference fits std::function's inline storage, so the
+  // loop allocates nothing.
+  pool.parallel_for_chunked(
+      0, n, [&chunk](std::size_t lo, std::size_t hi) { chunk(lo, hi); });
 }
 
 void ParallelRoundRunner::for_each_client(

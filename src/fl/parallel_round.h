@@ -6,14 +6,14 @@
 // every client trains from an explicitly loaded parameter vector with its
 // own pre-split (client, round) RNG stream, and communication accounting is
 // a commutative sum. ParallelRoundRunner exploits that structure: it fans
-// the sampled clients out over util::global_pool(), giving each worker
-// chunk a leased model replica from the federation's workspace pool, and
-// hands results to the caller keyed by client-index slot — either collected
+// the sampled clients out over util::global_pool(), chunk c on the
+// federation's model replica c (replica 0 is the workspace), and hands
+// results to the caller keyed by client-index slot — either collected
 // (train_clients) or consumed as deliveries resolve (train_clients_into).
 // Aggregation folds updates over StreamingAggregator's fixed reduction
 // tree, whose FP association depends only on the cohort size — so traces
-// are bit-identical at any worker count (FEDCLUST_THREADS=1 runs the
-// sequential code path through the shared workspace).
+// are bit-identical at any worker count (FEDCLUST_THREADS=1 runs one chunk
+// through the shared workspace).
 //
 // Nested kernels are safe: GEMM's inner parallel_for detects it is running
 // inside a worker chunk and degrades to inline execution (see
@@ -72,10 +72,10 @@ class ParallelRoundRunner {
  public:
   explicit ParallelRoundRunner(Federation& fed) : fed_(fed) {}
 
-  // Runs fn(i, workspace) for i in [0, n). With pool workers available the
-  // indices are chunked across threads, each chunk on a leased replica;
-  // otherwise everything runs on the calling thread through the shared
-  // workspace. fn must only write to per-index slots of captured state.
+  // Runs fn(i, model) for i in [0, n), chunked like the pool's
+  // parallel_for_chunked: chunk c runs on Federation::replica(c), so one
+  // chunk (one thread, or a nested call) runs on the shared workspace. fn
+  // must only write to per-index slots of captured state.
   void for_each_index(
       std::size_t n,
       const std::function<void(std::size_t, nn::Model&)>& fn);

@@ -156,8 +156,4 @@ Model build_model(const ModelSpec& spec, std::uint64_t seed) {
   throw std::invalid_argument("build_model: unknown arch " + spec.arch);
 }
 
-ModelFactory make_factory(ModelSpec spec) {
-  return [spec](std::uint64_t seed) { return build_model(spec, seed); };
-}
-
 }  // namespace fedclust::nn

@@ -14,7 +14,6 @@
 // Every model consumes NCHW input (MLP flattens internally) and ends in a
 // Linear classifier, so Model::classifier_range() is always well defined.
 
-#include <functional>
 #include <string>
 
 #include "nn/model.h"
@@ -55,10 +54,5 @@ Model mlp(std::size_t in_features, const std::vector<std::size_t>& hidden,
           std::size_t num_classes, std::uint64_t seed);
 
 Model build_model(const ModelSpec& spec, std::uint64_t seed);
-
-// Factory bound to a spec; FL algorithms use it to stamp out identically
-// shaped models (weights differ by seed).
-using ModelFactory = std::function<Model(std::uint64_t seed)>;
-ModelFactory make_factory(ModelSpec spec);
 
 }  // namespace fedclust::nn

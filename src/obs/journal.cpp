@@ -178,12 +178,6 @@ void EventJournal::open(const std::string& path) {
   g_enabled.store(true, std::memory_order_relaxed);
 }
 
-bool EventJournal::is_open() const {
-  JournalState& s = state();
-  const std::lock_guard<std::mutex> lock(s.mu);
-  return s.sink != nullptr;
-}
-
 void EventJournal::close() {
   flush_round();
   g_enabled.store(false, std::memory_order_relaxed);

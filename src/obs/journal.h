@@ -89,7 +89,6 @@ class EventJournal {
   // naming the path when the file cannot be created. The first flushed line
   // is a header object ({"journal":1,"codec":...}) describing the run.
   void open(const std::string& path);
-  bool is_open() const;
   // Final flush + close + disable. Buffered rows never outlive the file.
   void close();
 

@@ -1,9 +1,9 @@
 #include "util/thread_pool.h"
 
-#include <atomic>
+#include <algorithm>
 #include <cstdlib>
-#include <exception>
 #include <memory>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -42,7 +42,7 @@ ThreadPool::ThreadPool(std::size_t n_threads) {
       // span ran on (Perfetto's per-track view).
       obs::SpanTracer::instance().set_thread_label(
           "pool-worker-" + std::to_string(i));
-      worker_loop();
+      worker_loop(i);
     });
   }
 }
@@ -52,30 +52,50 @@ ThreadPool::~ThreadPool() {
     const std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  cv_.notify_all();
+  job_cv_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    tasks_.push(std::move(task));
-  }
-  cv_.notify_one();
-}
-
-void ThreadPool::worker_loop() {
+// Every worker takes every job, chunk or none, and checks out of it; the
+// caller publishes the next job only after the last check-out, so a worker
+// can neither miss a job nor read the next one's fields.
+void ThreadPool::worker_loop(std::size_t w) {
+  std::uint64_t seen = 0;
   for (;;) {
-    std::function<void()> task;
+    Job job;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
-      if (stop_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
+      job_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
+      if (stop_) return;
+      seen = generation_;
+      job = job_;
     }
-    task();
+    run_chunk(job, w + 1);
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (--pending_ == 0) done_cv_.notify_one();
   }
+}
+
+void ThreadPool::run_chunk(const Job& job, std::size_t c) {
+  const std::size_t lo = job.begin + c * job.chunk;
+  const std::size_t hi = std::min(job.end, lo + job.chunk);
+  if (lo >= hi) return;
+  const RegionGuard region;
+  OBS_SPAN_ARG("pool.chunk", hi - lo);
+  OBS_GAUGE_ADD("pool.busy_workers", 1);
+  try {
+    (*job.fn)(lo, hi);
+  } catch (...) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (!error_) error_ = std::current_exception();
+  }
+  OBS_GAUGE_ADD("pool.busy_workers", -1);
+}
+
+std::size_t ThreadPool::chunk_length(std::size_t n) const {
+  if (tls_in_parallel_region) return n;
+  const std::size_t n_chunks = std::min(n, workers_.size() + 1);
+  return (n + n_chunks - 1) / n_chunks;
 }
 
 void ThreadPool::parallel_for_chunked(
@@ -83,11 +103,10 @@ void ThreadPool::parallel_for_chunked(
     const std::function<void(std::size_t, std::size_t)>& fn) {
   if (begin >= end) return;
   const std::size_t n = end - begin;
-  const std::size_t n_chunks = std::min(n, workers_.size() + 1);
-  // Nested dispatch from inside a chunk runs inline: the outer loop already
-  // occupies the workers, and queueing here could only add latency (or, for
-  // a pool waiting on its own queue, deadlock).
-  if (n_chunks <= 1 || tls_in_parallel_region) {
+  const Job job{&fn, begin, end, chunk_length(n)};
+  // One chunk runs inline: no workers, one iteration, or a dispatch nested
+  // in a chunk, whose outer loop already occupies the workers.
+  if (job.chunk == n) {
     if (tls_in_parallel_region) {
       OBS_COUNTER_ADD("pool.nested_inline_dispatches", 1);
     }
@@ -96,59 +115,24 @@ void ThreadPool::parallel_for_chunked(
   }
   OBS_COUNTER_ADD("pool.parallel_dispatches", 1);
 
-  struct Shared {
-    std::atomic<std::size_t> pending{0};
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    std::exception_ptr error;
-    std::mutex error_mu;
-  } shared;
-
-  const std::size_t chunk = (n + n_chunks - 1) / n_chunks;
-  shared.pending.store(n_chunks - 1, std::memory_order_relaxed);
-
-  // Chunks 1..n_chunks-1 go to the workers; chunk 0 runs on this thread.
-  for (std::size_t c = 1; c < n_chunks; ++c) {
-    const std::size_t lo = begin + c * chunk;
-    const std::size_t hi = std::min(end, lo + chunk);
-    submit([&shared, &fn, lo, hi] {
-      try {
-        if (lo < hi) {
-          const RegionGuard region;
-          OBS_SPAN_ARG("pool.chunk", hi - lo);
-          OBS_GAUGE_ADD("pool.busy_workers", 1);
-          fn(lo, hi);
-          OBS_GAUGE_ADD("pool.busy_workers", -1);
-        }
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(shared.error_mu);
-        if (!shared.error) shared.error = std::current_exception();
-      }
-      if (shared.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        const std::lock_guard<std::mutex> lock(shared.done_mu);
-        shared.done_cv.notify_one();
-      }
-    });
-  }
-
-  try {
-    const RegionGuard region;
-    OBS_SPAN_ARG("pool.chunk", chunk);
-    OBS_GAUGE_ADD("pool.busy_workers", 1);
-    fn(begin, std::min(end, begin + chunk));
-    OBS_GAUGE_ADD("pool.busy_workers", -1);
-  } catch (...) {
-    const std::lock_guard<std::mutex> lock(shared.error_mu);
-    if (!shared.error) shared.error = std::current_exception();
-  }
-
+  const std::lock_guard<std::mutex> dispatch(dispatch_mu_);
   {
-    std::unique_lock<std::mutex> lock(shared.done_mu);
-    shared.done_cv.wait(lock, [&shared] {
-      return shared.pending.load(std::memory_order_acquire) == 0;
-    });
+    const std::lock_guard<std::mutex> lock(mu_);
+    job_ = job;
+    pending_ = workers_.size();
+    ++generation_;
   }
-  if (shared.error) std::rethrow_exception(shared.error);
+  job_cv_.notify_all();
+  run_chunk(job, 0);
+  // fn belongs to the caller: every worker checks out before it returns or
+  // rethrows.
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    done_cv_.wait(lock, [this] { return pending_ == 0; });
+    error = std::exchange(error_, nullptr);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,

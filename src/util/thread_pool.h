@@ -8,18 +8,23 @@
 // worker count or schedule. On a single-core host the pool degrades to
 // inline execution with zero thread overhead.
 //
-// Nested-parallelism policy: a parallel_for issued from inside another
-// parallel_for chunk (e.g. GEMM's row split inside a client-parallel FL
-// round) executes inline on the calling thread instead of re-entering the
-// shared task queue. The outer loop already owns every worker, so nested
-// dispatch would only add queueing latency and oversubscription — and a
-// kernel must never assume its inner parallel_for actually fans out.
+// A fan-out is one job in the pool's job slot: worker w runs chunk w+1,
+// and the caller runs chunk 0 and returns once every worker has checked
+// out. Fan-outs from different threads take turns, chunk c always runs on
+// the same thread, and dispatch allocates nothing.
+//
+// Nested-parallelism policy: a parallel_for issued from inside a chunk
+// (e.g. GEMM's row split inside a client-parallel FL round) runs inline
+// on the calling thread as one chunk and never waits for the slot: the
+// outer loop already owns every worker. A kernel must never assume its
+// inner parallel_for actually fans out.
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -41,6 +46,11 @@ class ThreadPool {
   // made in that state run inline — see the nested-parallelism policy above.
   static bool in_parallel_region();
 
+  // Length of the chunks parallel_for_chunked splits n >= 1 iterations
+  // into, called from this thread: chunk c covers [c * len, (c + 1) * len)
+  // of the range, clipped to it; n itself when the loop would run inline.
+  std::size_t chunk_length(std::size_t n) const;
+
   // Runs fn(i) for i in [begin, end), splitting the range into at most
   // size()+1 contiguous chunks (the calling thread takes one). Blocks until
   // every iteration has finished. Exceptions thrown by fn are rethrown on
@@ -55,14 +65,26 @@ class ThreadPool {
       const std::function<void(std::size_t, std::size_t)>& fn);
 
  private:
-  void submit(std::function<void()> task);
-  void worker_loop();
+  // The job slot's contents: one fan-out's body, range and chunk_length.
+  struct Job {
+    const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
+    std::size_t begin = 0, end = 0, chunk = 0;
+  };
 
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
-  std::mutex mu_;
-  std::condition_variable cv_;
+  void worker_loop(std::size_t w);
+  // Runs chunk c of `job` as a parallel region; records its exception.
+  void run_chunk(const Job& job, std::size_t c);
+
+  std::mutex dispatch_mu_;  // held by the caller for one whole fan-out
+  std::mutex mu_;           // guards the fields below, up to workers_
+  std::condition_variable job_cv_;   // workers: a new generation or stop_
+  std::condition_variable done_cv_;  // caller: pending_ reached 0
+  Job job_;
+  std::uint64_t generation_ = 0;  // bumped per published job
+  std::size_t pending_ = 0;       // workers not yet checked out of job_
+  std::exception_ptr error_;      // first exception of the current job
   bool stop_ = false;
+  std::vector<std::thread> workers_;  // last: the threads use the above
 };
 
 // Process-wide pool, sized by FEDCLUST_THREADS (default: hardware

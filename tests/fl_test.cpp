@@ -10,6 +10,7 @@
 #include "fl/client.h"
 #include "fl/comm.h"
 #include "fl/federation.h"
+#include "fl/parallel_round.h"
 #include "fl/stream_agg.h"
 #include "nn/loss.h"
 #include "nn/model_zoo.h"
@@ -178,12 +179,11 @@ data::Dataset image_dataset(std::size_t n, std::uint64_t seed) {
 // Once a model has seen its batch shapes, a train step, an eval forward
 // and whole SimClient::train / evaluate calls allocate nothing: every
 // activation, gradient, batch, loss and momentum buffer is the model's
-// own and reused (docs/INVARIANTS.md §Performance). The pool is
-// sequential here, as in a one-thread campaign: a GEMM large enough to
-// fan out to pool workers allocates its task queue entries.
+// own and reused (docs/INVARIANTS.md §Performance). At four threads
+// ResNet-9's larger GEMMs fan out to the pool's workers, whose dispatch
+// and per-thread kernel buffers must not allocate once warm either.
 TEST(SteadyStateStep, AllocatesNothing) {
   const std::size_t prev_threads = util::global_pool().size() + 1;
-  util::reset_global_pool(1);
   const data::Dataset train = image_dataset(50, 1);
   const data::Dataset test = image_dataset(20, 2);
   std::vector<std::size_t> idx10(10);
@@ -200,49 +200,75 @@ TEST(SteadyStateStep, AllocatesNothing) {
 
   const nn::ModelSpec spec{.arch = "", .in_channels = 3, .image_hw = 16,
                            .num_classes = 10, .width = 8};
-  for (const char* arch : {"lenet5", "resnet9", "vgglite"}) {
-    SCOPED_TRACE(arch);
-    nn::ModelSpec s = spec;
-    s.arch = arch;
-    nn::Model m = nn::build_model(s, 3);
-    nn::Sgd opt(m.parameters(), {.lr = 0.01f, .momentum = 0.5f});
-    nn::LossResult loss;
-    const auto step = [&] {
-      opt.zero_grad();
-      nn::softmax_cross_entropy(m.forward(x10, /*train=*/true), y10, loss);
-      m.backward(loss.grad_logits);
-      opt.step();
-    };
-    const auto eval = [&] { (void)m.forward(x20); };
-    step();
-    eval();
-    EXPECT_EQ(alloc_counter::count(step).allocations, 0u) << "train step";
-    EXPECT_EQ(alloc_counter::count(eval).allocations, 0u) << "eval forward";
-    EXPECT_EQ(alloc_counter::count(step).allocations, 0u) << "second step";
+  for (const std::size_t threads : {1u, 4u}) {
+    util::reset_global_pool(threads);
+    // A fan-out returns once every worker has checked out of it, so the
+    // workers' start-up allocations (trace labels) land before any count.
+    util::parallel_for(0, threads, [](std::size_t) {});
+    for (const char* arch : {"lenet5", "resnet9", "vgglite"}) {
+      SCOPED_TRACE(std::string(arch) + " at " + std::to_string(threads) +
+                   " threads");
+      nn::ModelSpec s = spec;
+      s.arch = arch;
+      nn::Model m = nn::build_model(s, 3);
+      nn::Sgd opt(m.parameters(), {.lr = 0.01f, .momentum = 0.5f});
+      nn::LossResult loss;
+      const auto step = [&] {
+        opt.zero_grad();
+        nn::softmax_cross_entropy(m.forward(x10, /*train=*/true), y10, loss);
+        m.backward(loss.grad_logits);
+        opt.step();
+      };
+      const auto eval = [&] { (void)m.forward(x20); };
+      step();
+      eval();
+      EXPECT_EQ(alloc_counter::count(step).allocations, 0u) << "train step";
+      EXPECT_EQ(alloc_counter::count(eval).allocations, 0u) << "eval forward";
+      EXPECT_EQ(alloc_counter::count(step).allocations, 0u) << "second step";
 
-    client.train(m, opts, util::Rng(4));
-    (void)client.evaluate(m);
+      client.train(m, opts, util::Rng(4));
+      (void)client.evaluate(m);
+      EXPECT_EQ(alloc_counter::count([&] {
+                  client.train(m, opts, util::Rng(5));
+                }).allocations,
+                0u)
+          << "SimClient::train";
+      EXPECT_EQ(alloc_counter::count([&] {
+                  (void)client.evaluate(m);
+                }).allocations,
+                0u)
+          << "SimClient::evaluate";
+
+      // The classifier slice is copied straight into its result.
+      const auto [offset, size] = m.classifier_range();
+      std::vector<float> cls;
+      EXPECT_EQ(alloc_counter::count([&] {
+                  cls = m.classifier_params();
+                }).allocations,
+                1u);
+      const std::vector<float> flat = m.flat_params();
+      EXPECT_EQ(cls, std::vector<float>(flat.begin() + offset,
+                                        flat.begin() + offset + size));
+    }
+  }
+  util::reset_global_pool(prev_threads);
+}
+
+// Once its replicas exist, a client loop's fan-out allocates nothing at
+// any pool size: the pool's job slot points at the loop's std::function.
+TEST(SteadyStateStep, ClientLoopAllocatesNothing) {
+  const std::size_t prev_threads = util::global_pool().size() + 1;
+  for (const std::size_t threads : {1u, 4u}) {
+    util::reset_global_pool(threads);
+    Federation fed(tiny_config());
+    ParallelRoundRunner runner(fed);
+    const auto body = [](std::size_t, nn::Model&) {};
+    runner.for_each_index(fed.n_clients(), body);
     EXPECT_EQ(alloc_counter::count([&] {
-                client.train(m, opts, util::Rng(5));
+                runner.for_each_index(fed.n_clients(), body);
               }).allocations,
               0u)
-        << "SimClient::train";
-    EXPECT_EQ(alloc_counter::count([&] {
-                (void)client.evaluate(m);
-              }).allocations,
-              0u)
-        << "SimClient::evaluate";
-
-    // The classifier slice is copied straight into its result.
-    const auto [offset, size] = m.classifier_range();
-    std::vector<float> cls;
-    EXPECT_EQ(alloc_counter::count([&] {
-                cls = m.classifier_params();
-              }).allocations,
-              1u);
-    const std::vector<float> flat = m.flat_params();
-    EXPECT_EQ(cls, std::vector<float>(flat.begin() + offset,
-                                      flat.begin() + offset + size));
+        << threads << " threads";
   }
   util::reset_global_pool(prev_threads);
 }

@@ -186,12 +186,12 @@ TEST(ModelZoo, BuildModelDispatch) {
   EXPECT_THROW(build_model(bad, 1), std::invalid_argument);
 }
 
-TEST(ModelZoo, FactoryReproducible) {
+TEST(ModelZoo, SameSeedBuildsSameModel) {
   ModelSpec spec;
   spec.arch = "mlp";
   spec.image_hw = 8;
-  const ModelFactory f = make_factory(spec);
-  EXPECT_EQ(f(3).flat_params(), f(3).flat_params());
+  EXPECT_EQ(build_model(spec, 3).flat_params(),
+            build_model(spec, 3).flat_params());
 }
 
 // ------------------------------------------ first-layer input gradient

@@ -1,5 +1,5 @@
 // ParallelRoundRunner: index-ordered collection, sequential/parallel
-// equivalence, workspace-pool leasing, and concurrent comm accounting.
+// equivalence, one replica per chunk, and concurrent comm accounting.
 
 #include "fl/parallel_round.h"
 
@@ -193,20 +193,26 @@ TEST_F(ParallelRoundTest, SequentialPathUsesSharedWorkspace) {
   });
 }
 
-TEST(WorkspacePool, LeasesAreDistinctAndRecycled) {
+// Chunk c of a fan-out runs on replica c, replica 0 being the workspace,
+// and every later fan-out reuses the same replicas.
+TEST_F(ParallelRoundTest, ChunksKeepTheirReplicas) {
+  util::reset_global_pool(4);
   fl::Federation fed(small_cfg(17));
-  nn::Model* a = fed.acquire_workspace();
-  nn::Model* b = fed.acquire_workspace();
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_NE(a, b);
-  EXPECT_NE(a, &fed.workspace());
-  EXPECT_EQ(a->flat_params().size(), fed.model_size());
-  fed.release_workspace(a);
-  nn::Model* c = fed.acquire_workspace();
-  EXPECT_EQ(c, a);  // free list is reused before new replicas are built
-  fed.release_workspace(b);
-  fed.release_workspace(c);
+  fl::ParallelRoundRunner runner(fed);
+  const std::size_t n = fed.n_clients();
+  ASSERT_GE(n, 4u);
+  const auto models_of_one_call = [&] {
+    std::vector<nn::Model*> used(n, nullptr);
+    runner.for_each_index(n, [&](std::size_t i, nn::Model& ws) {
+      EXPECT_EQ(ws.flat_params().size(), fed.model_size());
+      used[i] = &ws;
+    });
+    return std::set<nn::Model*>(used.begin(), used.end());
+  };
+  const std::set<nn::Model*> first = models_of_one_call();
+  EXPECT_EQ(first.size(), 4u);
+  EXPECT_EQ(first.count(&fed.workspace()), 1u);
+  EXPECT_EQ(models_of_one_call(), first);
 }
 
 TEST(CommTracker, ConcurrentIncrementsAreExact) {

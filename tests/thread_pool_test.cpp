@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace fedclust::util {
 namespace {
 
@@ -78,6 +80,22 @@ TEST(ThreadPool, ExceptionOnCallerChunkPropagates) {
                                    if (i == 0) throw std::logic_error("x");
                                  }),
                std::logic_error);
+}
+
+// Every chunk throws; the busy-worker gauge must still come back down.
+TEST(ThreadPool, ThrowingChunksLeaveBusyGaugeAtZero) {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::instance();
+  obs::Gauge& busy = metrics.gauge("pool.busy_workers");
+  busy.reset();
+  metrics.set_enabled(true);
+  ThreadPool pool(4);
+  EXPECT_THROW(pool.parallel_for(0, 4,
+                                 [](std::size_t) {
+                                   throw std::runtime_error("chunk");
+                                 }),
+               std::runtime_error);
+  metrics.set_enabled(false);
+  EXPECT_EQ(busy.value(), 0);
 }
 
 TEST(ThreadPool, UsableAfterException) {

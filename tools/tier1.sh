@@ -7,7 +7,8 @@
 # obs/fault/codec/log-epoch output cli_smoke, 100k-client store
 # scale_smoke and, labelled slow, 100k-client landmark_scale ctests), then
 # the concurrency tests (thread pool + parallel round executor + obs
-# stress) rebuilt and re-run under ThreadSanitizer, then the
+# stress + every method's thread-count determinism) rebuilt and re-run
+# under ThreadSanitizer, then the
 # fault/wire/snapshot/nn tests rebuilt and re-run under
 # Address+UBSanitizer. Run from the repository root.
 set -euo pipefail
