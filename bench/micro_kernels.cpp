@@ -107,8 +107,8 @@ void BM_GemmModelShapes(benchmark::State& state) {
                                           : tensor::Shape{g.n, g.k}, 2);
   tensor::Tensor c({g.m, g.n});
   for (auto _ : state) {
-    tensor::gemm(g.ta, g.tb, g.m, g.n, g.k, 1.0f, a.data(), a.dim(1),
-                 b.data(), b.dim(1), 0.0f, c.data(), g.n);
+    tensor::gemm(g.ta, g.tb, g.m, g.n, g.k, a.data(), a.dim(1), b.data(),
+                 b.dim(1), tensor::Accumulate::kNo, c.data(), g.n);
     benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
   }
@@ -189,8 +189,8 @@ void BM_ConvForward(benchmark::State& state) {
   for (auto _ : state) {
     tensor::im2col(img.data(), c, hw, hw, k, k, 1, 2, col.data());
     tensor::gemm(tensor::Trans::kNo, tensor::Trans::kNo, oc, hw * hw,
-                 c * k * k, 1.0f, wts.data(), c * k * k, col.data(), hw * hw,
-                 0.0f, out.data(), hw * hw);
+                 c * k * k, wts.data(), c * k * k, col.data(), hw * hw,
+                 tensor::Accumulate::kNo, out.data(), hw * hw);
     benchmark::DoNotOptimize(out.data());
   }
 }

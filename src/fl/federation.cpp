@@ -300,9 +300,7 @@ bool Federation::deliver_update(std::size_t client, std::size_t round,
     // Journaled bytes are totals across every transmission attempt —
     // exactly what CommTracker bills.
     OBS_JOURNAL(round, client, kUpload, upload_floats * 4 * transmissions,
-                (wire::encoded_size(codec, upload_floats) +
-                 wire::kHeaderSize) *
-                    transmissions);
+                wire::wire_size(codec, upload_floats) * transmissions);
   }
   if (transmissions > 1) {
     OBS_COUNTER_ADD("fault.injected.comm_transient", d.transient_failures);

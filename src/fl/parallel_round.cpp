@@ -5,7 +5,7 @@
 #include <deque>
 #include <mutex>
 
-#include "fl/codec.h"
+#include "fl/wire.h"
 #include "fl/transport.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
@@ -17,22 +17,15 @@ namespace fedclust::fl {
 
 namespace {
 
-// Framed bytes of `messages` envelopes of `n_floats` each, as CommTracker
-// bills them.
-std::uint64_t envelope_wire_bytes(wire::CodecId codec, std::uint64_t n_floats,
-                                  std::uint64_t messages = 1) {
-  return messages * (wire::encoded_size(codec, n_floats) + wire::kHeaderSize);
-}
-
 // Journals client c's model pull, mirroring CommTracker's billing exactly:
 // one envelope for the model itself, one more for any extra floats riding
 // along (e.g. SCAFFOLD's control variate).
 void journal_download(const RoundTrainJob& job, std::size_t c,
                       wire::CodecId codec) {
   const std::uint64_t base_n = job.start->size();
-  std::uint64_t wire_bytes = envelope_wire_bytes(codec, base_n);
+  std::uint64_t wire_bytes = wire::wire_size(codec, base_n);
   if (job.download_floats > base_n) {
-    wire_bytes += envelope_wire_bytes(codec, job.download_floats - base_n);
+    wire_bytes += wire::wire_size(codec, job.download_floats - base_n);
   }
   OBS_JOURNAL(job.round, c, kDownload, job.download_floats * 4, wire_bytes);
 }
@@ -120,7 +113,7 @@ void ParallelRoundRunner::bill_download(std::size_t round, std::size_t client,
                                         std::uint64_t messages) {
   fed_.bill_download(n_floats, messages);
   OBS_JOURNAL(round, client, kDownload, messages * n_floats * 4,
-              envelope_wire_bytes(fed_.cfg().codec, n_floats, messages));
+              messages * wire::wire_size(fed_.cfg().codec, n_floats));
 }
 
 void ParallelRoundRunner::journal_train(std::size_t round, std::size_t client,

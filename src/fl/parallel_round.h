@@ -15,9 +15,8 @@
 // are bit-identical at any worker count (FEDCLUST_THREADS=1 runs one chunk
 // through the shared workspace).
 //
-// Nested kernels are safe: GEMM's inner parallel_for detects it is running
-// inside a worker chunk and degrades to inline execution (see
-// util/thread_pool.h's nested-parallelism policy).
+// Kernels (GEMM among them) run on the chunk's own thread and never fan
+// out themselves (see util/thread_pool.h's nested-parallelism policy).
 
 #include <cstddef>
 #include <cstdint>

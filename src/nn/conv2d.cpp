@@ -75,8 +75,8 @@ void Conv2d::forward_into(const Tensor& x, Tensor& y, bool train) {
     tensor::im2col(x.data() + i * in_c_ * h * w, in_c_, h, w, kernel_,
                    kernel_, stride_, pad_, col);
     tensor::gemm(tensor::Trans::kNo, tensor::Trans::kNo, out_c_, out_area,
-                 col_rows, 1.0f, weight_.value.data(), col_rows, col,
-                 out_area, 0.0f, out, out_area);
+                 col_rows, weight_.value.data(), col_rows, col, out_area,
+                 tensor::Accumulate::kNo, out, out_area);
     for (std::size_t oc = 0; oc < out_c_; ++oc) {
       const float b = bias_.value[oc];
       float* plane = out + oc * out_area;
@@ -121,8 +121,8 @@ void Conv2d::backward_into(const Tensor& grad_out, Tensor& grad_in) {
     const float* col = cached_cols_.data() + i * col_rows * out_area;
     // dW += gy(out_c, out_area) x col^T(out_area, col_rows)
     tensor::gemm(tensor::Trans::kNo, tensor::Trans::kYes, out_c_, col_rows,
-                 out_area, 1.0f, gy, out_area, col, out_area, 1.0f,
-                 weight_.grad.data(), col_rows);
+                 out_area, gy, out_area, col, out_area,
+                 tensor::Accumulate::kYes, weight_.grad.data(), col_rows);
     // db += spatial sums of gy
     for (std::size_t oc = 0; oc < out_c_; ++oc) {
       const float* plane = gy + oc * out_area;
@@ -133,8 +133,8 @@ void Conv2d::backward_into(const Tensor& grad_out, Tensor& grad_in) {
     if (!input_grad) continue;
     // dcol = W^T(col_rows, out_c) x gy(out_c, out_area), then scatter back.
     tensor::gemm(tensor::Trans::kYes, tensor::Trans::kNo, col_rows, out_area,
-                 out_c_, 1.0f, weight_.value.data(), col_rows, gy, out_area,
-                 0.0f, grad_col, out_area);
+                 out_c_, weight_.value.data(), col_rows, gy, out_area,
+                 tensor::Accumulate::kNo, grad_col, out_area);
     tensor::col2im(grad_col, in_c_, h, w, kernel_, kernel_, stride_, pad_,
                    grad_in.data() + i * in_c_ * h * w);
   }

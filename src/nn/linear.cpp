@@ -23,9 +23,9 @@ void Linear::forward_into(const Tensor& x, Tensor& y, bool train) {
   const std::size_t n = x.dim(0);
   // y = x (N,in) * W^T (in,out)
   y.resize({n, out_});
-  tensor::gemm(tensor::Trans::kNo, tensor::Trans::kYes, n, out_, in_, 1.0f,
-               x.data(), in_, weight_.value.data(), in_, 0.0f, y.data(),
-               out_);
+  tensor::gemm(tensor::Trans::kNo, tensor::Trans::kYes, n, out_, in_,
+               x.data(), in_, weight_.value.data(), in_,
+               tensor::Accumulate::kNo, y.data(), out_);
   for (std::size_t i = 0; i < n; ++i) {
     float* row = y.data() + i * out_;
     for (std::size_t j = 0; j < out_; ++j) row[j] += bias_.value[j];
@@ -40,9 +40,9 @@ void Linear::backward_into(const Tensor& grad_out, Tensor& grad_in) {
     throw std::logic_error(name_ + ": backward without matching forward");
   }
   // dW += gy^T x : (out, N) x (N, in)
-  tensor::gemm(tensor::Trans::kYes, tensor::Trans::kNo, out_, in_, n, 1.0f,
-               grad_out.data(), out_, cached_input_.data(), in_, 1.0f,
-               weight_.grad.data(), in_);
+  tensor::gemm(tensor::Trans::kYes, tensor::Trans::kNo, out_, in_, n,
+               grad_out.data(), out_, cached_input_.data(), in_,
+               tensor::Accumulate::kYes, weight_.grad.data(), in_);
   // db += column sums of gy
   for (std::size_t i = 0; i < n; ++i) {
     const float* row = grad_out.data() + i * out_;
@@ -50,9 +50,9 @@ void Linear::backward_into(const Tensor& grad_out, Tensor& grad_in) {
   }
   // dx = gy W : (N, out) x (out, in)
   grad_in.resize({n, in_});
-  tensor::gemm(tensor::Trans::kNo, tensor::Trans::kNo, n, in_, out_, 1.0f,
-               grad_out.data(), out_, weight_.value.data(), in_, 0.0f,
-               grad_in.data(), in_);
+  tensor::gemm(tensor::Trans::kNo, tensor::Trans::kNo, n, in_, out_,
+               grad_out.data(), out_, weight_.value.data(), in_,
+               tensor::Accumulate::kNo, grad_in.data(), in_);
 }
 
 }  // namespace fedclust::nn

@@ -3,9 +3,9 @@
 // obs::json — a minimal recursive-descent JSON reader for the post-run
 // analysis tools (fedclust_report ingests journal JSONL, metrics JSONL,
 // and Chrome trace JSON), plus the string escaping the JSON writers (Chrome
-// trace export, run manifests) share. Lives in src/obs/ because the
-// observability library sits below fedclust_util in the layering and the
-// report builder (obs/report.h) needs it.
+// trace export, run manifests) share. The reader is compiled into
+// fedclust_obs_report next to the run report (obs/report.h); escape()
+// stays header-only, so the writers need no link to it.
 //
 // Scope: full JSON values (null/bool/number/string/array/object) with
 // standard escapes; numbers parse as double (the journal's uint64 fields

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "clustering/metrics.h"
 #include "obs/json.h"
 
 namespace fedclust::obs::report {
@@ -548,40 +549,18 @@ RunReport from_json(const std::string& text) {
 
 bool partition_agreement(const RunReport& a, const RunReport& b,
                          double* ari) {
-  // Intersect the two journaled partitions on client id (both sides are
-  // sorted by construction), building the contingency table n_ij plus the
-  // row/column marginals as we go.
-  std::map<std::uint64_t, std::uint64_t> bmap(b.clustering.assignment.begin(),
-                                              b.clustering.assignment.end());
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> joint;
-  std::map<std::uint64_t, std::uint64_t> rows, cols;
-  std::uint64_t n = 0;
+  // The adjusted Rand index over the clients both runs assigned.
+  const std::map<std::uint64_t, std::uint64_t> bmap(
+      b.clustering.assignment.begin(), b.clustering.assignment.end());
+  std::vector<std::size_t> labels_a, labels_b;
   for (const auto& [client, ka] : a.clustering.assignment) {
     const auto it = bmap.find(client);
     if (it == bmap.end()) continue;
-    ++joint[{ka, it->second}];
-    ++rows[ka];
-    ++cols[it->second];
-    ++n;
+    labels_a.push_back(ka);
+    labels_b.push_back(it->second);
   }
-  if (n < 2) return false;
-
-  // Hubert & Arabie's adjusted Rand index over pair counts C(x, 2).
-  const auto comb2 = [](std::uint64_t x) {
-    return 0.5 * static_cast<double>(x) * static_cast<double>(x - 1);
-  };
-  double index = 0.0, row_sum = 0.0, col_sum = 0.0;
-  for (const auto& [key, c] : joint) index += comb2(c);
-  for (const auto& [k, c] : rows) row_sum += comb2(c);
-  for (const auto& [k, c] : cols) col_sum += comb2(c);
-  const double expected = row_sum * col_sum / comb2(n);
-  const double max_index = 0.5 * (row_sum + col_sum);
-  // Degenerate case (both sides all-singletons or one-cluster): the raw
-  // Rand index is 1 exactly when the partitions agree, which they do here
-  // since index == max_index == expected.
-  *ari = max_index == expected
-             ? 1.0
-             : (index - expected) / (max_index - expected);
+  if (labels_a.size() < 2) return false;
+  *ari = clustering::adjusted_rand_index(labels_a, labels_b);
   return true;
 }
 

@@ -8,9 +8,11 @@
 // tools/tier1.sh). Field semantics are documented in
 // docs/OBSERVABILITY.md §Run report.
 //
-// Lives in src/obs/ (below fedclust_util in the layering); everything here
-// is pure string/struct transformation, so it is trivially testable
-// (tests/report_test.cpp) and usable from any layer.
+// Built as fedclust_obs_report, apart from fedclust_obs: only
+// fedclust_report and tests read run artifacts, so this may link
+// fedclust_clustering (partition_agreement is its adjusted Rand index).
+// Everything here is pure string/struct transformation, so it is
+// trivially testable (tests/report_test.cpp).
 
 #include <cstdint>
 #include <string>

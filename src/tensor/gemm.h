@@ -1,10 +1,10 @@
 #pragma once
 
-// Single-precision GEMM: C = alpha * op(A) * op(B) + beta * C.
+// Single-precision GEMM: C = op(A) * op(B), or C += op(A) * op(B).
 //
-// Cache-blocked scalar kernel; rows of C are distributed over the global
-// thread pool when the problem is large enough to amortize dispatch. This is
-// the workhorse behind Linear layers and im2col convolution.
+// Runs on the calling thread through the dispatched kernel table
+// (tensor/simd.h); parallelism lives one level up, in the client loops.
+// This is the workhorse behind Linear layers and im2col convolution.
 
 #include <cstddef>
 
@@ -13,13 +13,14 @@
 namespace fedclust::tensor {
 
 enum class Trans { kNo, kYes };
+// kNo overwrites C with the product; kYes adds the product to C.
+enum class Accumulate { kNo, kYes };
 
 // Raw-pointer GEMM with row-major leading dimensions. op(A) is (m, k),
 // op(B) is (k, n), C is (m, n) with leading dimension ldc.
 void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
-          std::size_t k, float alpha, const float* a, std::size_t lda,
-          const float* b, std::size_t ldb, float beta, float* c,
-          std::size_t ldc);
+          std::size_t k, const float* a, std::size_t lda, const float* b,
+          std::size_t ldb, Accumulate accumulate, float* c, std::size_t ldc);
 
 // Tensor-level matmul; a is (m, k), b is (k, n); returns (m, n).
 Tensor matmul(const Tensor& a, const Tensor& b);

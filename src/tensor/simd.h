@@ -5,13 +5,13 @@
 // One KernelTable per ISA (scalar / AVX2 / AVX-512 / NEON), selected once
 // at startup by util::active_isa() (env FEDCLUST_ISA overrides; see
 // util/cpu.h). The scalar table is the golden reference: every kernel in a
-// SIMD table except gemm_nn_range_fma must produce bit-identical output to
+// SIMD table except gemm_nn_fma must produce bit-identical output to
 // its scalar counterpart for all inputs — same accumulation order, same
 // rounding per operation (mul then add, never contracted to FMA), same
 // NaN payloads (docs/INVARIANTS.md §Kernels). simd_kernel_test sweeps every
 // host-reachable table against scalar and asserts exact equality.
 //
-// gemm_nn_range_fma is the one exception: it contracts mul+add into FMA
+// gemm_nn_fma is the one exception: it contracts mul+add into FMA
 // (one rounding instead of two) and only runs under the opt-in
 // --fast-math-kernels flag. In the scalar and NEON tables it aliases the
 // exact kernel.
@@ -33,21 +33,16 @@ inline constexpr std::size_t kL2Block = 8;
 struct KernelTable {
   util::SimdIsa isa;
 
-  // C[i,j] += fl(fl(alpha*A[i,p]) * B[p,j]) accumulated in ascending p,
-  // rows [m0, m1); A is row-major (m, k) stride lda, B row-major (k, n)
-  // stride ldb, C stride ldc. Pure accumulation — the caller applies beta.
-  void (*gemm_nn_range)(std::size_t m0, std::size_t m1, std::size_t n,
-                        std::size_t k, float alpha, const float* a,
-                        std::size_t lda, const float* b, std::size_t ldb,
-                        float* c, std::size_t ldc);
+  // C[i,j] += fl(A[i,p] * B[p,j]) accumulated in ascending p; A is
+  // row-major (m, k) stride lda, B row-major (k, n) stride ldb, C stride
+  // ldc. Pure accumulation — tensor::gemm clears C when it overwrites.
+  void (*gemm_nn)(std::size_t m, std::size_t n, std::size_t k,
+                  const float* a, std::size_t lda, const float* b,
+                  std::size_t ldb, float* c, std::size_t ldc);
   // Same contract with FMA contraction allowed (fast-math opt-in only).
-  void (*gemm_nn_range_fma)(std::size_t m0, std::size_t m1, std::size_t n,
-                            std::size_t k, float alpha, const float* a,
-                            std::size_t lda, const float* b, std::size_t ldb,
-                            float* c, std::size_t ldc);
-
-  // c[i] = fl(c[i] * beta) for i in [0, n) — gemm's beta prologue.
-  void (*scale)(float* c, std::size_t n, float beta);
+  void (*gemm_nn_fma)(std::size_t m, std::size_t n, std::size_t k,
+                      const float* a, std::size_t lda, const float* b,
+                      std::size_t ldb, float* c, std::size_t ldc);
 
   // out[r * cols + c] = x[c * ldx + r] for r < rows, c < cols: the
   // contiguous row-major (rows, cols) transpose of a (cols, rows) matrix

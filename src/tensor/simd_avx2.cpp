@@ -30,8 +30,7 @@ namespace {
 // ------------------------------------------------------------------ gemm
 //
 // Register-blocked microkernel: an MR x NR C tile held in ymm registers, A
-// packed (alpha pre-applied — same fl(alpha*a) the scalar kernel computes
-// per use) into an MR-interleaved KC panel, B read in place. For a fixed C
+// packed into an MR-interleaved KC panel, B read in place. For a fixed C
 // element the k terms still accumulate in ascending p with mul and add
 // rounded separately, so the result is bit-identical to the scalar loop.
 //
@@ -49,10 +48,10 @@ constexpr std::size_t kKc = 256;
 
 // Rows [0, mr) of the panel; the microkernel never reads rows past mr.
 void pack_a(const float* a, std::size_t lda, std::size_t i0, std::size_t mr,
-            std::size_t kb, std::size_t kc, float alpha, float* apack) {
+            std::size_t kb, std::size_t kc, float* apack) {
   for (std::size_t p = 0; p < kc; ++p) {
     for (std::size_t r = 0; r < mr; ++r) {
-      apack[p * kMr + r] = alpha * a[(i0 + r) * lda + kb + p];
+      apack[p * kMr + r] = a[(i0 + r) * lda + kb + p];
     }
   }
 }
@@ -134,20 +133,19 @@ Tile tile_for(std::size_t mr, std::size_t nr) {
 }
 
 template <bool kFma>
-void gemm_nn_range_avx2(std::size_t m0, std::size_t m1, std::size_t n,
-                        std::size_t k, float alpha, const float* a,
-                        std::size_t lda, const float* b, std::size_t ldb,
-                        float* c, std::size_t ldc) {
-  // Thread-local pack panel: ~6 KiB, reused across calls, one per worker.
+void gemm_nn_avx2(std::size_t m, std::size_t n, std::size_t k,
+                  const float* a, std::size_t lda, const float* b,
+                  std::size_t ldb, float* c, std::size_t ldc) {
+  // Thread-local pack panel: ~6 KiB, reused across calls, one per thread.
   thread_local std::vector<float> apack_buf;
   apack_buf.resize(kMr * kKc);
   float* apack = apack_buf.data();
 
-  for (std::size_t i0 = m0; i0 < m1; i0 += kMr) {
-    const std::size_t mr = std::min(kMr, m1 - i0);
+  for (std::size_t i0 = 0; i0 < m; i0 += kMr) {
+    const std::size_t mr = std::min(kMr, m - i0);
     for (std::size_t kb = 0; kb < k; kb += kKc) {
       const std::size_t kc = std::min(kKc, k - kb);
-      pack_a(a, lda, i0, mr, kb, kc, alpha, apack);
+      pack_a(a, lda, i0, mr, kb, kc, apack);
       for (std::size_t j0 = 0; j0 < n; j0 += kNr) {
         const std::size_t nr = std::min(kNr, n - j0);
         tile_for<kFma>(mr, nr)(apack, kc, b + kb * ldb + j0, ldb,
@@ -206,17 +204,6 @@ void transpose_avx2(const float* x, std::size_t rows, std::size_t cols,
   for (std::size_t r = rows8; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) out[r * cols + c] = x[c * ldx + r];
   }
-}
-
-// ----------------------------------------------------------------- scale
-
-void scale_avx2(float* c, std::size_t n, float beta) {
-  const __m256 vb = _mm256_set1_ps(beta);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(c + i, _mm256_mul_ps(_mm256_loadu_ps(c + i), vb));
-  }
-  for (; i < n; ++i) c[i] *= beta;
 }
 
 // ------------------------------------------------------------------- f16
@@ -437,9 +424,8 @@ void l2_distances_avx2(const float* q, std::size_t dim, const float* packed,
 const KernelTable* avx2_table() {
   static const KernelTable table = {
       util::SimdIsa::kAvx2,
-      &gemm_nn_range_avx2<false>,
-      &gemm_nn_range_avx2<true>,
-      &scale_avx2,
+      &gemm_nn_avx2<false>,
+      &gemm_nn_avx2<true>,
       &transpose_avx2,
       &f16_encode_avx2,
       &f16_decode_avx2,

@@ -43,10 +43,10 @@ constexpr std::size_t kKc = 256;
 
 // Rows [0, mr) of the panel; the microkernel never reads rows past mr.
 void pack_a(const float* a, std::size_t lda, std::size_t i0, std::size_t mr,
-            std::size_t kb, std::size_t kc, float alpha, float* apack) {
+            std::size_t kb, std::size_t kc, float* apack) {
   for (std::size_t p = 0; p < kc; ++p) {
     for (std::size_t r = 0; r < mr; ++r) {
-      apack[p * kMr + r] = alpha * a[(i0 + r) * lda + kb + p];
+      apack[p * kMr + r] = a[(i0 + r) * lda + kb + p];
     }
   }
 }
@@ -127,19 +127,18 @@ Tile tile_for(std::size_t mr, std::size_t nr) {
 }
 
 template <bool kFma>
-void gemm_nn_range_avx512(std::size_t m0, std::size_t m1, std::size_t n,
-                          std::size_t k, float alpha, const float* a,
-                          std::size_t lda, const float* b, std::size_t ldb,
-                          float* c, std::size_t ldc) {
+void gemm_nn_avx512(std::size_t m, std::size_t n, std::size_t k,
+                    const float* a, std::size_t lda, const float* b,
+                    std::size_t ldb, float* c, std::size_t ldc) {
   thread_local std::vector<float> apack_buf;
   apack_buf.resize(kMr * kKc);
   float* apack = apack_buf.data();
 
-  for (std::size_t i0 = m0; i0 < m1; i0 += kMr) {
-    const std::size_t mr = std::min(kMr, m1 - i0);
+  for (std::size_t i0 = 0; i0 < m; i0 += kMr) {
+    const std::size_t mr = std::min(kMr, m - i0);
     for (std::size_t kb = 0; kb < k; kb += kKc) {
       const std::size_t kc = std::min(kKc, k - kb);
-      pack_a(a, lda, i0, mr, kb, kc, alpha, apack);
+      pack_a(a, lda, i0, mr, kb, kc, apack);
       for (std::size_t j0 = 0; j0 < n; j0 += kNr) {
         const std::size_t nr = std::min(kNr, n - j0);
         tile_for<kFma>(mr, nr)(apack, kc, b + kb * ldb + j0, ldb,
@@ -147,17 +146,6 @@ void gemm_nn_range_avx512(std::size_t m0, std::size_t m1, std::size_t n,
       }
     }
   }
-}
-
-// ----------------------------------------------------------------- scale
-
-void scale_avx512(float* c, std::size_t n, float beta) {
-  const __m512 vb = _mm512_set1_ps(beta);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(c + i, _mm512_mul_ps(_mm512_loadu_ps(c + i), vb));
-  }
-  for (; i < n; ++i) c[i] *= beta;
 }
 
 // ------------------------------------------------------------------- f16
@@ -355,9 +343,8 @@ void l2_distances_avx512(const float* q, std::size_t dim, const float* packed,
 const KernelTable* avx512_table() {
   static const KernelTable table = {
       util::SimdIsa::kAvx512,
-      &gemm_nn_range_avx512<false>,
-      &gemm_nn_range_avx512<true>,
-      &scale_avx512,
+      &gemm_nn_avx512<false>,
+      &gemm_nn_avx512<true>,
       avx2_table()->transpose,  // a copy gains nothing from 16 lanes
       &f16_encode_avx512,
       &f16_decode_avx512,

@@ -1,7 +1,7 @@
-// NEON kernel table (AArch64). Conservative: the GEMM inner loop and beta
-// scale are vectorized with explicit mul-then-add (vmulq/vaddq — never
-// vfmaq outside the _fma variant), everything else (the codec kernels and
-// l2_distances among them) reuses the scalar kernels. Bit-identity with
+// NEON kernel table (AArch64). Conservative: the GEMM inner loop is
+// vectorized with explicit mul-then-add (vmulq/vaddq — never vfmaq outside
+// the _fma variant), everything else (the codec kernels and l2_distances
+// among them) reuses the scalar kernels. Bit-identity with
 // the scalar table holds by the same argument as the x86 tables: lanes
 // perform the identical fl(mul) -> fl(add) per element in ascending-p
 // order. Untested on this project's primary (x86) CI host, which cannot
@@ -28,12 +28,11 @@ constexpr std::size_t kBlockN = 64;
 constexpr std::size_t kBlockK = 128;
 
 template <bool kFma>
-void gemm_nn_range_neon(std::size_t m0, std::size_t m1, std::size_t n,
-                        std::size_t k, float alpha, const float* a,
-                        std::size_t lda, const float* b, std::size_t ldb,
-                        float* c, std::size_t ldc) {
-  for (std::size_t ib = m0; ib < m1; ib += kBlockM) {
-    const std::size_t ie = std::min(m1, ib + kBlockM);
+void gemm_nn_neon(std::size_t m, std::size_t n, std::size_t k,
+                  const float* a, std::size_t lda, const float* b,
+                  std::size_t ldb, float* c, std::size_t ldc) {
+  for (std::size_t ib = 0; ib < m; ib += kBlockM) {
+    const std::size_t ie = std::min(m, ib + kBlockM);
     for (std::size_t kb = 0; kb < k; kb += kBlockK) {
       const std::size_t ke = std::min(k, kb + kBlockK);
       for (std::size_t jb = 0; jb < n; jb += kBlockN) {
@@ -42,7 +41,7 @@ void gemm_nn_range_neon(std::size_t m0, std::size_t m1, std::size_t n,
           const float* __restrict arow = a + i * lda;
           float* __restrict crow = c + i * ldc;
           for (std::size_t p = kb; p < ke; ++p) {
-            const float av = alpha * arow[p];
+            const float av = arow[p];
             const float32x4_t vav = vdupq_n_f32(av);
             const float* __restrict brow = b + p * ldb;
             std::size_t j = jb;
@@ -64,24 +63,14 @@ void gemm_nn_range_neon(std::size_t m0, std::size_t m1, std::size_t n,
   }
 }
 
-void scale_neon(float* c, std::size_t n, float beta) {
-  const float32x4_t vb = vdupq_n_f32(beta);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f32(c + i, vmulq_f32(vld1q_f32(c + i), vb));
-  }
-  for (; i < n; ++i) c[i] *= beta;
-}
-
 }  // namespace
 
 const KernelTable* neon_table() {
   static const KernelTable table = [] {
     KernelTable t = scalar_table();
     t.isa = util::SimdIsa::kNeon;
-    t.gemm_nn_range = &gemm_nn_range_neon<false>;
-    t.gemm_nn_range_fma = &gemm_nn_range_neon<true>;
-    t.scale = &scale_neon;
+    t.gemm_nn = &gemm_nn_neon<false>;
+    t.gemm_nn_fma = &gemm_nn_neon<true>;
     return t;
   }();
   return &table;

@@ -1,8 +1,8 @@
 // Scalar kernel table — the golden reference every SIMD table is tested
 // against bit for bit. The gemm loop is the seed implementation of
-// tensor::gemm's inner kernel, kept verbatim: for each C element the k
-// terms fl(fl(alpha*a)*b) accumulate in ascending p with one rounding per
-// multiply and one per add (-ffp-contract=off forbids FMA contraction).
+// tensor::gemm's inner kernel: for each C element the k terms fl(a*b)
+// accumulate in ascending p with one rounding per multiply and one per
+// add (-ffp-contract=off forbids FMA contraction).
 // Do not "optimize" these loops; speed lives in the SIMD tables.
 
 #include "tensor/simd.h"
@@ -24,12 +24,11 @@ constexpr std::size_t kBlockM = 64;
 constexpr std::size_t kBlockN = 64;
 constexpr std::size_t kBlockK = 128;
 
-void gemm_nn_range_scalar(std::size_t m0, std::size_t m1, std::size_t n,
-                          std::size_t k, float alpha, const float* a,
-                          std::size_t lda, const float* b, std::size_t ldb,
-                          float* c, std::size_t ldc) {
-  for (std::size_t ib = m0; ib < m1; ib += kBlockM) {
-    const std::size_t ie = std::min(m1, ib + kBlockM);
+void gemm_nn_scalar(std::size_t m, std::size_t n, std::size_t k,
+                    const float* a, std::size_t lda, const float* b,
+                    std::size_t ldb, float* c, std::size_t ldc) {
+  for (std::size_t ib = 0; ib < m; ib += kBlockM) {
+    const std::size_t ie = std::min(m, ib + kBlockM);
     for (std::size_t kb = 0; kb < k; kb += kBlockK) {
       const std::size_t ke = std::min(k, kb + kBlockK);
       for (std::size_t jb = 0; jb < n; jb += kBlockN) {
@@ -41,7 +40,7 @@ void gemm_nn_range_scalar(std::size_t m0, std::size_t m1, std::size_t n,
           // vanishingly rare, and a branch here defeats vectorization of
           // the inner loop below.
           for (std::size_t p = kb; p < ke; ++p) {
-            const float av = alpha * arow[p];
+            const float av = arow[p];
             const float* __restrict brow = b + p * ldb;
             for (std::size_t j = jb; j < je; ++j) {
               crow[j] += av * brow[j];
@@ -51,10 +50,6 @@ void gemm_nn_range_scalar(std::size_t m0, std::size_t m1, std::size_t n,
       }
     }
   }
-}
-
-void scale_scalar(float* c, std::size_t n, float beta) {
-  for (std::size_t i = 0; i < n; ++i) c[i] *= beta;
 }
 
 void transpose_scalar(const float* x, std::size_t rows, std::size_t cols,
@@ -141,9 +136,8 @@ void l2_distances_scalar(const float* q, std::size_t dim, const float* packed,
 const KernelTable& scalar_table() {
   static const KernelTable table = {
       util::SimdIsa::kScalar,
-      &gemm_nn_range_scalar,
-      &gemm_nn_range_scalar,  // no reassociation to exploit without vectors
-      &scale_scalar,
+      &gemm_nn_scalar,
+      &gemm_nn_scalar,  // no reassociation to exploit without vectors
       &transpose_scalar,
       &f16_encode_scalar,
       &f16_decode_scalar,

@@ -171,10 +171,4 @@ void parallel_for(std::size_t begin, std::size_t end,
   global_pool().parallel_for(begin, end, fn);
 }
 
-void parallel_for_chunked(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  global_pool().parallel_for_chunked(begin, end, fn);
-}
-
 }  // namespace fedclust::util

@@ -3,10 +3,10 @@
 // Fixed-size thread pool with a chunked parallel_for.
 //
 // The simulator is deterministic by construction: parallel_for only ever
-// partitions *independent* work (rows of a GEMM, clients in a round whose
-// RNG streams were split ahead of time), so results do not depend on the
-// worker count or schedule. On a single-core host the pool degrades to
-// inline execution with zero thread overhead.
+// partitions *independent* work (clients in a round whose RNG streams were
+// split ahead of time), so results do not depend on the worker count or
+// schedule. On a single-core host the pool degrades to inline execution
+// with zero thread overhead.
 //
 // A fan-out is one job in the pool's job slot: worker w runs chunk w+1,
 // and the caller runs chunk 0 and returns once every worker has checked
@@ -14,10 +14,10 @@
 // the same thread, and dispatch allocates nothing.
 //
 // Nested-parallelism policy: a parallel_for issued from inside a chunk
-// (e.g. GEMM's row split inside a client-parallel FL round) runs inline
-// on the calling thread as one chunk and never waits for the slot: the
-// outer loop already owns every worker. A kernel must never assume its
-// inner parallel_for actually fans out.
+// runs inline on the calling thread as one chunk and never waits for the
+// slot: the outer loop already owns every worker. No product path nests
+// (kernels run on their calling thread), but a nested call must still
+// complete instead of deadlocking on the job slot.
 
 #include <condition_variable>
 #include <cstddef>
@@ -97,11 +97,8 @@ ThreadPool& global_pool();
 // parallel_for is in flight on the old pool.
 void reset_global_pool(std::size_t n_threads);
 
-// Convenience wrappers over global_pool().
+// Convenience wrapper over global_pool().
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn);
-void parallel_for_chunked(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& fn);
 
 }  // namespace fedclust::util

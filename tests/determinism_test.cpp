@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/fedclust.h"
 #include "core/registry.h"
 #include "fl/fedavg.h"
 #include "fl/federation.h"
+#include "obs/metrics.h"
+#include "util/cpu.h"
 #include "util/thread_pool.h"
 
 namespace fedclust {
@@ -225,6 +229,77 @@ TEST_F(ThreadCountInvariance, VirtualStoreMatchesMaterialized) {
       expect_identical(materialized.trace, virt.trace);
       EXPECT_EQ(materialized.wire_bytes, virt.wire_bytes);
       EXPECT_EQ(materialized.state_crc, virt.state_crc);
+    }
+  }
+}
+
+// --fast-math-kernels trades bit-identity with the exact kernels (FMA
+// GEMM; under qint8, averaging in the int8 domain) for speed, but not
+// thread-count invariance: both paths fold in an order fixed before the
+// fan-out.
+TEST_F(ThreadCountInvariance, FastMathMatchesAcrossThreadCounts) {
+  struct FastMathSwitch {
+    bool prev = util::fast_math_kernels();
+    FastMathSwitch() { util::set_fast_math_kernels(true); }
+    ~FastMathSwitch() { util::set_fast_math_kernels(prev); }
+  } fast_math;
+  struct Metrics {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+    Metrics() {
+      reg.reset_values();
+      reg.set_enabled(true);
+    }
+    ~Metrics() {
+      reg.set_enabled(false);
+      reg.reset_values();
+    }
+  };
+  struct Result {
+    fl::Trace trace;
+    std::uint32_t state_crc = 0;
+    std::uint64_t int8_rounds = 0;
+    std::uint64_t aggregations = 0;  // (round, cluster) pairs sampled
+  };
+  const auto run_with = [&](const std::string& method,
+                            fl::wire::CodecId codec, std::size_t threads) {
+    util::reset_global_pool(threads);
+    auto cfg = cfg_for(42);
+    cfg.codec = codec;
+    cfg.fast_math_kernels = true;
+    const Metrics metrics;
+    fl::Federation fed(cfg);
+    const auto algo = core::make_algorithm(method, fed);
+    Result res;
+    res.trace = algo->run();
+    res.state_crc = algo->state_crc32c();
+    res.int8_rounds =
+        metrics.reg.snapshot().counter_value("agg.int8_rounds");
+    // No faults, so every sampled client delivers: each round aggregates
+    // once per cluster it sampled (FedAvg's one model is cluster 0).
+    std::vector<std::size_t> cluster(cfg.fed.n_clients, 0);
+    if (method == "FedClust") {
+      cluster = static_cast<const core::FedClust&>(*algo).assignment();
+    }
+    for (std::size_t r = 0; r < cfg.rounds; ++r) {
+      std::set<std::size_t> sampled;
+      for (const std::size_t c : fed.sample_round(r)) sampled.insert(cluster[c]);
+      res.aggregations += sampled.size();
+    }
+    return res;
+  };
+  using fl::wire::CodecId;
+  for (const std::string method : {"FedAvg", "FedClust"}) {
+    for (const CodecId codec : {CodecId::kRawF32, CodecId::kQInt8}) {
+      SCOPED_TRACE(method + (codec == CodecId::kQInt8 ? " qint8" : " raw_f32"));
+      const Result r1 = run_with(method, codec, 1);
+      const Result r4 = run_with(method, codec, 4);
+      expect_identical(r1.trace, r4.trace);
+      EXPECT_EQ(r1.state_crc, r4.state_crc);
+      const std::uint64_t want_int8 =
+          codec == CodecId::kQInt8 ? r1.aggregations : 0;
+      EXPECT_GT(r1.aggregations, 0u);
+      EXPECT_EQ(r1.int8_rounds, want_int8);
+      EXPECT_EQ(r4.int8_rounds, want_int8);
     }
   }
 }

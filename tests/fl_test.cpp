@@ -179,9 +179,7 @@ data::Dataset image_dataset(std::size_t n, std::uint64_t seed) {
 // Once a model has seen its batch shapes, a train step, an eval forward
 // and whole SimClient::train / evaluate calls allocate nothing: every
 // activation, gradient, batch, loss and momentum buffer is the model's
-// own and reused (docs/INVARIANTS.md §Performance). At four threads
-// ResNet-9's larger GEMMs fan out to the pool's workers, whose dispatch
-// and per-thread kernel buffers must not allocate once warm either.
+// own and reused (docs/INVARIANTS.md §Performance), at either pool size.
 TEST(SteadyStateStep, AllocatesNothing) {
   const std::size_t prev_threads = util::global_pool().size() + 1;
   const data::Dataset train = image_dataset(50, 1);

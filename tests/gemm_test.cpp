@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
 
+#include "obs/metrics.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace fedclust::tensor {
 namespace {
@@ -61,23 +64,14 @@ TEST(Gemm, InnerDimMismatchThrows) {
   EXPECT_THROW(matmul(a, b), std::invalid_argument);
 }
 
-TEST(Gemm, BetaAccumulates) {
+TEST(Gemm, AccumulateAddsToC) {
   const Tensor a({2, 2}, {1, 0, 0, 1});
   const Tensor b({2, 2}, {1, 2, 3, 4});
   Tensor c({2, 2}, {10, 10, 10, 10});
-  gemm(Trans::kNo, Trans::kNo, 2, 2, 2, 1.0f, a.data(), 2, b.data(), 2, 1.0f,
-       c.data(), 2);
+  gemm(Trans::kNo, Trans::kNo, 2, 2, 2, a.data(), 2, b.data(), 2,
+       Accumulate::kYes, c.data(), 2);
   EXPECT_FLOAT_EQ(c[0], 11.0f);
   EXPECT_FLOAT_EQ(c[3], 14.0f);
-}
-
-TEST(Gemm, AlphaScales) {
-  const Tensor a({1, 1}, {3.0f});
-  const Tensor b({1, 1}, {4.0f});
-  Tensor c({1, 1}, {100.0f});
-  gemm(Trans::kNo, Trans::kNo, 1, 1, 1, 2.0f, a.data(), 1, b.data(), 1, 0.0f,
-       c.data(), 1);
-  EXPECT_FLOAT_EQ(c[0], 24.0f);
 }
 
 TEST(Gemm, StridedC) {
@@ -85,13 +79,36 @@ TEST(Gemm, StridedC) {
   const Tensor a({2, 2}, {1, 2, 3, 4});
   const Tensor b({2, 2}, {5, 6, 7, 8});
   Tensor c({2, 4});
-  gemm(Trans::kNo, Trans::kNo, 2, 2, 2, 1.0f, a.data(), 2, b.data(), 2, 0.0f,
-       c.data(), 4);
+  gemm(Trans::kNo, Trans::kNo, 2, 2, 2, a.data(), 2, b.data(), 2,
+       Accumulate::kNo, c.data(), 4);
   EXPECT_FLOAT_EQ(c.at({0, 0}), 19.0f);
   EXPECT_FLOAT_EQ(c.at({0, 1}), 22.0f);
   EXPECT_FLOAT_EQ(c.at({1, 0}), 43.0f);
   EXPECT_FLOAT_EQ(c.at({1, 1}), 50.0f);
   EXPECT_FLOAT_EQ(c.at({0, 2}), 0.0f);  // untouched columns stay zero
+}
+
+TEST(Gemm, RunsOnTheCallingThread) {
+  // Parallelism lives in the client loops, so a GEMM never fans out, not
+  // even one of 96^3 multiply-adds outside any loop with workers idle.
+  const std::size_t prev_threads = util::global_pool().size() + 1;
+  util::reset_global_pool(4);
+  auto& metrics = obs::MetricsRegistry::instance();
+  metrics.reset_values();
+  metrics.set_enabled(true);
+  util::Rng rng(96);
+  const Tensor a = random_tensor({96, 96}, rng);
+  const Tensor b = random_tensor({96, 96}, rng);
+  const std::uint64_t before =
+      metrics.snapshot().counter_value("pool.parallel_dispatches");
+  const Tensor c = matmul(a, b);
+  const std::uint64_t after =
+      metrics.snapshot().counter_value("pool.parallel_dispatches");
+  metrics.set_enabled(false);
+  metrics.reset_values();
+  util::reset_global_pool(prev_threads);
+  EXPECT_EQ(after, before);
+  expect_close(c, reference_matmul(a, Trans::kNo, b, Trans::kNo), 1e-3f * 96);
 }
 
 using GemmCase = std::tuple<std::size_t, std::size_t, std::size_t, int, int>;
@@ -121,7 +138,6 @@ INSTANTIATE_TEST_SUITE_P(
         GemmCase{65, 63, 130, 0, 0}, GemmCase{65, 63, 130, 1, 1},
         GemmCase{128, 17, 200, 0, 1}, GemmCase{17, 128, 200, 1, 0},
         GemmCase{1, 256, 64, 0, 0}, GemmCase{256, 1, 64, 0, 0},
-        // Big enough to cross the parallel threshold.
         GemmCase{96, 96, 96, 0, 0}));
 
 }  // namespace

@@ -269,8 +269,8 @@ TEST(Conv2d, EvalForwardMatchesTrainForwardAcrossIsas) {
       tensor::im2col(x.data() + i * p.c * p.h * p.w, p.c, p.h, p.w, p.k, p.k,
                      p.stride, p.pad, col.data());
       tensor::gemm(tensor::Trans::kNo, tensor::Trans::kNo, p.oc, area, rows,
-                   1.0f, conv->weight().value.data(), rows, col.data(), area,
-                   0.0f, out, area);
+                   conv->weight().value.data(), rows, col.data(), area,
+                   tensor::Accumulate::kNo, out, area);
       for (std::size_t oc = 0; oc < p.oc; ++oc) {
         for (std::size_t q = 0; q < area; ++q) {
           out[oc * area + q] += conv->parameters()[1]->value[oc];

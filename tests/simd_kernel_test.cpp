@@ -69,22 +69,18 @@ bool bit_equal(const std::vector<float>& a, const std::vector<float>& b) {
 struct GemmCase {
   std::size_t m, n, k;
   std::size_t pad_a, pad_b, pad_c;  // extra leading-dimension slack
-  float alpha;
 };
 
 const GemmCase kGemmCases[] = {
-    {1, 1, 1, 0, 0, 0, 1.0f},     {3, 5, 7, 0, 0, 0, 1.0f},
-    {8, 32, 16, 0, 0, 0, 1.0f},   {17, 33, 65, 3, 1, 2, 0.5f},
-    {64, 64, 64, 0, 0, 0, 1.0f},  {65, 63, 130, 0, 5, 0, 1.0f},
-    {128, 17, 200, 2, 0, 3, 1.0f}, {6, 16, 256, 0, 0, 0, -0.75f},
-    {12, 48, 300, 1, 1, 1, 1.0f}, {9, 100, 31, 0, 0, 0, 2.0f},
+    {1, 1, 1, 0, 0, 0},     {3, 5, 7, 0, 0, 0},     {8, 32, 16, 0, 0, 0},
+    {17, 33, 65, 3, 1, 2},  {64, 64, 64, 0, 0, 0},  {65, 63, 130, 0, 5, 0},
+    {128, 17, 200, 2, 0, 3}, {6, 16, 256, 0, 0, 0}, {12, 48, 300, 1, 1, 1},
+    {9, 100, 31, 0, 0, 0},
     // The per-image GEMMs of LeNet-5 and ResNet-9 (bench/micro_kernels.cpp,
     // BM_GemmModelShapes), as the NN kernel sees them after the transpose.
-    {6, 256, 75, 0, 0, 0, 1.0f},  {6, 75, 256, 0, 0, 0, 1.0f},
-    {16, 16, 150, 0, 0, 0, 1.0f}, {150, 16, 16, 0, 0, 0, 1.0f},
-    {10, 84, 120, 0, 0, 0, 1.0f}, {32, 16, 288, 0, 0, 0, 1.0f},
-    {288, 16, 32, 0, 0, 0, 1.0f}, {16, 144, 64, 0, 0, 0, 1.0f},
-    {16, 256, 72, 0, 0, 0, 1.0f},
+    {6, 256, 75, 0, 0, 0},  {6, 75, 256, 0, 0, 0},  {16, 16, 150, 0, 0, 0},
+    {150, 16, 16, 0, 0, 0}, {10, 84, 120, 0, 0, 0}, {32, 16, 288, 0, 0, 0},
+    {288, 16, 32, 0, 0, 0}, {16, 144, 64, 0, 0, 0}, {16, 256, 72, 0, 0, 0},
 };
 
 TEST(SimdKernel, GemmBitExactAcrossIsas) {
@@ -99,13 +95,12 @@ TEST(SimdKernel, GemmBitExactAcrossIsas) {
 
     std::vector<float> want = c0;
     simd::kernels_for(util::SimdIsa::kScalar)
-        .gemm_nn_range(0, gc.m, gc.n, gc.k, gc.alpha, a.data(), lda, b.data(),
-                       ldb, want.data(), ldc);
+        .gemm_nn(gc.m, gc.n, gc.k, a.data(), lda, b.data(), ldb, want.data(),
+                 ldc);
     for (const auto isa : reachable_isas()) {
       std::vector<float> got = c0;
-      simd::kernels_for(isa).gemm_nn_range(0, gc.m, gc.n, gc.k, gc.alpha,
-                                           a.data(), lda, b.data(), ldb,
-                                           got.data(), ldc);
+      simd::kernels_for(isa).gemm_nn(gc.m, gc.n, gc.k, a.data(), lda,
+                                     b.data(), ldb, got.data(), ldc);
       EXPECT_TRUE(bit_equal(want, got))
           << "isa=" << util::isa_name(isa) << " m=" << gc.m << " n=" << gc.n
           << " k=" << gc.k;
@@ -147,44 +142,19 @@ TEST(SimdKernel, GemmEveryTileShapeBitExactAndInBounds) {
             c0[i * ldc + j] = rng.normalf(0, 1);
           }
         }
-        for (const float alpha : {1.0f, -0.75f}) {
-          std::vector<float> want = c0;
-          simd::kernels_for(util::SimdIsa::kScalar)
-              .gemm_nn_range(0, m, n, k, alpha, a.data(), k, b.data(), n,
-                             want.data(), ldc);
-          for (const auto isa : reachable_isas()) {
-            std::vector<float> got = c0;
-            simd::kernels_for(isa).gemm_nn_range(0, m, n, k, alpha, a.data(),
-                                                 k, b.data(), n, got.data(),
-                                                 ldc);
-            ASSERT_TRUE(bit_equal(want, got) && canaries_intact(got, m, n, ldc))
-                << "isa=" << util::isa_name(isa) << " m=" << m << " n=" << n
-                << " k=" << k << " alpha=" << alpha;
-          }
+        std::vector<float> want = c0;
+        simd::kernels_for(util::SimdIsa::kScalar)
+            .gemm_nn(m, n, k, a.data(), k, b.data(), n, want.data(), ldc);
+        for (const auto isa : reachable_isas()) {
+          std::vector<float> got = c0;
+          simd::kernels_for(isa).gemm_nn(m, n, k, a.data(), k, b.data(), n,
+                                         got.data(), ldc);
+          ASSERT_TRUE(bit_equal(want, got) && canaries_intact(got, m, n, ldc))
+              << "isa=" << util::isa_name(isa) << " m=" << m << " n=" << n
+              << " k=" << k;
         }
       }
     }
-  }
-}
-
-TEST(SimdKernel, GemmRowRangeSplitIsBitExact) {
-  // Row-chunked execution (what the thread pool does) must equal one call.
-  util::Rng rng(43);
-  const std::size_t m = 23, n = 37, k = 65;
-  const auto a = random_floats(m * k, rng);
-  const auto b = random_floats(k * n, rng);
-  const auto c0 = random_floats(m * n, rng);
-  for (const auto isa : reachable_isas()) {
-    const auto& kt = simd::kernels_for(isa);
-    std::vector<float> whole = c0;
-    kt.gemm_nn_range(0, m, n, k, 1.0f, a.data(), k, b.data(), n, whole.data(),
-                     n);
-    std::vector<float> split = c0;
-    for (std::size_t lo = 0; lo < m; lo += 5) {
-      kt.gemm_nn_range(lo, std::min(m, lo + 5), n, k, 1.0f, a.data(), k,
-                       b.data(), n, split.data(), n);
-    }
-    EXPECT_TRUE(bit_equal(whole, split)) << "isa=" << util::isa_name(isa);
   }
 }
 
@@ -195,12 +165,11 @@ TEST(SimdKernel, GemmFmaVariantWithinTolerance) {
   const auto b = random_floats(k * n, rng);
   std::vector<float> want(m * n, 0.0f);
   simd::kernels_for(util::SimdIsa::kScalar)
-      .gemm_nn_range(0, m, n, k, 1.0f, a.data(), k, b.data(), n, want.data(),
-                     n);
+      .gemm_nn(m, n, k, a.data(), k, b.data(), n, want.data(), n);
   for (const auto isa : reachable_isas()) {
     std::vector<float> got(m * n, 0.0f);
-    simd::kernels_for(isa).gemm_nn_range_fma(0, m, n, k, 1.0f, a.data(), k,
-                                             b.data(), n, got.data(), n);
+    simd::kernels_for(isa).gemm_nn_fma(m, n, k, a.data(), k, b.data(), n,
+                                       got.data(), n);
     for (std::size_t i = 0; i < want.size(); ++i) {
       ASSERT_NEAR(want[i], got[i], 1e-3f)
           << "isa=" << util::isa_name(isa) << " at " << i;
@@ -209,7 +178,8 @@ TEST(SimdKernel, GemmFmaVariantWithinTolerance) {
 }
 
 TEST(SimdKernel, TensorGemmTransposesMatchScalarDispatch) {
-  // tensor::gemm end to end (transpose scratch + beta prologue + dispatch):
+  // tensor::gemm end to end (transpose scratch + overwrite or accumulate +
+  // dispatch):
   // every (trans_a, trans_b) combination under every ISA must equal the
   // forced-scalar NN result bit for bit. The shapes hit full 8 x 8
   // transpose blocks and both ragged edges (LeNet-5's conv1 dW and conv2
@@ -235,25 +205,26 @@ TEST(SimdKernel, TensorGemmTransposesMatchScalarDispatch) {
       return t;
     }();
     const auto c0 = random_floats(m * n, rng);
-    for (const float beta : {0.0f, 1.0f, 0.5f}) {
+    using tensor::Accumulate;
+    for (const Accumulate acc : {Accumulate::kNo, Accumulate::kYes}) {
       using tensor::Trans;
       ASSERT_TRUE(util::force_isa_for_testing(util::SimdIsa::kScalar));
       std::vector<float> want = c0;
-      tensor::gemm(Trans::kNo, Trans::kNo, m, n, k, 1.0f, a.data(), k,
-                   b.data(), n, beta, want.data(), n);
+      tensor::gemm(Trans::kNo, Trans::kNo, m, n, k, a.data(), k, b.data(), n,
+                   acc, want.data(), n);
       for (const auto isa : reachable_isas()) {
         ASSERT_TRUE(util::force_isa_for_testing(isa));
         for (const Trans ta : {Trans::kNo, Trans::kYes}) {
           for (const Trans tb : {Trans::kNo, Trans::kYes}) {
             const bool ya = ta == Trans::kYes, yb = tb == Trans::kYes;
             std::vector<float> got = c0;
-            tensor::gemm(ta, tb, m, n, k, 1.0f, ya ? at.data() : a.data(),
+            tensor::gemm(ta, tb, m, n, k, ya ? at.data() : a.data(),
                          ya ? m : k, yb ? bt.data() : b.data(), yb ? k : n,
-                         beta, got.data(), n);
+                         acc, got.data(), n);
             EXPECT_TRUE(bit_equal(want, got))
                 << "isa=" << util::isa_name(isa) << " m=" << m << " n=" << n
                 << " k=" << k << " ta=" << ya << " tb=" << yb
-                << " beta=" << beta;
+                << " accumulate=" << (acc == Accumulate::kYes);
           }
         }
       }

@@ -128,9 +128,8 @@ TEST(ThreadPool, InParallelRegionReflectsChunkExecution) {
   EXPECT_FALSE(ThreadPool::in_parallel_region());
 }
 
-// Nested dispatch (GEMM's row split inside a client-parallel round) must run
-// inline without deadlocking on the shared queue, and must still cover every
-// index exactly once.
+// Nested dispatch must run inline without deadlocking on the job slot, and
+// must still cover every index exactly once.
 TEST(ThreadPool, NestedParallelForRunsInlineAndCoversEverything) {
   ThreadPool pool(4);
   const std::size_t outer_n = 8, inner_n = 64;
@@ -151,7 +150,7 @@ TEST(ThreadPool, NestedChunkedArrivesAsOneInlineChunk) {
   pool.parallel_for_chunked(0, 4, [&](std::size_t, std::size_t) {
     pool.parallel_for_chunked(0, 100, [&](std::size_t lo, std::size_t hi) {
       // The inner body must see the whole range as a single chunk: no
-      // re-entry into the task queue from inside a region.
+      // re-entry into the job slot from inside a region.
       EXPECT_EQ(lo, 0u);
       EXPECT_EQ(hi, 100u);
       inner_dispatches.fetch_add(1);
