@@ -53,8 +53,9 @@ void BM_Gemm(benchmark::State& state) {
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
 
 // Transposed-operand variants: conv backward issues NT and TN GEMMs every
-// step, so the transpose-scratch path (thread-local reuse, no per-call
-// allocation) is as hot as the NN path.
+// step, so the kernels' transposed packs (a transposed A read while A is
+// packed, a transposed B packed one panel at a time) are as hot as the NN
+// path.
 void BM_GemmTransposed(benchmark::State& state, tensor::Trans ta,
                        tensor::Trans tb) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -77,8 +78,9 @@ BENCHMARK(BM_GemmTN)->Arg(128)->Arg(256);
 
 // The per-image GEMMs that LeNet-5 and ResNet-9 (width 8) run on 16x16 inputs
 // at batch 10, with their Trans flags: conv dW transposes B, conv dcol
-// transposes A, Linear forward transposes B. Small m and ragged n are the
-// norm here, unlike the square BM_Gemm sizes.
+// transposes A, Linear forward transposes B and Linear dW transposes A.
+// Small m and ragged n are the norm here, unlike the square BM_Gemm sizes.
+// Rows keep their indices: new shapes are appended.
 struct ModelGemm {
   const char* name;
   tensor::Trans ta, tb;
@@ -96,6 +98,10 @@ const ModelGemm kModelGemms[] = {
     {"resnet9.res2.dcol", kT, kN, 288, 16, 32},
     {"resnet9.res1.dW", kN, kT, 16, 144, 64},
     {"resnet9.conv2.fwd", kN, kN, 16, 256, 72},
+    {"lenet.conv2.dW", kN, kT, 16, 150, 16},
+    {"lenet.fc1.dW", kT, kN, 120, 64, 10},
+    {"lenet.fc2.fwd.b20", kN, kT, 20, 84, 120},  // the eval batch
+    {"linalg.gram", kT, kN, 64, 64, 768},  // PACFL's Gram: three kc slabs
 };
 
 void BM_GemmModelShapes(benchmark::State& state) {

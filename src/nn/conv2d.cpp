@@ -57,7 +57,8 @@ void Conv2d::forward_into(const Tensor& x, Tensor& y, bool train) {
   // and dcol GEMMs. Inference reuses the per-thread image buffer, so an
   // eval forward leaves the training cache as the last training forward
   // set it. im2col writes every element, padding zeros included, and the
-  // GEMM (beta = 0) every output, so reused buffers need no clearing.
+  // GEMM (Accumulate::kNo) every output, so reused buffers need no
+  // clearing.
   y.resize({n, out_c_, oh, ow});
   float* cols = nullptr;
   std::size_t col_stride = 0;

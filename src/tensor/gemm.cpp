@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -10,30 +9,6 @@
 #include "util/cpu.h"
 
 namespace fedclust::tensor {
-
-namespace {
-
-// Reusable per-thread transpose scratch: transposed matmuls run in the
-// training hot loop (conv backward does two per image), so the operand
-// copies must not hit the allocator every call. Two slots because one gemm
-// can transpose both A and B.
-std::vector<float>& transpose_scratch(int slot) {
-  thread_local std::vector<float> bufs[2];
-  return bufs[slot];
-}
-
-// Materializes op(X) into `out` as a contiguous row-major (rows, cols)
-// buffer; input is (cols, rows) with leading dim ldx.
-const float* transpose_into(const simd::KernelTable& kt,
-                            std::vector<float>& out, const float* x,
-                            std::size_t rows, std::size_t cols,
-                            std::size_t ldx) {
-  out.resize(rows * cols);
-  kt.transpose(x, rows, cols, ldx, out.data());
-  return out.data();
-}
-
-}  // namespace
 
 void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
           std::size_t k, const float* a, std::size_t lda, const float* b,
@@ -54,28 +29,12 @@ void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
   }
   if (m == 0 || n == 0 || k == 0) return;
 
+  // The kernel reads a transposed operand where it is stored. The exact
+  // kernel is bit-identical to scalar at every ISA; the FMA-contracted
+  // variant only runs under the --fast-math-kernels opt-in.
   const simd::KernelTable& kt = simd::kernels();
-  // Normalize to the NN case by materializing transposed operands into the
-  // thread-local scratch, which keeps the hot loop unit-stride. The copies
-  // are O(mk)/O(kn) against an O(mnk) kernel, but at the models' small m or
-  // n that is not negligible, so they run the table's vector transpose.
-  const float* an = a;
-  std::size_t lda_n = lda;
-  if (trans_a == Trans::kYes) {
-    an = transpose_into(kt, transpose_scratch(0), a, m, k, lda);
-    lda_n = k;
-  }
-  const float* bn = b;
-  std::size_t ldb_n = ldb;
-  if (trans_b == Trans::kYes) {
-    bn = transpose_into(kt, transpose_scratch(1), b, k, n, ldb);
-    ldb_n = n;
-  }
-
-  // The exact kernel is bit-identical to scalar at every ISA; the FMA-
-  // contracted variant only runs under the --fast-math-kernels opt-in.
-  const auto kernel = util::fast_math_kernels() ? kt.gemm_nn_fma : kt.gemm_nn;
-  kernel(m, n, k, an, lda_n, bn, ldb_n, c, ldc);
+  const auto kernel = util::fast_math_kernels() ? kt.gemm_fma : kt.gemm;
+  kernel(trans_a, trans_b, m, n, k, a, lda, b, ldb, c, ldc);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {

@@ -4,7 +4,9 @@
 //
 // Runs on the calling thread through the dispatched kernel table
 // (tensor/simd.h); parallelism lives one level up, in the client loops.
-// This is the workhorse behind Linear layers and im2col convolution.
+// The kernel reads a transposed operand where it is stored, so no operand
+// is copied first. This is the workhorse behind Linear layers and im2col
+// convolution.
 
 #include <cstddef>
 
@@ -17,7 +19,9 @@ enum class Trans { kNo, kYes };
 enum class Accumulate { kNo, kYes };
 
 // Raw-pointer GEMM with row-major leading dimensions. op(A) is (m, k),
-// op(B) is (k, n), C is (m, n) with leading dimension ldc.
+// op(B) is (k, n), C is (m, n) with leading dimension ldc. A transposed A
+// is stored (k, m) with leading dimension lda, a transposed B (n, k) with
+// leading dimension ldb.
 void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
           std::size_t k, const float* a, std::size_t lda, const float* b,
           std::size_t ldb, Accumulate accumulate, float* c, std::size_t ldc);

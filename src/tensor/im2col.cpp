@@ -26,7 +26,7 @@ namespace {
 // itself serves as the padded plane.
 
 // The per-thread padded plane for one call, zeroed, so neither function
-// allocates per call (the idiom of gemm.cpp's transpose scratch). Channels
+// allocates per call (the idiom of the GEMM kernels' pack buffers). Channels
 // refill only its interior, so its frame stays zero in im2col; col2im's
 // out-of-image adds land in the frame, which is never read back. im2col and
 // col2im never nest, so they share it.

@@ -5,16 +5,21 @@
 // One KernelTable per ISA (scalar / AVX2 / AVX-512 / NEON), selected once
 // at startup by util::active_isa() (env FEDCLUST_ISA overrides; see
 // util/cpu.h). The scalar table is the golden reference: every kernel in a
-// SIMD table except gemm_nn_fma must produce bit-identical output to
+// SIMD table except gemm_fma must produce bit-identical output to
 // its scalar counterpart for all inputs — same accumulation order, same
 // rounding per operation (mul then add, never contracted to FMA), same
 // NaN payloads (docs/INVARIANTS.md §Kernels). simd_kernel_test sweeps every
 // host-reachable table against scalar and asserts exact equality.
 //
-// gemm_nn_fma is the one exception: it contracts mul+add into FMA
+// The GEMM reads both operands as the caller stores them, transposed or
+// not: the AVX2 and AVX-512 tables read a transposed operand while they
+// pack it, and the scalar and NEON loops index through its strides, so no
+// operand is ever copied out whole.
+//
+// gemm_fma is the one exception: it contracts mul+add into FMA
 // (one rounding instead of two) and only runs under the opt-in
-// --fast-math-kernels flag. In the scalar and NEON tables it aliases the
-// exact kernel.
+// --fast-math-kernels flag. In the scalar table it aliases the exact
+// kernel.
 //
 // All kernel translation units are compiled with -ffp-contract=off so the
 // compiler cannot fuse the explicitly separate multiply and add either in
@@ -23,6 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "tensor/gemm.h"
 #include "util/cpu.h"
 
 namespace fedclust::tensor::simd {
@@ -33,23 +39,20 @@ inline constexpr std::size_t kL2Block = 8;
 struct KernelTable {
   util::SimdIsa isa;
 
-  // C[i,j] += fl(A[i,p] * B[p,j]) accumulated in ascending p; A is
-  // row-major (m, k) stride lda, B row-major (k, n) stride ldb, C stride
-  // ldc. Pure accumulation — tensor::gemm clears C when it overwrites.
-  void (*gemm_nn)(std::size_t m, std::size_t n, std::size_t k,
-                  const float* a, std::size_t lda, const float* b,
-                  std::size_t ldb, float* c, std::size_t ldc);
+  // C[i,j] += fl(op(A)[i,p] * op(B)[p,j]) accumulated in ascending p, for
+  // op(A) (m, k) and op(B) (k, n). Under Trans::kNo an operand is read as
+  // stored, row-major with its leading dimension (A (m, k) stride lda, B
+  // (k, n) stride ldb); under Trans::kYes it is stored transposed (A (k, m)
+  // stride lda, B (n, k) stride ldb). C is row-major stride ldc. Pure
+  // accumulation — tensor::gemm clears C when it overwrites.
+  void (*gemm)(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
+               std::size_t k, const float* a, std::size_t lda,
+               const float* b, std::size_t ldb, float* c, std::size_t ldc);
   // Same contract with FMA contraction allowed (fast-math opt-in only).
-  void (*gemm_nn_fma)(std::size_t m, std::size_t n, std::size_t k,
-                      const float* a, std::size_t lda, const float* b,
-                      std::size_t ldb, float* c, std::size_t ldc);
-
-  // out[r * cols + c] = x[c * ldx + r] for r < rows, c < cols: the
-  // contiguous row-major (rows, cols) transpose of a (cols, rows) matrix
-  // with leading dimension ldx — gemm's transposed-operand copy. Pure data
-  // movement, so every table matches scalar by construction.
-  void (*transpose)(const float* x, std::size_t rows, std::size_t cols,
-                    std::size_t ldx, float* out);
+  void (*gemm_fma)(Trans trans_a, Trans trans_b, std::size_t m,
+                   std::size_t n, std::size_t k, const float* a,
+                   std::size_t lda, const float* b, std::size_t ldb,
+                   float* c, std::size_t ldc);
 
   // IEEE binary16 conversions, elementwise util::f32_to_f16 / f16_to_f32
   // (round-to-nearest-even; NaN payload bits preserved — SIMD tables patch

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -30,9 +31,12 @@ namespace {
 // ------------------------------------------------------------------ gemm
 //
 // Register-blocked microkernel: an MR x NR C tile held in ymm registers, A
-// packed into an MR-interleaved KC panel, B read in place. For a fixed C
-// element the k terms still accumulate in ascending p with mul and add
-// rounded separately, so the result is bit-identical to the scalar loop.
+// packed into an MR-interleaved KC panel, B read in place or, when it is
+// stored transposed, from a KC x NR panel packed for it. Both packs read a
+// transposed operand where it is stored, so no operand is copied out
+// whole. For a fixed C element the k terms still accumulate in ascending p
+// with mul and add rounded separately, so the result is bit-identical to
+// the scalar loop.
 //
 // The same microkernel serves partial tiles: its live rows (1..kMr) and its
 // 8-lane column vectors (1 or 2) are template parameters. Rows past the
@@ -45,14 +49,91 @@ constexpr std::size_t kMr = 6;
 constexpr std::size_t kLanes = 8;
 constexpr std::size_t kNr = 2 * kLanes;  // two __m256 per row
 constexpr std::size_t kKc = 256;
+constexpr std::size_t kMc = 8 * kMr;  // rows of A packed per block
 
-// Rows [0, mr) of the panel; the microkernel never reads rows past mr.
-void pack_a(const float* a, std::size_t lda, std::size_t i0, std::size_t mr,
-            std::size_t kb, std::size_t kc, float* apack) {
-  for (std::size_t p = 0; p < kc; ++p) {
-    for (std::size_t r = 0; r < mr; ++r) {
-      apack[p * kMr + r] = a[(i0 + r) * lda + kb + p];
+// The first `live` lanes of a ymm mask.
+__m256i lane_mask(std::size_t live) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(live)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+// A per-thread pack buffer of at least n floats starting on a cache line,
+// grown on demand and reused across calls.
+float* pack_buffer(std::vector<float>& buf, std::size_t n) {
+  constexpr std::size_t kLine = 64 / sizeof(float);
+  if (buf.size() < n + kLine) buf.resize(n + kLine);
+  const auto misalign = reinterpret_cast<std::uintptr_t>(buf.data()) % 64;
+  return buf.data() + (64 - misalign) % 64 / sizeof(float);
+}
+
+// Rows [i0, i0 + mr) of op(A) over columns [kb, kb + kc), kMr-interleaved:
+// apack[p * kMr + r] = op(A)[i0 + r, kb + p]; the microkernel never reads
+// rows past mr. A transposed A holds the mr floats of each p side by side.
+void pack_a(Trans trans_a, const float* a, std::size_t lda, std::size_t i0,
+            std::size_t mr, std::size_t kb, std::size_t kc, float* apack) {
+  if (trans_a == Trans::kNo) {
+    for (std::size_t p = 0; p < kc; ++p) {
+      for (std::size_t r = 0; r < mr; ++r) {
+        apack[p * kMr + r] = a[(i0 + r) * lda + kb + p];
+      }
     }
+    return;
+  }
+  const __m256i live = lane_mask(mr);
+  for (std::size_t p = 0; p < kc; ++p) {
+    _mm256_maskstore_ps(apack + p * kMr, live,
+                        _mm256_maskload_ps(a + (kb + p) * lda + i0, live));
+  }
+}
+
+// dst[i * ldd + r] = src[r * lds + i] for r, i < 8: an 8 x 8 block
+// transposed in registers (unpack, shuffle, permute2f128).
+void transpose8x8(const float* src, std::size_t lds, float* dst,
+                  std::size_t ldd) {
+  __m256 r[8];
+  for (std::size_t i = 0; i < 8; ++i) r[i] = _mm256_loadu_ps(src + i * lds);
+  __m256 t[8];
+  for (std::size_t i = 0; i < 8; i += 2) {
+    t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+    t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+  }
+  // s[h + i] holds column i (low half) and column i + 4 (high half) of
+  // rows h..h+3.
+  __m256 s[8];
+  for (std::size_t h = 0; h < 8; h += 4) {
+    s[h + 0] = _mm256_shuffle_ps(t[h + 0], t[h + 2], _MM_SHUFFLE(1, 0, 1, 0));
+    s[h + 1] = _mm256_shuffle_ps(t[h + 0], t[h + 2], _MM_SHUFFLE(3, 2, 3, 2));
+    s[h + 2] = _mm256_shuffle_ps(t[h + 1], t[h + 3], _MM_SHUFFLE(1, 0, 1, 0));
+    s[h + 3] = _mm256_shuffle_ps(t[h + 1], t[h + 3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+  for (std::size_t i = 0; i < 4; ++i) {
+    _mm256_storeu_ps(dst + i * ldd,
+                     _mm256_permute2f128_ps(s[i], s[i + 4], 0x20));
+    _mm256_storeu_ps(dst + (i + 4) * ldd,
+                     _mm256_permute2f128_ps(s[i], s[i + 4], 0x31));
+  }
+}
+
+// Rows [kb, kb + kc) and columns [j0, j0 + nr) of op(B) for a B stored
+// transposed, packed kNr floats a row: bpack[p * kNr + j] =
+// b[(j0 + j) * ldb + kb + p]. Whole 8 x 8 blocks are transposed in
+// registers; the kc % 8 rows and nr % 8 columns past them are copied one
+// float at a time. Columns past nr are never written or read.
+void pack_bt(const float* b, std::size_t ldb, std::size_t j0, std::size_t nr,
+             std::size_t kb, std::size_t kc, float* bpack) {
+  const float* src = b + j0 * ldb + kb;  // column j at src + j * ldb
+  const std::size_t nr8 = nr - nr % 8;
+  const std::size_t kc8 = kc - kc % 8;
+  for (std::size_t p = 0; p < kc8; p += 8) {
+    for (std::size_t j = 0; j < nr8; j += 8) {
+      transpose8x8(src + j * ldb + p, ldb, bpack + p * kNr + j, kNr);
+    }
+  }
+  for (std::size_t p = kc8; p < kc; ++p) {
+    for (std::size_t j = 0; j < nr8; ++j) bpack[p * kNr + j] = src[j * ldb + p];
+  }
+  for (std::size_t j = nr8; j < nr; ++j) {
+    for (std::size_t p = 0; p < kc; ++p) bpack[p * kNr + j] = src[j * ldb + p];
   }
 }
 
@@ -78,9 +159,7 @@ void store_vec(float* row, std::size_t v, __m256i tail, __m256 x) {
 template <bool kFma, std::size_t kRows, std::size_t kVecs, bool kMasked>
 void microkernel(const float* apack, std::size_t kc, const float* b,
                  std::size_t ldb, float* c, std::size_t ldc, std::size_t nr) {
-  const __m256i mask = _mm256_cmpgt_epi32(
-      _mm256_set1_epi32(static_cast<int>(nr - (kVecs - 1) * kLanes)),
-      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  const __m256i mask = lane_mask(nr - (kVecs - 1) * kLanes);
   __m256 acc[kRows][kVecs];
   for (std::size_t r = 0; r < kRows; ++r) {
     for (std::size_t v = 0; v < kVecs; ++v) {
@@ -132,77 +211,50 @@ Tile tile_for(std::size_t mr, std::size_t nr) {
   return kTiles[(nr - 1) / kLanes][nr % kLanes != 0][mr - 1];
 }
 
+// For each C element the k terms still run in ascending p: kc slabs run
+// in ascending kb, and each stores its partial sums as floats. Per block
+// of mc rows and kc slab, the block's A tiles are packed once, then each
+// column panel runs every tile of the block. A B read in place makes the
+// block one tile, which runs across every panel while it is hot; a
+// transposed B is packed once per panel and shared by the kMc / kMr tiles
+// of a block.
 template <bool kFma>
-void gemm_nn_avx2(std::size_t m, std::size_t n, std::size_t k,
-                  const float* a, std::size_t lda, const float* b,
-                  std::size_t ldb, float* c, std::size_t ldc) {
-  // Thread-local pack panel: ~6 KiB, reused across calls, one per thread.
+void gemm_avx2(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
+               std::size_t k, const float* a, std::size_t lda,
+               const float* b, std::size_t ldb, float* c, std::size_t ldc) {
+  const bool pack_b = trans_b == Trans::kYes;
+  const std::size_t mc = pack_b ? kMc : kMr;
+  const std::size_t kc_max = std::min(k, kKc);
   thread_local std::vector<float> apack_buf;
-  apack_buf.resize(kMr * kKc);
-  float* apack = apack_buf.data();
-
-  for (std::size_t i0 = 0; i0 < m; i0 += kMr) {
-    const std::size_t mr = std::min(kMr, m - i0);
+  thread_local std::vector<float> bpack_buf;
+  float* apack = pack_buffer(
+      apack_buf, (std::min(m, mc) + kMr - 1) / kMr * kMr * kc_max);
+  float* bpack = pack_b ? pack_buffer(bpack_buf, kc_max * kNr) : nullptr;
+  for (std::size_t ib = 0; ib < m; ib += mc) {
+    const std::size_t mb = std::min(mc, m - ib);
     for (std::size_t kb = 0; kb < k; kb += kKc) {
       const std::size_t kc = std::min(kKc, k - kb);
-      pack_a(a, lda, i0, mr, kb, kc, apack);
+      // Tile t's panel starts at apack + t * kc (t is a multiple of kMr).
+      for (std::size_t t = 0; t < mb; t += kMr) {
+        pack_a(trans_a, a, lda, ib + t, std::min(kMr, mb - t), kb, kc,
+               apack + t * kc);
+      }
       for (std::size_t j0 = 0; j0 < n; j0 += kNr) {
         const std::size_t nr = std::min(kNr, n - j0);
-        tile_for<kFma>(mr, nr)(apack, kc, b + kb * ldb + j0, ldb,
-                               c + i0 * ldc + j0, ldc, nr);
+        const float* panel = b + kb * ldb + j0;
+        std::size_t ldp = ldb;
+        if (pack_b) {
+          pack_bt(b, ldb, j0, nr, kb, kc, bpack);
+          panel = bpack;
+          ldp = kNr;
+        }
+        for (std::size_t t = 0; t < mb; t += kMr) {
+          tile_for<kFma>(std::min(kMr, mb - t), nr)(
+              apack + t * kc, kc, panel, ldp, c + (ib + t) * ldc + j0, ldc,
+              nr);
+        }
       }
     }
-  }
-}
-
-// ------------------------------------------------------------- transpose
-//
-// 8 x 8 blocks transposed in registers (unpack, shuffle, permute2f128),
-// scalar copies for the ragged edges. Pure data movement: every output
-// float is a copy of one input float, so the bits cannot change.
-
-void transpose8x8(const float* src, std::size_t lds, float* dst,
-                  std::size_t ldd) {
-  __m256 r[8];
-  for (std::size_t i = 0; i < 8; ++i) r[i] = _mm256_loadu_ps(src + i * lds);
-  __m256 t[8];
-  for (std::size_t i = 0; i < 8; i += 2) {
-    t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
-    t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
-  }
-  // s[h + i] holds column i (low half) and column i + 4 (high half) of
-  // rows h..h+3.
-  __m256 s[8];
-  for (std::size_t h = 0; h < 8; h += 4) {
-    s[h + 0] = _mm256_shuffle_ps(t[h + 0], t[h + 2], _MM_SHUFFLE(1, 0, 1, 0));
-    s[h + 1] = _mm256_shuffle_ps(t[h + 0], t[h + 2], _MM_SHUFFLE(3, 2, 3, 2));
-    s[h + 2] = _mm256_shuffle_ps(t[h + 1], t[h + 3], _MM_SHUFFLE(1, 0, 1, 0));
-    s[h + 3] = _mm256_shuffle_ps(t[h + 1], t[h + 3], _MM_SHUFFLE(3, 2, 3, 2));
-  }
-  for (std::size_t i = 0; i < 4; ++i) {
-    _mm256_storeu_ps(dst + i * ldd,
-                     _mm256_permute2f128_ps(s[i], s[i + 4], 0x20));
-    _mm256_storeu_ps(dst + (i + 4) * ldd,
-                     _mm256_permute2f128_ps(s[i], s[i + 4], 0x31));
-  }
-}
-
-void transpose_avx2(const float* x, std::size_t rows, std::size_t cols,
-                    std::size_t ldx, float* out) {
-  const std::size_t rows8 = rows - rows % 8;
-  const std::size_t cols8 = cols - cols % 8;
-  for (std::size_t r0 = 0; r0 < rows8; r0 += 8) {
-    for (std::size_t c0 = 0; c0 < cols8; c0 += 8) {
-      transpose8x8(x + c0 * ldx + r0, ldx, out + r0 * cols + c0, cols);
-    }
-    for (std::size_t r = r0; r < r0 + 8; ++r) {
-      for (std::size_t c = cols8; c < cols; ++c) {
-        out[r * cols + c] = x[c * ldx + r];
-      }
-    }
-  }
-  for (std::size_t r = rows8; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) out[r * cols + c] = x[c * ldx + r];
   }
 }
 
@@ -424,9 +476,8 @@ void l2_distances_avx2(const float* q, std::size_t dim, const float* packed,
 const KernelTable* avx2_table() {
   static const KernelTable table = {
       util::SimdIsa::kAvx2,
-      &gemm_nn_avx2<false>,
-      &gemm_nn_avx2<true>,
-      &transpose_avx2,
+      &gemm_avx2<false>,
+      &gemm_avx2<true>,
       &f16_encode_avx2,
       &f16_decode_avx2,
       &minmax_finite_avx2,

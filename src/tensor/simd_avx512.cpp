@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -35,18 +36,112 @@ namespace {
 // run a mask-free instantiation. For each C element the k terms still
 // accumulate in ascending p with mul and add rounded separately — the
 // scalar kernel's order (see simd_avx2.cpp).
+//
+// Transposed operands are read where they are stored, while they are
+// packed: pack_a reads either layout of A, and a transposed B is packed
+// one kc x kNr panel at a time (pack_bt); an untransposed B is read in
+// place.
 
 constexpr std::size_t kMr = 8;
 constexpr std::size_t kLanes = 16;
 constexpr std::size_t kNr = 2 * kLanes;  // two __m512 per row
 constexpr std::size_t kKc = 256;
+constexpr std::size_t kMc = 8 * kMr;  // rows of A packed per block
 
-// Rows [0, mr) of the panel; the microkernel never reads rows past mr.
-void pack_a(const float* a, std::size_t lda, std::size_t i0, std::size_t mr,
-            std::size_t kb, std::size_t kc, float* apack) {
+// A per-thread pack buffer of at least n floats starting on a cache line,
+// grown on demand and reused across calls.
+float* pack_buffer(std::vector<float>& buf, std::size_t n) {
+  constexpr std::size_t kLine = 64 / sizeof(float);
+  if (buf.size() < n + kLine) buf.resize(n + kLine);
+  const auto misalign = reinterpret_cast<std::uintptr_t>(buf.data()) % 64;
+  return buf.data() + (64 - misalign) % 64 / sizeof(float);
+}
+
+// Rows [i0, i0 + mr) of op(A) over columns [kb, kb + kc), kMr-interleaved:
+// apack[p * kMr + r] = op(A)[i0 + r, kb + p]. A transposed A holds the mr
+// floats of each p side by side; rows past mr are written as zeros and
+// never read.
+void pack_a(Trans trans_a, const float* a, std::size_t lda, std::size_t i0,
+            std::size_t mr, std::size_t kb, std::size_t kc, float* apack) {
+  if (trans_a == Trans::kNo) {
+    for (std::size_t p = 0; p < kc; ++p) {
+      for (std::size_t r = 0; r < mr; ++r) {
+        apack[p * kMr + r] = a[(i0 + r) * lda + kb + p];
+      }
+    }
+    return;
+  }
+  const auto live = static_cast<__mmask8>((1u << mr) - 1u);
   for (std::size_t p = 0; p < kc; ++p) {
-    for (std::size_t r = 0; r < mr; ++r) {
-      apack[p * kMr + r] = a[(i0 + r) * lda + kb + p];
+    _mm256_storeu_ps(apack + p * kMr,
+                     _mm256_maskz_loadu_ps(live, a + (kb + p) * lda + i0));
+  }
+}
+
+// Stands in for the stored rows of B past a ragged column group.
+alignas(64) constexpr float kZeroRow[kKc] = {};
+
+// dst[i * ldd + r] = rows[r][p + i] for i < 8 and r < 16: two 8 x 8 blocks
+// transposed side by side in registers (unpack, shuffle, then a two-source
+// permute), rows[0..7] in the low half of each zmm and rows[8..15] in the
+// high half, so every output row is one 16-float store.
+void transpose8x16(const float* const* rows, std::size_t p, float* dst,
+                   std::size_t ldd) {
+  __m512 r[8];
+  for (std::size_t i = 0; i < 8; ++i) {
+    // insertf64x4 moves the 8 floats as 4 doubles (avx512f, no dq).
+    r[i] = _mm512_castpd_ps(_mm512_insertf64x4(
+        _mm512_castps_pd(_mm512_castps256_ps512(_mm256_loadu_ps(rows[i] + p))),
+        _mm256_castps_pd(_mm256_loadu_ps(rows[i + 8] + p)), 1));
+  }
+  __m512 t[8];
+  for (std::size_t i = 0; i < 8; i += 2) {
+    t[i] = _mm512_unpacklo_ps(r[i], r[i + 1]);
+    t[i + 1] = _mm512_unpackhi_ps(r[i], r[i + 1]);
+  }
+  // In each half, s[h + i] holds column i (low 128 bits) and column i + 4
+  // (high 128 bits) of rows h..h+3.
+  __m512 s[8];
+  for (std::size_t h = 0; h < 8; h += 4) {
+    s[h + 0] = _mm512_shuffle_ps(t[h + 0], t[h + 2], _MM_SHUFFLE(1, 0, 1, 0));
+    s[h + 1] = _mm512_shuffle_ps(t[h + 0], t[h + 2], _MM_SHUFFLE(3, 2, 3, 2));
+    s[h + 2] = _mm512_shuffle_ps(t[h + 1], t[h + 3], _MM_SHUFFLE(1, 0, 1, 0));
+    s[h + 3] = _mm512_shuffle_ps(t[h + 1], t[h + 3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+  const __m512i lo = _mm512_setr_epi32(0, 1, 2, 3, 16, 17, 18, 19, 8, 9, 10,
+                                       11, 24, 25, 26, 27);
+  const __m512i hi = _mm512_setr_epi32(4, 5, 6, 7, 20, 21, 22, 23, 12, 13,
+                                       14, 15, 28, 29, 30, 31);
+  for (std::size_t i = 0; i < 4; ++i) {
+    _mm512_storeu_ps(dst + i * ldd,
+                     _mm512_permutex2var_ps(s[i], lo, s[i + 4]));
+    _mm512_storeu_ps(dst + (i + 4) * ldd,
+                     _mm512_permutex2var_ps(s[i], hi, s[i + 4]));
+  }
+}
+
+// Rows [kb, kb + kc) and columns [j0, j0 + nr) of op(B) for a B stored
+// transposed, packed kNr floats a row: bpack[p * kNr + j] =
+// b[(j0 + j) * ldb + kb + p]. Each group of 16 columns is transposed from
+// 16 stored rows of B, 8 rows of the panel at a time; a group of fewer
+// than 16 columns reads the zero row in place of the missing ones, and the
+// kc % 8 rows past the last block are copied one float at a time. Columns
+// past nr are never read.
+void pack_bt(const float* b, std::size_t ldb, std::size_t j0, std::size_t nr,
+             std::size_t kb, std::size_t kc, float* bpack) {
+  const std::size_t kc8 = kc - kc % 8;
+  for (std::size_t g = 0; g < nr; g += kLanes) {
+    const std::size_t live = std::min(kLanes, nr - g);
+    const float* rows[kLanes];
+    for (std::size_t r = 0; r < kLanes; ++r) {
+      rows[r] = r < live ? b + (j0 + g + r) * ldb + kb : kZeroRow;
+    }
+    float* dst = bpack + g;
+    for (std::size_t p = 0; p < kc8; p += 8) {
+      transpose8x16(rows, p, dst + p * kNr, kNr);
+    }
+    for (std::size_t p = kc8; p < kc; ++p) {
+      for (std::size_t r = 0; r < live; ++r) dst[p * kNr + r] = rows[r][p];
     }
   }
 }
@@ -126,23 +221,48 @@ Tile tile_for(std::size_t mr, std::size_t nr) {
   return kTiles[(nr - 1) / kLanes][nr % kLanes != 0][mr - 1];
 }
 
+// For each C element the k terms still run in ascending p: kc slabs run
+// in ascending kb, and each stores its partial sums as floats. Per block
+// of mc rows and kc slab, the block's A tiles are packed once, then each
+// column panel runs every tile of the block. A B read in place makes the
+// block one tile, which runs across every panel while it is hot; a
+// transposed B is packed once per panel and shared by the kMc / kMr tiles
+// of a block.
 template <bool kFma>
-void gemm_nn_avx512(std::size_t m, std::size_t n, std::size_t k,
-                    const float* a, std::size_t lda, const float* b,
-                    std::size_t ldb, float* c, std::size_t ldc) {
+void gemm_avx512(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
+                 std::size_t k, const float* a, std::size_t lda,
+                 const float* b, std::size_t ldb, float* c, std::size_t ldc) {
+  const bool pack_b = trans_b == Trans::kYes;
+  const std::size_t mc = pack_b ? kMc : kMr;
+  const std::size_t kc_max = std::min(k, kKc);
   thread_local std::vector<float> apack_buf;
-  apack_buf.resize(kMr * kKc);
-  float* apack = apack_buf.data();
-
-  for (std::size_t i0 = 0; i0 < m; i0 += kMr) {
-    const std::size_t mr = std::min(kMr, m - i0);
+  thread_local std::vector<float> bpack_buf;
+  float* apack = pack_buffer(
+      apack_buf, (std::min(m, mc) + kMr - 1) / kMr * kMr * kc_max);
+  float* bpack = pack_b ? pack_buffer(bpack_buf, kc_max * kNr) : nullptr;
+  for (std::size_t ib = 0; ib < m; ib += mc) {
+    const std::size_t mb = std::min(mc, m - ib);
     for (std::size_t kb = 0; kb < k; kb += kKc) {
       const std::size_t kc = std::min(kKc, k - kb);
-      pack_a(a, lda, i0, mr, kb, kc, apack);
+      // Tile t's panel starts at apack + t * kc (t is a multiple of kMr).
+      for (std::size_t t = 0; t < mb; t += kMr) {
+        pack_a(trans_a, a, lda, ib + t, std::min(kMr, mb - t), kb, kc,
+               apack + t * kc);
+      }
       for (std::size_t j0 = 0; j0 < n; j0 += kNr) {
         const std::size_t nr = std::min(kNr, n - j0);
-        tile_for<kFma>(mr, nr)(apack, kc, b + kb * ldb + j0, ldb,
-                               c + i0 * ldc + j0, ldc, nr);
+        const float* panel = b + kb * ldb + j0;
+        std::size_t ldp = ldb;
+        if (pack_b) {
+          pack_bt(b, ldb, j0, nr, kb, kc, bpack);
+          panel = bpack;
+          ldp = kNr;
+        }
+        for (std::size_t t = 0; t < mb; t += kMr) {
+          tile_for<kFma>(std::min(kMr, mb - t), nr)(
+              apack + t * kc, kc, panel, ldp, c + (ib + t) * ldc + j0, ldc,
+              nr);
+        }
       }
     }
   }
@@ -343,9 +463,8 @@ void l2_distances_avx512(const float* q, std::size_t dim, const float* packed,
 const KernelTable* avx512_table() {
   static const KernelTable table = {
       util::SimdIsa::kAvx512,
-      &gemm_nn_avx512<false>,
-      &gemm_nn_avx512<true>,
-      avx2_table()->transpose,  // a copy gains nothing from 16 lanes
+      &gemm_avx512<false>,
+      &gemm_avx512<true>,
       &f16_encode_avx512,
       &f16_decode_avx512,
       &minmax_finite_avx512,

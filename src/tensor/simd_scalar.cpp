@@ -1,8 +1,9 @@
 // Scalar kernel table — the golden reference every SIMD table is tested
 // against bit for bit. The gemm loop is the seed implementation of
-// tensor::gemm's inner kernel: for each C element the k terms fl(a*b)
-// accumulate in ascending p with one rounding per multiply and one per
-// add (-ffp-contract=off forbids FMA contraction).
+// tensor::gemm's inner kernel, reading each operand through its row and
+// column strides: for each C element the k terms fl(a*b) accumulate in
+// ascending p with one rounding per multiply and one per add
+// (-ffp-contract=off forbids FMA contraction).
 // Do not "optimize" these loops; speed lives in the SIMD tables.
 
 #include "tensor/simd.h"
@@ -24,9 +25,16 @@ constexpr std::size_t kBlockM = 64;
 constexpr std::size_t kBlockN = 64;
 constexpr std::size_t kBlockK = 128;
 
-void gemm_nn_scalar(std::size_t m, std::size_t n, std::size_t k,
-                    const float* a, std::size_t lda, const float* b,
-                    std::size_t ldb, float* c, std::size_t ldc) {
+void gemm_scalar(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
+                 std::size_t k, const float* a, std::size_t lda,
+                 const float* b, std::size_t ldb, float* c, std::size_t ldc) {
+  // A transposed operand is read through swapped strides:
+  // op(A)[i,p] = a[i * a_row + p * a_col] and
+  // op(B)[p,j] = b[p * b_row + j * b_col].
+  const std::size_t a_row = trans_a == Trans::kNo ? lda : 1;
+  const std::size_t a_col = trans_a == Trans::kNo ? 1 : lda;
+  const std::size_t b_row = trans_b == Trans::kNo ? ldb : 1;
+  const std::size_t b_col = trans_b == Trans::kNo ? 1 : ldb;
   for (std::size_t ib = 0; ib < m; ib += kBlockM) {
     const std::size_t ie = std::min(m, ib + kBlockM);
     for (std::size_t kb = 0; kb < k; kb += kBlockK) {
@@ -34,28 +42,20 @@ void gemm_nn_scalar(std::size_t m, std::size_t n, std::size_t k,
       for (std::size_t jb = 0; jb < n; jb += kBlockN) {
         const std::size_t je = std::min(n, jb + kBlockN);
         for (std::size_t i = ib; i < ie; ++i) {
-          const float* __restrict arow = a + i * lda;
           float* __restrict crow = c + i * ldc;
           // No zero-skip on av: with real weights an exact zero is
           // vanishingly rare, and a branch here defeats vectorization of
           // the inner loop below.
           for (std::size_t p = kb; p < ke; ++p) {
-            const float av = arow[p];
-            const float* __restrict brow = b + p * ldb;
+            const float av = a[i * a_row + p * a_col];
+            const float* __restrict brow = b + p * b_row;
             for (std::size_t j = jb; j < je; ++j) {
-              crow[j] += av * brow[j];
+              crow[j] += av * brow[j * b_col];
             }
           }
         }
       }
     }
-  }
-}
-
-void transpose_scalar(const float* x, std::size_t rows, std::size_t cols,
-                      std::size_t ldx, float* out) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) out[r * cols + c] = x[c * ldx + r];
   }
 }
 
@@ -136,9 +136,8 @@ void l2_distances_scalar(const float* q, std::size_t dim, const float* packed,
 const KernelTable& scalar_table() {
   static const KernelTable table = {
       util::SimdIsa::kScalar,
-      &gemm_nn_scalar,
-      &gemm_nn_scalar,  // no reassociation to exploit without vectors
-      &transpose_scalar,
+      &gemm_scalar,
+      &gemm_scalar,  // no reassociation to exploit without vectors
       &f16_encode_scalar,
       &f16_decode_scalar,
       &minmax_finite_scalar,

@@ -66,6 +66,37 @@ bool bit_equal(const std::vector<float>& a, const std::vector<float>& b) {
 
 // ---------------------------------------------------------------- GEMM
 
+using tensor::Trans;
+constexpr Trans kLayouts[] = {Trans::kNo, Trans::kYes};
+
+// A logical (rows, cols) matrix x stored as the GEMM reads it under
+// `trans`: (rows, cols) untransposed, (cols, rows) transposed, each stored
+// row followed by `pad` NaN floats that would show in C if a kernel read
+// them. With pad 0 the buffer is exactly the matrix's size.
+struct Stored {
+  std::vector<float> data;
+  std::size_t ld;
+};
+Stored stored_as(const std::vector<float>& x, std::size_t rows,
+                 std::size_t cols, Trans trans, std::size_t pad) {
+  const bool t = trans == Trans::kYes;
+  const std::size_t ld = (t ? rows : cols) + pad;
+  Stored s{std::vector<float>((t ? cols : rows) * ld,
+                              std::numeric_limits<float>::quiet_NaN()),
+           ld};
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      s.data[t ? j * ld + i : i * ld + j] = x[i * cols + j];
+    }
+  }
+  return s;
+}
+
+std::string layout_str(Trans ta, Trans tb) {
+  return std::string(" ta=") + (ta == Trans::kYes ? "T" : "N") +
+         " tb=" + (tb == Trans::kYes ? "T" : "N");
+}
+
 struct GemmCase {
   std::size_t m, n, k;
   std::size_t pad_a, pad_b, pad_c;  // extra leading-dimension slack
@@ -76,44 +107,56 @@ const GemmCase kGemmCases[] = {
     {17, 33, 65, 3, 1, 2},  {64, 64, 64, 0, 0, 0},  {65, 63, 130, 0, 5, 0},
     {128, 17, 200, 2, 0, 3}, {6, 16, 256, 0, 0, 0}, {12, 48, 300, 1, 1, 1},
     {9, 100, 31, 0, 0, 0},
-    // The per-image GEMMs of LeNet-5 and ResNet-9 (bench/micro_kernels.cpp,
-    // BM_GemmModelShapes), as the NN kernel sees them after the transpose.
+    // Several row blocks of a transposed-B GEMM, each over two kc slabs.
+    {100, 40, 300, 1, 2, 1},
+    // The (m, n, k) of the per-image GEMMs of LeNet-5 and ResNet-9
+    // (bench/micro_kernels.cpp, BM_GemmModelShapes); every case runs in
+    // all four layouts.
     {6, 256, 75, 0, 0, 0},  {6, 75, 256, 0, 0, 0},  {16, 16, 150, 0, 0, 0},
     {150, 16, 16, 0, 0, 0}, {10, 84, 120, 0, 0, 0}, {32, 16, 288, 0, 0, 0},
     {288, 16, 32, 0, 0, 0}, {16, 144, 64, 0, 0, 0}, {16, 256, 72, 0, 0, 0},
 };
 
 TEST(SimdKernel, GemmBitExactAcrossIsas) {
+  // Each case in all four (trans_a, trans_b) layouts, with pad_a and pad_b
+  // slack on the stored leading dimensions, at every ISA (scalar included)
+  // against the scalar table's product of the untransposed operands.
   util::Rng rng(42);
   for (const GemmCase& gc : kGemmCases) {
-    const std::size_t lda = gc.k + gc.pad_a;
-    const std::size_t ldb = gc.n + gc.pad_b;
+    const auto a = random_floats(gc.m * gc.k, rng);  // op(A), (m, k)
+    const auto b = random_floats(gc.k * gc.n, rng);  // op(B), (k, n)
     const std::size_t ldc = gc.n + gc.pad_c;
-    const auto a = random_floats(gc.m * lda, rng);
-    const auto b = random_floats(gc.k * ldb, rng);
     const auto c0 = random_floats(gc.m * ldc, rng);
 
     std::vector<float> want = c0;
     simd::kernels_for(util::SimdIsa::kScalar)
-        .gemm_nn(gc.m, gc.n, gc.k, a.data(), lda, b.data(), ldb, want.data(),
-                 ldc);
-    for (const auto isa : reachable_isas()) {
-      std::vector<float> got = c0;
-      simd::kernels_for(isa).gemm_nn(gc.m, gc.n, gc.k, a.data(), lda,
-                                     b.data(), ldb, got.data(), ldc);
-      EXPECT_TRUE(bit_equal(want, got))
-          << "isa=" << util::isa_name(isa) << " m=" << gc.m << " n=" << gc.n
-          << " k=" << gc.k;
+        .gemm(Trans::kNo, Trans::kNo, gc.m, gc.n, gc.k, a.data(), gc.k,
+              b.data(), gc.n, want.data(), ldc);
+    for (const Trans ta : kLayouts) {
+      for (const Trans tb : kLayouts) {
+        const Stored sa = stored_as(a, gc.m, gc.k, ta, gc.pad_a);
+        const Stored sb = stored_as(b, gc.k, gc.n, tb, gc.pad_b);
+        for (const auto isa : reachable_isas()) {
+          std::vector<float> got = c0;
+          simd::kernels_for(isa).gemm(ta, tb, gc.m, gc.n, gc.k,
+                                      sa.data.data(), sa.ld, sb.data.data(),
+                                      sb.ld, got.data(), ldc);
+          EXPECT_TRUE(bit_equal(want, got))
+              << "isa=" << util::isa_name(isa) << " m=" << gc.m
+              << " n=" << gc.n << " k=" << gc.k << layout_str(ta, tb);
+        }
+      }
     }
   }
 }
 
 TEST(SimdKernel, GemmEveryTileShapeBitExactAndInBounds) {
   // Every live-row count and every column tail of both SIMD tiles (8 x 32
-  // and 6 x 16), with k = 257 crossing the 256-deep panel. A and B are
-  // exact-size buffers, so an over-read past a masked lane is caught by the
-  // asan preset; C has three NaN canary columns per row and a canary row
-  // after the last, which a store past a masked lane would overwrite.
+  // and 6 x 16) in all four layouts, with k = 257 crossing the 256-deep
+  // panel. A and B are exact-size buffers in either layout, so an
+  // over-read past a masked lane or a pack's edge is caught by the asan
+  // preset; C has three NaN canary columns per row and a canary row after
+  // the last, which a store past a masked lane would overwrite.
   util::Rng rng(48);
   const float canary = std::numeric_limits<float>::quiet_NaN();
   std::uint32_t canary_bits;
@@ -144,14 +187,23 @@ TEST(SimdKernel, GemmEveryTileShapeBitExactAndInBounds) {
         }
         std::vector<float> want = c0;
         simd::kernels_for(util::SimdIsa::kScalar)
-            .gemm_nn(m, n, k, a.data(), k, b.data(), n, want.data(), ldc);
-        for (const auto isa : reachable_isas()) {
-          std::vector<float> got = c0;
-          simd::kernels_for(isa).gemm_nn(m, n, k, a.data(), k, b.data(), n,
-                                         got.data(), ldc);
-          ASSERT_TRUE(bit_equal(want, got) && canaries_intact(got, m, n, ldc))
-              << "isa=" << util::isa_name(isa) << " m=" << m << " n=" << n
-              << " k=" << k;
+            .gemm(Trans::kNo, Trans::kNo, m, n, k, a.data(), k, b.data(), n,
+                  want.data(), ldc);
+        for (const Trans ta : kLayouts) {
+          for (const Trans tb : kLayouts) {
+            const Stored sa = stored_as(a, m, k, ta, 0);
+            const Stored sb = stored_as(b, k, n, tb, 0);
+            for (const auto isa : reachable_isas()) {
+              std::vector<float> got = c0;
+              simd::kernels_for(isa).gemm(ta, tb, m, n, k, sa.data.data(),
+                                          sa.ld, sb.data.data(), sb.ld,
+                                          got.data(), ldc);
+              ASSERT_TRUE(bit_equal(want, got) &&
+                          canaries_intact(got, m, n, ldc))
+                  << "isa=" << util::isa_name(isa) << " m=" << m
+                  << " n=" << n << " k=" << k << layout_str(ta, tb);
+            }
+          }
         }
       }
     }
@@ -165,25 +217,31 @@ TEST(SimdKernel, GemmFmaVariantWithinTolerance) {
   const auto b = random_floats(k * n, rng);
   std::vector<float> want(m * n, 0.0f);
   simd::kernels_for(util::SimdIsa::kScalar)
-      .gemm_nn(m, n, k, a.data(), k, b.data(), n, want.data(), n);
-  for (const auto isa : reachable_isas()) {
-    std::vector<float> got(m * n, 0.0f);
-    simd::kernels_for(isa).gemm_nn_fma(m, n, k, a.data(), k, b.data(), n,
-                                       got.data(), n);
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      ASSERT_NEAR(want[i], got[i], 1e-3f)
-          << "isa=" << util::isa_name(isa) << " at " << i;
+      .gemm(Trans::kNo, Trans::kNo, m, n, k, a.data(), k, b.data(), n,
+            want.data(), n);
+  // Untransposed, and both operands transposed.
+  for (const Trans t : kLayouts) {
+    const Stored sa = stored_as(a, m, k, t, 0);
+    const Stored sb = stored_as(b, k, n, t, 0);
+    for (const auto isa : reachable_isas()) {
+      std::vector<float> got(m * n, 0.0f);
+      simd::kernels_for(isa).gemm_fma(t, t, m, n, k, sa.data.data(), sa.ld,
+                                      sb.data.data(), sb.ld, got.data(), n);
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_NEAR(want[i], got[i], 1e-3f)
+            << "isa=" << util::isa_name(isa) << layout_str(t, t) << " at "
+            << i;
+      }
     }
   }
 }
 
 TEST(SimdKernel, TensorGemmTransposesMatchScalarDispatch) {
-  // tensor::gemm end to end (transpose scratch + overwrite or accumulate +
-  // dispatch):
-  // every (trans_a, trans_b) combination under every ISA must equal the
-  // forced-scalar NN result bit for bit. The shapes hit full 8 x 8
-  // transpose blocks and both ragged edges (LeNet-5's conv1 dW and conv2
-  // dcol among them).
+  // tensor::gemm end to end (overwrite or accumulate + dispatch + the
+  // kernels' transposed reads): every (trans_a, trans_b) combination under
+  // every ISA must equal the forced-scalar NN result bit for bit. The
+  // shapes hit full 8 x 8 pack blocks and both ragged edges (LeNet-5's
+  // conv1 dW and conv2 dcol among them).
   IsaGuard guard;
   util::Rng rng(45);
   struct Shape { std::size_t m, n, k; };
@@ -207,7 +265,6 @@ TEST(SimdKernel, TensorGemmTransposesMatchScalarDispatch) {
     const auto c0 = random_floats(m * n, rng);
     using tensor::Accumulate;
     for (const Accumulate acc : {Accumulate::kNo, Accumulate::kYes}) {
-      using tensor::Trans;
       ASSERT_TRUE(util::force_isa_for_testing(util::SimdIsa::kScalar));
       std::vector<float> want = c0;
       tensor::gemm(Trans::kNo, Trans::kNo, m, n, k, a.data(), k, b.data(), n,
@@ -226,34 +283,6 @@ TEST(SimdKernel, TensorGemmTransposesMatchScalarDispatch) {
                 << " k=" << k << " ta=" << ya << " tb=" << yb
                 << " accumulate=" << (acc == Accumulate::kYes);
           }
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdKernel, TransposeMatchesScalarWithPaddedStride) {
-  util::Rng rng(49);
-  for (const std::size_t rows : {1, 7, 8, 9, 17, 75, 256}) {
-    for (const std::size_t cols : {1, 5, 8, 16, 33}) {
-      for (const std::size_t pad : {0, 3}) {
-        const std::size_t ldx = rows + pad;
-        const auto x = random_floats(cols * ldx, rng);
-        std::vector<float> want(rows * cols);
-        simd::kernels_for(util::SimdIsa::kScalar)
-            .transpose(x.data(), rows, cols, ldx, want.data());
-        for (std::size_t r = 0; r < rows; ++r) {
-          for (std::size_t c = 0; c < cols; ++c) {
-            ASSERT_EQ(want[r * cols + c], x[c * ldx + r]);
-          }
-        }
-        for (const auto isa : reachable_isas()) {
-          std::vector<float> got(rows * cols, -1.0f);
-          simd::kernels_for(isa).transpose(x.data(), rows, cols, ldx,
-                                           got.data());
-          EXPECT_TRUE(bit_equal(want, got))
-              << "isa=" << util::isa_name(isa) << " rows=" << rows
-              << " cols=" << cols << " ldx=" << ldx;
         }
       }
     }

@@ -7,8 +7,8 @@
 #      flags), and README's --method row lists exactly the methods
 #      fedclust_sim --help names;
 #   2. every relative markdown link in docs/*.md points at a real file;
-#   3. every `path:line` anchor in docs/*.md names a real file and a
-#      line that exists.
+#   3. every `path:line` or `path:first-last` anchor in README.md,
+#      ROADMAP.md and docs/*.md names a real file and lines that exist.
 # Usage: tools/check_docs.sh [sim] [report] [server] [worker]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -108,19 +108,25 @@ for doc in docs/*.md; do
   done < <(grep -oE '\]\([^)]+\)' "$doc" | sed 's/^](//; s/)$//')
 done
 
-# file:line anchors: `src/foo/bar.cpp:123` must name a real file with at
-# least 123 lines, so doc references rot loudly instead of silently.
-for doc in docs/*.md; do
+# file:line anchors: `src/foo/bar.cpp:123`, or a range
+# `src/foo/bar.cpp:120-130`, must name a real file with at least that many
+# lines, so doc references rot loudly instead of silently.
+for doc in README.md ROADMAP.md docs/*.md; do
   while IFS= read -r anchor; do
     path="${anchor%:*}"
-    line="${anchor##*:}"
+    range="${anchor##*:}"
+    first="${range%-*}"
+    last="${range#*-}"
     if [ ! -f "$path" ]; then
       echo "check_docs: $doc anchors missing file $path" >&2; fail=1
-    elif [ "$line" -gt "$(wc -l < "$path")" ]; then
+    elif [ "$first" -gt "$last" ]; then
+      echo "check_docs: $doc anchor $anchor is an empty range" >&2; fail=1
+    elif [ "$last" -gt "$(wc -l < "$path")" ]; then
       echo "check_docs: $doc anchor $anchor is past end of file" >&2; fail=1
     fi
-  done < <(grep -ohE '`[A-Za-z0-9_./-]+\.(h|cpp|sh|md|json):[0-9]+`' "$doc" |
-           tr -d '`')
+  done < <(grep -ohE \
+             '`[A-Za-z0-9_./-]+\.(h|cpp|sh|md|json):[0-9]+(-[0-9]+)?`' \
+             "$doc" | tr -d '`')
 done
 
 [ "$fail" -eq 0 ] || exit 1
